@@ -18,8 +18,7 @@ from .metrics import (DensityStats, DistanceCdf, ScoreReport, antecedent_cdf,
 from .pipeline import (BackendError, EmptyBackend, HttpBackend, ModelBackend,
                        OracleBackend, PipelineConfig, PRESETS, ReplayBackend,
                        TrainingPair, annotate_corpus, annotate_document,
-                       build_prompt, export_training_pairs, make_backend,
-                       window)
+                       build_prompt, export_training_pairs, make_backend)
 from .reindex import IdAllocator, IdMap, globalize, localize
 from .synth import SynthConfig, perturb, random_corpus, random_document
 
@@ -37,5 +36,5 @@ __all__ = [
     "edit_similarity", "encode", "events_to_mentions", "export_training_pairs",
     "globalize", "localize", "make_backend", "parse_conllu", "perturb",
     "random_corpus", "random_document", "render", "score", "serialize_conllu",
-    "serialize_corpus", "window", "__version__",
+    "serialize_corpus", "__version__",
 ]

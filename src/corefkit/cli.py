@@ -28,11 +28,12 @@ from .align import clean as clean_output
 from .conllu import (ConlluError, Corpus, Document, Sentence, Token,
                      parse_conllu, serialize_conllu)
 from .diag import Diagnostic, write_jsonl
-from .formats import (AnnotatedText, Format, build_events, decode,
+from .formats import (Format, apply_idmap, build_events, decode,
                       events_to_mentions)
 from .pipeline import (BackendError, PRESETS, PipelineConfig, annotate_corpus,
                        export_training_pairs, make_backend,
                        mentions_to_document, write_pairs)
+from .reindex import localize
 
 
 class UsageError(Exception):
@@ -180,26 +181,16 @@ def _write_diags(path: str | None, diags: list[Diagnostic]) -> None:
 
 # -- commands --------------------------------------------------------------------
 
-def _display_events(annotated: AnnotatedText) -> AnnotatedText:
-    """Rewrite global chain ids as 1-based indices by first appearance."""
-    order: dict[str, int] = {}
-    events = []
-    for ev in annotated.events:
-        if isinstance(ev.chain, str):
-            idx = order.setdefault(ev.chain, len(order) + 1)
-            events.append(dataclasses.replace(ev, chain=idx))
-        else:
-            events.append(ev)
-    return AnnotatedText(annotated.tokens, events, annotated.fmt, annotated.breaks)
-
-
 def cmd_convert(args) -> int:
     fmt = Format(args.format)
     docs = [d for p in args.input for d in _parse_file(p)]
     blocks = []
     for doc in docs:
-        annotated = _display_events(build_events(doc.sentences, doc.mentions(), fmt))
-        text = annotated.render()
+        annotated = build_events(doc.sentences, doc.mentions(), fmt)
+        _, idmap = localize(annotated)
+        # convert output numbers chains from 1; prompts number them from 0
+        display = {cid: i + 1 for cid, i in idmap.global_to_local.items()}
+        text = apply_idmap(annotated, display).render()
         blocks.append(f"# doc = {doc.doc_id}\n{text}" if len(docs) > 1 else text)
     _write_text(args.output, "\n".join(blocks) + "\n")
     return 0

@@ -50,10 +50,6 @@ class TagEvent:
     chain: int | str | None
     anchor: int
 
-    @property
-    def side(self) -> str:
-        return "before" if self.kind == OPEN else "after"
-
     def slot(self) -> tuple[int, int]:
         return (self.anchor, 0) if self.kind == OPEN else (self.anchor, 1)
 
@@ -70,9 +66,6 @@ class AnnotatedText:
 
     def render(self) -> str:
         return render(self)
-
-    def annotation(self) -> tuple[tuple[str, ...], tuple[TagEvent, ...]]:
-        return tuple(self.tokens), tuple(self.events)
 
 
 # -- encoding ----------------------------------------------------------------

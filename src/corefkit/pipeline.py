@@ -7,26 +7,26 @@ raw batch text. The model completion is cleaned back onto the batch tokens,
 indices are mapped back to global chain ids (new indices mint new chains),
 and the recovered mentions are merged into the prediction.
 
-The same windowing produces training pairs from gold annotation, so a model
-fine-tuned on exported pairs and an inference run over the same corpus see
-byte-identical prompts. ``OracleBackend`` exploits that to close the loop in
-tests; ``ReplayBackend`` re-serves captured completions; ``HttpBackend``
-talks to an OpenAI-style completions endpoint; ``EmptyBackend`` returns the
-batch unannotated.
+Annotation and training export share one window walker. Export feeds it
+the gold annotation of each batch where annotation feeds it the cleaned
+model output, so a model fine-tuned on exported pairs and an inference run
+over the same corpus see byte-identical prompts. ``OracleBackend`` exploits
+that to close the loop in tests; ``ReplayBackend`` re-serves captured
+completions; ``HttpBackend`` talks to an OpenAI-style completions endpoint;
+``EmptyBackend`` returns the batch unannotated.
 """
 from __future__ import annotations
 
 import json
 import os
 import threading
-import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import requests
 
 from .align import clean
-from .conllu import Chain, Corpus, Document, Mention, Sentence
+from .conllu import Chain, Corpus, Document, Mention
 from .diag import Diagnostic
 from .formats import (OPEN, CLOSE, AnnotatedText, Format, TagEvent,
                       build_events, decode, events_to_mentions)
@@ -185,7 +185,6 @@ class ModelBackend:
     """
 
     name = "backend"
-    max_context: int | None = None
     single_flight = False
 
     def generate(self, prompt: str, ref: tuple[str, int] | None = None) -> str:
@@ -254,14 +253,12 @@ class HttpBackend(ModelBackend):
 
     def __init__(self, url: str, model: str, max_tokens: int = 2048,
                  timeout: float = 120.0, token_env: str = "COREFKIT_API_TOKEN",
-                 max_context: int | None = None,
                  session: requests.Session | None = None):
         self.url = url
         self.model = model
         self.max_tokens = max_tokens
         self.timeout = timeout
         self.token_env = token_env
-        self.max_context = max_context
         self.session = session or requests.Session()
 
     def generate(self, prompt, ref=None):
@@ -289,8 +286,7 @@ def make_backend(kind: str, **kwargs) -> ModelBackend:
     if kind == "replay":
         return ReplayBackend(kwargs["path"])
     if kind == "http":
-        allowed = {"url", "model", "max_tokens", "timeout", "token_env",
-                   "max_context"}
+        allowed = {"url", "model", "max_tokens", "timeout", "token_env"}
         return HttpBackend(**{k: v for k, v in kwargs.items() if k in allowed})
     raise ValueError(f"unknown backend kind {kind!r}")
 
@@ -353,26 +349,40 @@ class WindowReport:
     diagnostics: list[Diagnostic] = field(default_factory=list)
 
 
+def _walk_windows(doc: Document, cfg: PipelineConfig, take) -> None:
+    """The one loop over a document's windows, shared by annotation and
+    training export so both build the same prompts.
+
+    Each window's prompt holds the annotation accumulated so far, trimmed to
+    the budget and localized, plus the raw batch of sentences [lo, hi).
+    ``take(w_index, lo, hi, batch, prompt, idmap)`` handles the window and
+    returns its events, with global chain ids and anchored to the batch; they
+    become context for the windows after it.
+    """
+    acc = AnnotatedText([], [], cfg.fmt, ())
+    doc_map = IdMap() if not cfg.reindex else None
+    for w_index, (lo, hi) in enumerate(iter_windows(len(doc.sentences),
+                                                    cfg.sentences_per_batch)):
+        batch = _batch_view(doc, lo, hi, cfg.fmt)
+        context = truncate_context(acc, cfg.context_budget)
+        local_ctx, idmap = localize(context, doc_map)
+        prompt = build_prompt(local_ctx.render(), batch.render(), cfg.fmt)
+        events = take(w_index, lo, hi, batch, prompt, idmap)
+        acc = _append(acc, replace(batch, events=events))
+
+
 def annotate_document(doc: Document, backend: ModelBackend,
                       cfg: PipelineConfig) -> tuple[Document, list[WindowReport]]:
     """Window, prompt, clean and merge; returns the prediction document and
     one report per window. A window whose backend keeps failing stays
     unannotated and contributes no mentions."""
     reports: list[WindowReport] = []
-    acc = AnnotatedText([], [], cfg.fmt, ())
     allocator = IdAllocator()
-    doc_map = IdMap() if not cfg.reindex else None
     predicted: list[Mention] = []
 
-    for w_index, (lo, hi) in enumerate(iter_windows(len(doc.sentences),
-                                                    cfg.sentences_per_batch)):
+    def take(w_index, lo, hi, batch, prompt, idmap):
         report = WindowReport(w_index, (lo, hi))
         reports.append(report)
-        batch = _batch_view(doc, lo, hi, cfg.fmt)
-        context = truncate_context(acc, cfg.context_budget)
-        local_ctx, idmap = localize(context, doc_map)
-        prompt = build_prompt(local_ctx.render(), batch.render(), cfg.fmt)
-
         completion = None
         for attempt in range(cfg.retries + 1):
             report.attempts = attempt + 1
@@ -385,8 +395,7 @@ def annotate_document(doc: Document, backend: ModelBackend,
         if completion is None:
             report.diagnostics.append(
                 Diagnostic("pipeline", "window left unannotated", w_index))
-            acc = _append(acc, batch)
-            continue
+            return []
 
         if cfg.on_the_fly_clean:
             local, diags = clean(batch.render(), completion, cfg.fmt,
@@ -408,10 +417,9 @@ def annotate_document(doc: Document, backend: ModelBackend,
         predicted.extend(mentions)
         report.annotated = True
         report.n_mentions = len(mentions)
+        return global_ann.events
 
-        carried = AnnotatedText(batch.tokens, global_ann.events, cfg.fmt, batch.breaks)
-        acc = _append(acc, carried)
-
+    _walk_windows(doc, cfg, take)
     return mentions_to_document(doc, predicted), reports
 
 
@@ -421,7 +429,6 @@ class _Serialized(ModelBackend):
     def __init__(self, inner: ModelBackend):
         self.inner = inner
         self.name = inner.name
-        self.max_context = inner.max_context
         self._lock = threading.Lock()
 
     def generate(self, prompt, ref=None):
@@ -474,47 +481,26 @@ def _sentence_starts(doc: Document) -> list[int]:
     return starts
 
 
-def window(doc: Document, cfg: PipelineConfig) -> list[
-        tuple[AnnotatedText, list[Sentence]]]:
-    """Ordered (context, batch) pairs for ``doc`` under ``cfg``'s windowing.
-
-    The context is the gold-annotated prefix trimmed to the word budget, still
-    carrying document-global chain ids (callers localize); the batch is the
-    sentence slice that window is asked to annotate.
-    """
-    full = build_events(doc.sentences, doc.mentions(), cfg.fmt)
-    starts = _sentence_starts(doc)
-    out = []
-    for lo, hi in iter_windows(len(doc.sentences), cfg.sentences_per_batch):
-        prefix = slice_annotated(full, 0, starts[lo])
-        out.append((truncate_context(prefix, cfg.context_budget),
-                    list(doc.sentences[lo:hi])))
-    return out
-
-
 def export_training_pairs(source: Document | Corpus,
                           cfg: PipelineConfig) -> list[TrainingPair]:
-    """Gold prompt/completion pairs, one per window, windowed exactly like
-    :func:`annotate_document` so that annotation with :class:`OracleBackend`
-    reproduces the gold chains."""
+    """Gold prompt/completion pairs, one per window, walked by the same loop
+    as :func:`annotate_document` so that annotation with
+    :class:`OracleBackend` reproduces the gold chains."""
     if isinstance(source, Corpus):
         return [p for _, docs in source.datasets for d in docs
                 for p in export_training_pairs(d, cfg)]
     doc = source
     full = build_events(doc.sentences, doc.mentions(), cfg.fmt)
     starts = _sentence_starts(doc)
-
     pairs: list[TrainingPair] = []
-    doc_map = IdMap() if not cfg.reindex else None
-    for w_index, (context, batch_sents) in enumerate(window(doc, cfg)):
-        lo = w_index * cfg.sentences_per_batch
-        hi = lo + len(batch_sents)
-        batch = slice_annotated(full, starts[lo], starts[hi])
-        local_ctx, idmap = localize(context, doc_map)
-        local_batch, idmap = localize(batch, idmap)
-        prompt = build_prompt(local_ctx.render(),
-                              _batch_view(doc, lo, hi, cfg.fmt).render(), cfg.fmt)
-        pairs.append(TrainingPair(doc.doc_id, w_index, prompt, local_batch.render()))
+
+    def take(w_index, lo, hi, batch, prompt, idmap):
+        gold = slice_annotated(full, starts[lo], starts[hi])
+        local_gold, _ = localize(gold, idmap)
+        pairs.append(TrainingPair(doc.doc_id, w_index, prompt, local_gold.render()))
+        return gold.events
+
+    _walk_windows(doc, cfg, take)
     return pairs
 
 
@@ -533,13 +519,3 @@ def load_pairs(path: str) -> list[TrainingPair]:
                 out.append(TrainingPair(rec["doc_id"], rec["window_index"],
                                         rec["prompt"], rec["completion"]))
     return out
-
-
-@dataclass
-class RunTimer:
-    """Wall-clock bookkeeping for CLI summaries."""
-
-    started: float = field(default_factory=time.monotonic)
-
-    def elapsed(self) -> float:
-        return time.monotonic() - self.started

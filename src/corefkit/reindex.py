@@ -12,7 +12,7 @@ import re
 from dataclasses import dataclass, field, replace
 
 from .diag import Diagnostic
-from .formats import AnnotatedText, TagEvent
+from .formats import AnnotatedText, TagEvent, apply_idmap
 
 _NUMERIC_ID = re.compile(r"e(\d+)\Z")
 
@@ -61,14 +61,11 @@ def localize(context: AnnotatedText, idmap: IdMap | None = None) -> tuple[Annota
     (document-lifetime mode); it is extended in place.
     """
     idmap = idmap if idmap is not None else IdMap()
-    events: list[TagEvent] = []
     for ev in context.events:
-        if ev.chain is None or isinstance(ev.chain, int):
-            events.append(ev)
-        else:
-            events.append(replace(ev, chain=idmap.assign(ev.chain)))
+        if isinstance(ev.chain, str):
+            idmap.assign(ev.chain)
     idmap.n_context = len(idmap.local_to_global)
-    return AnnotatedText(list(context.tokens), events, context.fmt, context.breaks), idmap
+    return apply_idmap(context, idmap.global_to_local), idmap
 
 
 def globalize(predicted: AnnotatedText, idmap: IdMap,

@@ -1,11 +1,14 @@
 """End-to-end command behavior, exit codes, config handling."""
 import io
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import corefkit
 from corefkit.cli import main
 from corefkit.conllu import parse_conllu, serialize_conllu
 from corefkit.pipeline import load_pairs
@@ -203,10 +206,14 @@ def test_replay_runs_are_deterministic(gold_path, tmp_path):
 
 
 def test_module_entry_point_runs_as_subprocess(gold_path):
+    # the child imports the same corefkit as this test, installed or not
+    src = str(Path(corefkit.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
         [sys.executable, "-m", "corefkit", "convert", gold_path,
          "--format", "headword"],
-        capture_output=True, text=True, timeout=60)
+        capture_output=True, text=True, timeout=60, env=env)
     assert proc.returncode == 0
     assert proc.stdout == GOLDEN["headword"] + "\n"
 

@@ -15,8 +15,7 @@ from corefkit.pipeline import (PRESETS, BackendError, EmptyBackend,
                                build_prompt, completion_of,
                                export_training_pairs, iter_windows, load_pairs,
                                make_backend, mentions_to_document,
-                               slice_annotated, truncate_context, window,
-                               write_pairs)
+                               slice_annotated, truncate_context, write_pairs)
 from corefkit.synth import SynthConfig, random_corpus
 
 from conftest import make_sister_doc
@@ -117,15 +116,19 @@ def test_truncate_is_a_suffix_and_fits(budget):
     assert ann.tokens[len(ann.tokens) - len(kept.tokens):] == kept.tokens
 
 
+def _context_of(prompt):
+    return prompt.split("PREVIOUS CONTEXT\n")[1].split("\n\nINPUT TO ANNOTATE")[0]
+
+
 def test_window_pairs_cover_the_document():
     doc = random_corpus(1, SynthConfig(seed=3), seed=3).datasets[0][1][0]
     cfg = PipelineConfig(sentences_per_batch=2, context_budget=40)
-    pairs = window(doc, cfg)
-    covered = [s.sent_id for _, batch in pairs for s in batch]
-    assert covered == [s.sent_id for s in doc.sentences]
-    assert pairs[0][0].tokens == []  # no context before the first window
-    for ctx, _ in pairs:
-        assert len(ctx.render().split()) <= 40
+    pairs = export_training_pairs(doc, cfg)
+    covered = [line for p in pairs for line in completion_of(p.prompt).split("\n")]
+    assert covered == [" ".join(t.form for t in s.tokens) for s in doc.sentences]
+    assert _context_of(pairs[0].prompt) == "(none)"  # no context before the first window
+    for p in pairs[1:]:
+        assert len(_context_of(p.prompt).split()) <= 40
 
 
 # -- backends ----------------------------------------------------------------
@@ -325,8 +328,7 @@ def test_context_carries_prior_window_annotation():
     assert "PREVIOUS CONTEXT\n(none)" not in second.prompt
     # with an ample budget the second window's context is exactly the first
     # window's annotated output, ids renumbered identically
-    ctx = second.prompt.split("PREVIOUS CONTEXT\n")[1].split("\n\nINPUT")[0]
-    assert ctx == first.completion
+    assert _context_of(second.prompt) == first.completion
 
 
 def test_oracle_closure_with_doc_lifetime_ids(sister_doc):
@@ -343,6 +345,20 @@ def test_positional_trust_mode_recovers_exact_output(sister_doc):
     pred, _ = annotate_document(sister_doc, OracleBackend(pairs), cfg)
     gold = Corpus([("x", [sister_doc])])
     assert conll_f1(gold, Corpus([("x", [pred])])).macro_average == 100.0
+
+
+@pytest.mark.parametrize("fmt", list(Format))
+@pytest.mark.parametrize("opts", [dict(reindex=False, context_budget=60),
+                                  dict(on_the_fly_clean=False, context_budget=3072)],
+                         ids=["doc-lifetime-ids", "positional-trust"])
+def test_multi_window_oracle_closure(fmt, opts):
+    # many windows per document, so the id numbering carried from window to
+    # window (one IdMap for the whole document without reindex) is exercised
+    gold = random_corpus(30, SynthConfig(seed=11, sentences=(5, 12), p_zero=0.2,
+                                         p_discontinuous=0.1))
+    cfg = PipelineConfig(fmt=fmt, sentences_per_batch=2, **opts)
+    pred, _ = annotate_corpus(gold, OracleBackend(export_training_pairs(gold, cfg)), cfg)
+    assert conll_f1(gold, pred).macro_average == 100.0
 
 
 def test_mentions_to_document_keeps_duplicates(sister_doc):
