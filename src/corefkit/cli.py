@@ -71,6 +71,12 @@ class JobConfig:
     jobs: int = 1
 
 
+# the JSON values each JobConfig field type accepts; an integer stands for a float
+_JSON_TYPES = {"str": {str}, "str | None": {str, type(None)}, "int": {int},
+               "int | None": {int, type(None)}, "float": {int, float},
+               "float | None": {int, float, type(None)}, "bool": {bool}}
+
+
 def load_job_config(path: str | None, overrides: dict) -> JobConfig:
     job = JobConfig()
     if path:
@@ -80,13 +86,16 @@ def load_job_config(path: str | None, overrides: dict) -> JobConfig:
             raise UsageError(f"config {path}: invalid JSON ({exc})") from exc
         if not isinstance(raw, dict):
             raise UsageError(f"config {path}: expected a JSON object")
-        known = {f.name for f in dataclasses.fields(JobConfig)}
-        unknown = sorted(set(raw) - known)
+        known = {f.name: f.type for f in dataclasses.fields(JobConfig)}
+        unknown = sorted(set(raw) - set(known))
         if unknown:
             raise UsageError(
                 f"config {path}: unknown keys {', '.join(unknown)} "
                 f"(known: {', '.join(sorted(known))})")
         for key, value in raw.items():
+            if type(value) not in _JSON_TYPES[known[key]]:
+                raise UsageError(f"config {path}: {key} must be {known[key]}, "
+                                 f"not {json.dumps(value)}")
             setattr(job, key, value)
     for key, value in overrides.items():
         if value is not None:
@@ -103,7 +112,7 @@ def pipeline_config(job: JobConfig) -> PipelineConfig:
         cfg = PipelineConfig(**dataclasses.asdict(base))
     else:
         cfg = PipelineConfig()
-    cfg.fmt = Format(job.format)
+    cfg.fmt = job.format
     if job.sentences_per_batch is not None:
         cfg.sentences_per_batch = job.sentences_per_batch
     if job.context_budget is not None:
@@ -113,7 +122,10 @@ def pipeline_config(job: JobConfig) -> PipelineConfig:
     cfg.on_the_fly_clean = job.clean
     cfg.reindex = job.reindex
     cfg.retries = job.retries
-    cfg.__post_init__()
+    try:
+        cfg.__post_init__()
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
     return cfg
 
 

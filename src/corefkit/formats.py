@@ -8,6 +8,10 @@ Four wire grammars over whitespace-delimited atoms:
   minimal    <ent1> ... </ent>, zeros as <zero1>
   headword   a single <ent1> after each mention head, <zero1> after zero anchors
 
+The tag formats' grammar lives in ``TAGS``, one template per event kind:
+render fills the templates in, and decode compiles them into one atom pattern
+per format.
+
 Open tags anchor before their token, everything else after. Close tags carry
 no chain id in the event model; pairing is recovered by stack ("last open,
 first closed"). Zero tags never close. Rendered text is single-space joined
@@ -38,6 +42,15 @@ class Format(str, Enum):
 
 class FormatError(ValueError):
     pass
+
+
+# ``{k}`` stands for the chain index; a space separates the two atoms of a tag
+TAGS: dict[Format, dict[str, str]] = {
+    Format.EXPLICIT: {OPEN: "<ent id=COREF_{k}>", CLOSE: "</ent>",
+                      ZERO: "<zero_ent id=COREF_{k}>"},
+    Format.MINIMAL: {OPEN: "<ent{k}>", CLOSE: "</ent>", ZERO: "<zero{k}>"},
+    Format.HEADWORD: {HEAD: "<ent{k}>", ZERO: "<zero{k}>"},
+}
 
 
 @dataclass(frozen=True)
@@ -177,83 +190,62 @@ def _pair_events(events: Sequence[TagEvent]):
     return open_to_close, close_to_open
 
 
-def _tag_atoms(ev: TagEvent, fmt: Format) -> list[str]:
-    k = ev.chain
-    if fmt is Format.MINIMAL:
-        return {OPEN: [f"<ent{k}>"], CLOSE: ["</ent>"], ZERO: [f"<zero{k}>"]}[ev.kind]
-    if fmt is Format.HEADWORD:
-        return [f"<ent{k}>"] if ev.kind == HEAD else [f"<zero{k}>"]
-    if fmt is Format.EXPLICIT:
-        return {OPEN: ["<ent", f"id=COREF_{k}>"],
-                CLOSE: ["</ent>"],
-                ZERO: ["<zero_ent", f"id=COREF_{k}>"]}[ev.kind]
-    raise FormatError(f"no standalone tag rendering for {fmt}")
-
-
 def render(annotated: AnnotatedText) -> str:
-    events = sorted(enumerate(annotated.events), key=lambda p: (p[1].slot(), p[0]))
-    fmt = annotated.fmt
+    events = sorted(annotated.events, key=TagEvent.slot)
     breaks = set(annotated.breaks)
-    n = len(annotated.tokens)
+    before: dict[int, list[str]] = {}   # atoms ahead of token i
+    suffix: dict[int, list[str]] = {}   # crac items joined onto token i
+    after: dict[int, list[str]] = {}    # atoms behind token i (-1: leading)
 
-    if fmt is Format.CRAC:
-        plain = [ev for _, ev in events]
-        o2c, c2o = _pair_events(plain)
-        suffix: dict[int, list[str]] = {}
-        zero_atoms: dict[int, list[str]] = {}
-        singles: dict[int, list[str]] = {}
-        opens: dict[int, list[str]] = {}
-        closes: dict[int, list[str]] = {}
-        for i, ev in enumerate(plain):
+    if annotated.fmt is Format.CRAC:
+        o2c, c2o = _pair_events(events)
+        ranked: dict[int, tuple[list[str], list[str], list[str]]] = {}
+        for i, ev in enumerate(events):
+            if ev.kind == ZERO:
+                after.setdefault(ev.anchor, []).append(f"##|[e{ev.chain}]")
+                continue
             if ev.kind == OPEN:
-                if i in o2c and plain[o2c[i]].anchor == ev.anchor:
-                    singles.setdefault(ev.anchor, []).append(f"[e{ev.chain}]")
-                else:
-                    opens.setdefault(ev.anchor, []).append(f"[e{ev.chain}")
-            elif ev.kind == CLOSE:
-                if i not in c2o:
-                    continue
-                opener = plain[c2o[i]]
-                if opener.anchor == ev.anchor:
-                    continue  # rendered as a singleton already
-                closes.setdefault(ev.anchor, []).append(f"e{opener.chain}]")
-            elif ev.kind == ZERO:
-                zero_atoms.setdefault(ev.anchor, []).append(f"##|[e{ev.chain}]")
-        for i in range(n):
-            suffix[i] = singles.get(i, []) + opens.get(i, []) + closes.get(i, [])
-        lines: list[list[str]] = [[]]
-        for z in zero_atoms.get(-1, []):
-            lines[-1].append(z)
-        for i, form in enumerate(annotated.tokens):
-            if i in breaks:
-                lines.append([])
-            atom = form + ("|" + ",".join(suffix[i]) if suffix[i] else "")
-            lines[-1].append(atom)
-            lines[-1].extend(zero_atoms.get(i, []))
-        return "\n".join(" ".join(line) for line in lines)
+                single = i in o2c and events[o2c[i]].anchor == ev.anchor
+                item, rank = (f"[e{ev.chain}]", 0) if single else (f"[e{ev.chain}", 1)
+            elif ev.kind == CLOSE and i in c2o and events[c2o[i]].anchor != ev.anchor:
+                item, rank = f"e{events[c2o[i]].chain}]", 2
+            else:
+                continue  # heads, unpaired closes, and closes of singletons
+            ranked.setdefault(ev.anchor, ([], [], []))[rank].append(item)
+        suffix = {i: s + o + c for i, (s, o, c) in ranked.items()}
+    else:
+        tags = {kind: template.format for kind, template in TAGS[annotated.fmt].items()}
+        for ev in events:
+            target = before if ev.kind == OPEN else after
+            target.setdefault(ev.anchor, []).append(tags[ev.kind](k=ev.chain))
 
-    before: dict[int, list[str]] = {}
-    after: dict[int, list[str]] = {}
-    for _, ev in events:
-        target = before if ev.kind == OPEN else after
-        target.setdefault(ev.anchor, []).extend(_tag_atoms(ev, fmt))
-    lines = [[]]
-    lines[-1].extend(after.get(-1, []))
+    lines = [list(after.get(-1, ()))]
     for i, form in enumerate(annotated.tokens):
         if i in breaks:
             lines.append([])
-        lines[-1].extend(before.get(i, []))
-        lines[-1].append(form)
-        lines[-1].extend(after.get(i, []))
+        line = lines[-1]
+        line.extend(before.get(i, ()))
+        items = suffix.get(i)
+        line.append(form + "|" + ",".join(items) if items else form)
+        line.extend(after.get(i, ()))
     return "\n".join(" ".join(line) for line in lines)
 
 
 # -- decoding ----------------------------------------------------------------
 
-_MINIMAL_OPEN = re.compile(r"<ent(\d+)>\Z")
-_MINIMAL_CLOSE = re.compile(r"</ent>\Z")
-_MINIMAL_ZERO = re.compile(r"<zero(\d+)>\Z")
-_EXPLICIT_ID = re.compile(r"id=COREF_(\d+)>\Z")
+def _atom_pattern(fmt: Format) -> re.Pattern:
+    """One alternative per ``TAGS[fmt]`` entry, a group named after its event
+    kind capturing the chain index (or the whole close tag), then any atom."""
+    alternatives = []
+    for kind, template in TAGS[fmt].items():
+        head, k, tail = (re.escape(part) for part in template.partition("{k}"))
+        tag = f"{head}(?P<{kind}>\\d+){tail}" if k else f"(?P<{kind}>{head})"
+        # a tag is whole atoms; the gap inside one may be any whitespace
+        alternatives.append(tag.replace(re.escape(" "), r"\s+") + r"(?!\S)")
+    return re.compile("|".join(alternatives + [r"\S+"]))
+
+
+_ATOMS = {fmt: _atom_pattern(fmt) for fmt in TAGS}
 _CRAC_ITEM = re.compile(r"\[e(\d+)\]\Z|\[e(\d+)\Z|e(\d+)\]\Z")
 
 
@@ -374,61 +366,29 @@ def decode(text: str, fmt: Format) -> tuple[AnnotatedText, list[Diagnostic]]:
     Line boundaries come back as token breaks."""
     fmt = Format(fmt)
     dec = _Decoder(fmt)
-    atoms: list[str] = []
-    line_of: list[int] = []
-    n_lines = 0
-    for line in text.splitlines():
-        parts = line.split()
-        if parts:
-            atoms.extend(parts)
-            line_of.extend([n_lines] * len(parts))
-            n_lines += 1
     raw_breaks: list[int] = []
-    i = 0
-    while i < len(atoms):
-        if i and line_of[i] != line_of[i - 1]:
+    if fmt is Format.CRAC:
+        for line in text.splitlines():
             raw_breaks.append(len(dec.tokens))
-        atom = atoms[i]
-        if fmt is Format.CRAC:
-            _decode_crac_atom(dec, atom)
-            i += 1
-            continue
-        if fmt is Format.EXPLICIT:
-            if atom in ("<ent", "<zero_ent") and i + 1 < len(atoms):
-                m = _EXPLICIT_ID.match(atoms[i + 1])
-                if m:
-                    if atom == "<ent":
-                        dec.open(int(m.group(1)))
-                    else:
-                        dec.after_tag(ZERO, int(m.group(1)))
-                    i += 2
-                    continue
-            if _MINIMAL_CLOSE.match(atom):
+            for atom in line.split():
+                _decode_crac_atom(dec, atom)
+    else:
+        # one walk over the whole text, so that an explicit tag may span lines
+        text = "\n".join(text.splitlines())
+        end = 0
+        for m in _ATOMS[fmt].finditer(text):
+            if text.find("\n", end, m.start()) >= 0:
+                raw_breaks.append(len(dec.tokens))
+            end = m.end()
+            kind = m.lastgroup
+            if kind is None:
+                dec.token(m[0])
+            elif kind == OPEN:
+                dec.open(int(m[kind]))
+            elif kind == CLOSE:
                 dec.close()
-                i += 1
-                continue
-            dec.token(atom)
-            i += 1
-            continue
-        m = _MINIMAL_OPEN.match(atom)
-        if m:
-            if fmt is Format.MINIMAL:
-                dec.open(int(m.group(1)))
             else:
-                dec.after_tag(HEAD, int(m.group(1)))
-            i += 1
-            continue
-        m = _MINIMAL_ZERO.match(atom)
-        if m:
-            dec.after_tag(ZERO, int(m.group(1)))
-            i += 1
-            continue
-        if fmt is Format.MINIMAL and _MINIMAL_CLOSE.match(atom):
-            dec.close()
-            i += 1
-            continue
-        dec.token(atom)
-        i += 1
+                dec.after_tag(kind, int(m[kind]))
     annotated, diags = dec.finish()
     annotated.breaks = tuple(sorted(
         {b for b in raw_breaks if 0 < b < len(annotated.tokens)}))

@@ -272,10 +272,13 @@ class HttpBackend(ModelBackend):
             resp = self.session.post(self.url, json=payload, headers=headers,
                                      timeout=self.timeout)
             resp.raise_for_status()
-            data = resp.json()
-            return data["choices"][0]["text"]
-        except (requests.RequestException, KeyError, IndexError, ValueError) as exc:
+            text = resp.json()["choices"][0]["text"]
+        except (requests.RequestException, KeyError, IndexError, TypeError,
+                ValueError) as exc:
             raise BackendError(f"completion request failed: {exc}") from exc
+        if not isinstance(text, str):
+            raise BackendError(f"completion text is not a string: {text!r}")
+        return text
 
 
 def make_backend(kind: str, **kwargs) -> ModelBackend:

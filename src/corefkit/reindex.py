@@ -3,8 +3,8 @@
 Models see small integer indices, documents keep global chain ids. localize
 numbers the chains visible in a context 0..N-1 by first appearance;
 globalize maps predicted indices back, minting deterministic fresh ids
-(e<max+1> style) for indices >= N, in order of first appearance, so repeats
-of a new index corefer within the window.
+(e<max+1> style) for indices the map does not hold, in order of first
+appearance, so repeats of a new index corefer within the window.
 """
 from __future__ import annotations
 
@@ -23,7 +23,6 @@ class IdMap:
 
     local_to_global: dict[int, str] = field(default_factory=dict)
     global_to_local: dict[str, int] = field(default_factory=dict)
-    n_context: int = 0
 
     def assign(self, chain_id: str) -> int:
         idx = self.global_to_local.get(chain_id)
@@ -64,14 +63,14 @@ def localize(context: AnnotatedText, idmap: IdMap | None = None) -> tuple[Annota
     for ev in context.events:
         if isinstance(ev.chain, str):
             idmap.assign(ev.chain)
-    idmap.n_context = len(idmap.local_to_global)
     return apply_idmap(context, idmap.global_to_local), idmap
 
 
 def globalize(predicted: AnnotatedText, idmap: IdMap,
               allocator: IdAllocator) -> tuple[AnnotatedText, list[Diagnostic]]:
-    """Map display indices back to global chain ids, minting fresh ids for
-    indices >= n_context (gaps allowed); bad indices drop their event."""
+    """Map display indices back to global chain ids, minting a fresh id for
+    any index the map does not hold (and recording it there, so repeats share
+    it); negative or non-integer indices drop their event."""
     diags: list[Diagnostic] = []
     events: list[TagEvent] = []
     for ev in predicted.events:

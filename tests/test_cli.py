@@ -154,6 +154,24 @@ def test_unknown_config_key_is_a_usage_error(gold_path, tmp_path, capsys):
     assert "unknown keys" in err and "max_token" in err
 
 
+@pytest.mark.parametrize("command", ["annotate", "export-train"])
+@pytest.mark.parametrize("flags, config", [
+    (["--sentences-per-batch", "0"], None),
+    (["--context-budget", "-1"], None),
+    ([], {"format": "bogus"}),
+    ([], {"jobs": "4"}),
+], ids=["zero-batch", "negative-budget", "unknown-format", "string-jobs"])
+def test_bad_pipeline_values_are_usage_errors(gold_path, tmp_path, capsys,
+                                              command, flags, config):
+    if config is not None:
+        path = tmp_path / "job.json"
+        path.write_text(json.dumps(config), encoding="utf-8")
+        flags = [*flags, "--config", str(path)]
+    assert run(command, gold_path, *flags) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_http_backend_requires_url_and_model(gold_path, capsys):
     assert run("annotate", gold_path, "--backend", "http") == 1
     assert "--url and --model" in capsys.readouterr().err

@@ -33,9 +33,19 @@ def test_decode_inverts_encode(fmt):
 
 @pytest.mark.parametrize("fmt", ALL_FORMATS)
 def test_plain_text_passes_through(fmt):
-    text = "nothing tagged here ."
-    annotated, diags = decode(text, fmt)
-    assert (annotated.render(), annotated.events, diags) == (text, [], [])
+    # the second text holds tag look-alikes that are not whole atoms
+    for text in ("nothing tagged here .",
+                 "x<ent1> <ent1>x </ent>> <zero2>y <ent x id=COREF_1>"):
+        annotated, diags = decode(text, fmt)
+        assert (annotated.render(), annotated.events, diags) == (text, [], [])
+        assert annotated.tokens == text.split()
+
+
+def test_explicit_tag_may_span_a_line_break():
+    annotated, diags = decode("a <ent\nid=COREF_1> b </ent>\nc", Format.EXPLICIT)
+    assert diags == []
+    assert annotated.tokens == ["a", "b", "c"]
+    assert annotated.events == [TagEvent("open", 1, 1), TagEvent("close", None, 1)]
 
 
 def test_decoded_mentions_match_gold(sister_doc):

@@ -247,7 +247,10 @@ def test_http_backend_token_only_from_environment(monkeypatch):
 
 def test_http_backend_wraps_failures(monkeypatch):
     monkeypatch.delenv("COREFKIT_API_TOKEN", raising=False)
-    for session in (_FakeSession({}, status=500), _FakeSession({"nope": 1})):
+    for session in (_FakeSession({}, status=500), _FakeSession({"nope": 1}),
+                    _FakeSession({"choices": [{"text": None}]}),
+                    _FakeSession({"choices": [{"text": 5}]}),
+                    _FakeSession({"choices": None})):
         backend = HttpBackend("http://unit.test", "m", session=session)
         with pytest.raises(BackendError):
             backend.generate("p")

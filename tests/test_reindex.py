@@ -18,7 +18,6 @@ def test_localize_numbers_by_first_appearance():
     local, idmap = localize(ann(heads(["e42", "e7", "e42", "e13"])))
     assert [ev.chain for ev in local.events] == [0, 1, 0, 2]
     assert idmap.local_to_global == {0: "e42", 1: "e7", 2: "e13"}
-    assert idmap.n_context == 3
 
 
 def test_localize_leaves_ints_and_closes_alone():
@@ -26,12 +25,11 @@ def test_localize_leaves_ints_and_closes_alone():
               TagEvent("head", 7, 2)]
     local, idmap = localize(ann(events, fmt=Format.MINIMAL))
     assert [ev.chain for ev in local.events] == [0, None, 7]
-    assert idmap.n_context == 1
 
 
 def test_globalize_maps_known_and_mints_fresh():
     idmap = IdMap({0: "e42", 1: "e7", 2: "e13"},
-                  {"e42": 0, "e7": 1, "e13": 2}, n_context=3)
+                  {"e42": 0, "e7": 1, "e13": 2})
     allocator = IdAllocator({"e42", "e7", "e13", "e43"})
     out, diags = globalize(ann(heads([0, 3, 4, 3])), idmap, allocator)
     assert diags == []
