@@ -18,7 +18,7 @@ from .metrics import (DensityStats, DistanceCdf, ScoreReport, antecedent_cdf,
 from .pipeline import (BackendError, EmptyBackend, HttpBackend, ModelBackend,
                        OracleBackend, PipelineConfig, PRESETS, ReplayBackend,
                        TrainingPair, annotate_corpus, annotate_document,
-                       build_prompt, export_training_pairs, make_backend)
+                       build_prompt, export_training_pairs)
 from .reindex import IdAllocator, IdMap, globalize, localize
 from .synth import SynthConfig, perturb, random_corpus, random_document
 
@@ -34,7 +34,7 @@ __all__ = [
     "annotate_corpus", "annotate_document", "antecedent_cdf", "build_events",
     "build_prompt", "clean", "conll_f1", "decode", "density",
     "edit_similarity", "encode", "events_to_mentions", "export_training_pairs",
-    "globalize", "localize", "make_backend", "parse_conllu", "perturb",
+    "globalize", "localize", "parse_conllu", "perturb",
     "random_corpus", "random_document", "render", "score", "serialize_conllu",
     "serialize_corpus", "__version__",
 ]

@@ -8,11 +8,12 @@
     corefkit stats         mention density and antecedent-distance figures
     corefkit export-train  gold prompt/completion pairs as JSONL
 
-Every command reads `-` as stdin and writes `-` (the default) as stdout.
-Options may come from a JSON config file (--config); unknown keys there are
-an error, and explicit command-line flags win over the file. Exit status: 0
-success, 1 usage or configuration problem, 2 malformed data, 3 backend
-failure.
+Every command reads `-` as stdin; `-o` (default `-`) and `--diagnostics`
+both write `-` as stdout. Options may come from a JSON config file
+(--config); unknown keys there are an error, and explicit command-line flags
+win over the file. Exit status: 0 success, 1 usage or configuration problem
+(an output path that cannot be written included), 2 malformed data, 3
+backend failure.
 """
 from __future__ import annotations
 
@@ -20,6 +21,7 @@ import argparse
 import dataclasses
 import json
 import sys
+from collections.abc import Iterable
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -27,12 +29,13 @@ from . import metrics
 from .align import clean as clean_output
 from .conllu import (ConlluError, Corpus, Document, Sentence, Token,
                      parse_conllu, serialize_conllu)
-from .diag import Diagnostic, write_jsonl
+from .diag import Diagnostic
 from .formats import (Format, apply_idmap, build_events, decode,
                       events_to_mentions)
-from .pipeline import (BackendError, PRESETS, PipelineConfig, annotate_corpus,
-                       export_training_pairs, make_backend,
-                       mentions_to_document, write_pairs)
+from .pipeline import (BackendError, EmptyBackend, HttpBackend, ModelBackend,
+                       OracleBackend, PRESETS, PipelineConfig, ReplayBackend,
+                       annotate_corpus, export_training_pairs, load_pairs,
+                       mentions_to_document)
 from .reindex import localize
 
 
@@ -78,7 +81,11 @@ _JSON_TYPES = {"str": {str}, "str | None": {str, type(None)}, "int": {int},
 
 
 def load_job_config(path: str | None, overrides: dict) -> JobConfig:
+    """Defaults, then the JSON file at ``path``, then every ``overrides``
+    entry that names a JobConfig field and is not None (parsed flags
+    qualify as they are: their ``dest``s are the field names)."""
     job = JobConfig()
+    known = {f.name: f.type for f in dataclasses.fields(JobConfig)}
     if path:
         try:
             raw = json.loads(_read_text(path))
@@ -86,7 +93,6 @@ def load_job_config(path: str | None, overrides: dict) -> JobConfig:
             raise UsageError(f"config {path}: invalid JSON ({exc})") from exc
         if not isinstance(raw, dict):
             raise UsageError(f"config {path}: expected a JSON object")
-        known = {f.name: f.type for f in dataclasses.fields(JobConfig)}
         unknown = sorted(set(raw) - set(known))
         if unknown:
             raise UsageError(
@@ -97,55 +103,45 @@ def load_job_config(path: str | None, overrides: dict) -> JobConfig:
                 raise UsageError(f"config {path}: {key} must be {known[key]}, "
                                  f"not {json.dumps(value)}")
             setattr(job, key, value)
-    for key, value in overrides.items():
-        if value is not None:
-            setattr(job, key, value)
+    for key in known:
+        if overrides.get(key) is not None:
+            setattr(job, key, overrides[key])
     return job
 
 
 def pipeline_config(job: JobConfig) -> PipelineConfig:
-    if job.preset is not None:
-        if job.preset not in PRESETS:
-            raise UsageError(f"unknown preset {job.preset!r} "
-                             f"(choose from {', '.join(sorted(PRESETS))})")
-        base = PRESETS[job.preset]
-        cfg = PipelineConfig(**dataclasses.asdict(base))
-    else:
-        cfg = PipelineConfig()
-    cfg.fmt = job.format
-    if job.sentences_per_batch is not None:
-        cfg.sentences_per_batch = job.sentences_per_batch
-    if job.context_budget is not None:
-        cfg.context_budget = job.context_budget
-    if job.fuzzy_threshold is not None:
-        cfg.fuzzy_threshold = job.fuzzy_threshold
-    cfg.on_the_fly_clean = job.clean
-    cfg.reindex = job.reindex
-    cfg.retries = job.retries
+    if job.preset is not None and job.preset not in PRESETS:
+        raise UsageError(f"unknown preset {job.preset!r} "
+                         f"(choose from {', '.join(sorted(PRESETS))})")
+    changes = {"fmt": job.format, "sentences_per_batch": job.sentences_per_batch,
+               "context_budget": job.context_budget,
+               "fuzzy_threshold": job.fuzzy_threshold,
+               "on_the_fly_clean": job.clean, "reindex": job.reindex,
+               "retries": job.retries}
     try:
-        cfg.__post_init__()
+        return dataclasses.replace(
+            PRESETS.get(job.preset) or PipelineConfig(),
+            **{k: v for k, v in changes.items() if v is not None})
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    return cfg
 
 
-def build_backend(job: JobConfig):
+def build_backend(job: JobConfig) -> ModelBackend:
+    if job.backend == "empty":
+        return EmptyBackend()
     if job.backend == "replay":
         if not job.replay:
             raise UsageError("--replay PATH is required for the replay backend")
-        return make_backend("replay", path=job.replay)
+        return ReplayBackend(job.replay)
     if job.backend == "oracle":
         if not job.oracle:
             raise UsageError("--oracle PATH is required for the oracle backend")
-        return make_backend("oracle", path=job.oracle)
+        return OracleBackend(load_pairs(job.oracle))
     if job.backend == "http":
         if not job.url or not job.model:
             raise UsageError("--url and --model are required for the http backend")
-        return make_backend("http", url=job.url, model=job.model,
-                            max_tokens=job.max_tokens, timeout=job.timeout,
-                            token_env=job.token_env)
-    if job.backend == "empty":
-        return make_backend("empty")
+        return HttpBackend(job.url, job.model, max_tokens=job.max_tokens,
+                           timeout=job.timeout, token_env=job.token_env)
     raise UsageError(f"unknown backend {job.backend!r}")
 
 
@@ -160,12 +156,16 @@ def _read_text(path: str) -> str:
         raise ConlluError(f"cannot read {path}: {exc}") from exc
 
 
-def _write_text(path: str, text: str) -> None:
+def _write_text(path: str, text: str | Iterable[str]) -> None:
+    """The one output writer: ``text`` is a string or an iterable of pieces,
+    written to stdout for ``-``. An unwritable path is a usage error."""
+    pieces = [text] if isinstance(text, str) else text
     if path == "-":
-        sys.stdout.write(text)
+        sys.stdout.writelines(pieces)
         return
     try:
-        Path(path).write_text(text, encoding="utf-8")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.writelines(pieces)
     except OSError as exc:
         raise UsageError(f"cannot write {path}: {exc}") from exc
 
@@ -188,7 +188,7 @@ def _read_corpus(paths: list[str]) -> Corpus:
 
 def _write_diags(path: str | None, diags: list[Diagnostic]) -> None:
     if path:
-        write_jsonl(path, diags)
+        _write_text(path, (d.to_json() + "\n" for d in diags))
 
 
 # -- commands --------------------------------------------------------------------
@@ -261,18 +261,10 @@ def cmd_clean(args) -> int:
 
 
 def cmd_annotate(args) -> int:
-    job = load_job_config(args.config, {
-        "format": args.format, "preset": args.preset,
-        "sentences_per_batch": args.sentences_per_batch,
-        "context_budget": args.context_budget,
-        "fuzzy_threshold": args.fuzzy_threshold,
-        "clean": args.clean, "reindex": args.reindex, "retries": args.retries,
-        "backend": args.backend, "url": args.url, "model": args.model,
-        "max_tokens": args.max_tokens, "timeout": args.timeout,
-        "token_env": args.token_env, "replay": args.replay,
-        "oracle": args.oracle, "jobs": args.jobs,
-    })
+    job = load_job_config(args.config, vars(args))
     cfg = pipeline_config(job)
+    if job.jobs < 1:
+        raise UsageError("jobs must be >= 1")
     backend = build_backend(job)
     corpus = _read_corpus(args.input)
     predicted, reports = annotate_corpus(corpus, backend, cfg, jobs=job.jobs)
@@ -318,18 +310,9 @@ def cmd_stats(args) -> int:
 
 
 def cmd_export_train(args) -> int:
-    job = load_job_config(args.config, {
-        "format": args.format, "preset": args.preset,
-        "sentences_per_batch": args.sentences_per_batch,
-        "context_budget": args.context_budget, "reindex": args.reindex,
-    })
-    cfg = pipeline_config(job)
+    cfg = pipeline_config(load_job_config(args.config, vars(args)))
     pairs = export_training_pairs(_read_corpus(args.input), cfg)
-    if args.output == "-":
-        for pair in pairs:
-            sys.stdout.write(pair.to_json() + "\n")
-    else:
-        write_pairs(args.output, pairs)
+    _write_text(args.output, (p.to_json() + "\n" for p in pairs))
     return 0
 
 

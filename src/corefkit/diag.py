@@ -15,9 +15,3 @@ class Diagnostic:
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), ensure_ascii=False, sort_keys=True)
-
-
-def write_jsonl(path: str, diags: list[Diagnostic]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for d in diags:
-            fh.write(d.to_json() + "\n")

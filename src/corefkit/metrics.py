@@ -243,9 +243,6 @@ class DensityStats:
     def as_dict(self) -> dict:
         return {"datasets": self.per_dataset}
 
-    def to_json(self) -> str:
-        return json.dumps(self.as_dict(), indent=2, sort_keys=True)
-
 
 def _density_of(docs: list[Document], include_singletons: bool) -> float:
     mentions = 0

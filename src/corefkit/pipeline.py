@@ -51,6 +51,8 @@ class PipelineConfig:
             raise ValueError("sentences_per_batch must be >= 1")
         if self.context_budget < 0:
             raise ValueError("context_budget must be >= 0")
+        if self.retries < 0:
+            raise ValueError("retries must be >= 0")
 
 
 PRESETS = {
@@ -184,7 +186,6 @@ class ModelBackend:
     the only side-effecting call the pipeline makes.
     """
 
-    name = "backend"
     single_flight = False
 
     def generate(self, prompt: str, ref: tuple[str, int] | None = None) -> str:
@@ -193,8 +194,6 @@ class ModelBackend:
 
 class EmptyBackend(ModelBackend):
     """Returns the batch text untouched — the no-mentions baseline."""
-
-    name = "empty"
 
     def generate(self, prompt, ref=None):
         return completion_of(prompt)
@@ -207,8 +206,6 @@ class OracleBackend(ModelBackend):
     which makes any train/inference skew in windowing, context trimming or id
     rewriting fail loudly instead of silently degrading scores.
     """
-
-    name = "oracle"
 
     def __init__(self, pairs):
         self.by_ref = {(p.doc_id, p.window_index): p for p in pairs}
@@ -226,8 +223,6 @@ class OracleBackend(ModelBackend):
 class ReplayBackend(ModelBackend):
     """Serves completions captured earlier as JSONL
     ({"doc_id", "window_index", "completion"} per line)."""
-
-    name = "replay"
 
     def __init__(self, path):
         self.by_ref: dict[tuple[str, int], str] = {}
@@ -248,7 +243,6 @@ class HttpBackend(ModelBackend):
     """OpenAI-style completions endpoint. The bearer token is read from the
     environment (never from config files or flags)."""
 
-    name = "http"
     single_flight = True  # one shared requests.Session; serialize access
 
     def __init__(self, url: str, model: str, max_tokens: int = 2048,
@@ -279,19 +273,6 @@ class HttpBackend(ModelBackend):
         if not isinstance(text, str):
             raise BackendError(f"completion text is not a string: {text!r}")
         return text
-
-
-def make_backend(kind: str, **kwargs) -> ModelBackend:
-    if kind == "empty":
-        return EmptyBackend()
-    if kind == "oracle":
-        return OracleBackend(load_pairs(kwargs["path"]))
-    if kind == "replay":
-        return ReplayBackend(kwargs["path"])
-    if kind == "http":
-        allowed = {"url", "model", "max_tokens", "timeout", "token_env"}
-        return HttpBackend(**{k: v for k, v in kwargs.items() if k in allowed})
-    raise ValueError(f"unknown backend kind {kind!r}")
 
 
 # -- annotation loop -------------------------------------------------------------
@@ -431,7 +412,6 @@ class _Serialized(ModelBackend):
 
     def __init__(self, inner: ModelBackend):
         self.inner = inner
-        self.name = inner.name
         self._lock = threading.Lock()
 
     def generate(self, prompt, ref=None):

@@ -9,9 +9,10 @@ from pathlib import Path
 import pytest
 
 import corefkit
-from corefkit.cli import main
+from corefkit.cli import JobConfig, UsageError, build_backend, main
 from corefkit.conllu import parse_conllu, serialize_conllu
-from corefkit.pipeline import load_pairs
+from corefkit.pipeline import (EmptyBackend, HttpBackend, OracleBackend,
+                               ReplayBackend, load_pairs)
 
 from conftest import GOLDEN, SISTER_CONLLU, make_sister_doc
 
@@ -119,6 +120,31 @@ def test_annotate_mismatched_windows_exits_3(gold_path, tmp_path, capsys):
     assert out_path.exists()  # the partial result is still written
 
 
+def test_diagnostics_dash_goes_to_stdout(gold_path, tmp_path, monkeypatch,
+                                        capsys):
+    monkeypatch.chdir(tmp_path)
+    run("export-train", gold_path, "-o", "pairs.jsonl")
+    code = run("annotate", gold_path, "--backend", "oracle",
+               "--oracle", "pairs.jsonl", "--format", "minimal",
+               "-o", "pred.conllu", "--diagnostics", "-")
+    assert code == 3
+    records = [json.loads(l) for l in capsys.readouterr().out.splitlines()]
+    assert {"stage", "message", "position"} == set(records[0])
+    assert records[-1]["message"] == "window left unannotated"
+    assert not (tmp_path / "-").exists()
+
+
+@pytest.mark.parametrize("command, flags", [
+    ("export-train", ["-o"]),
+    ("annotate", ["--backend", "empty", "-o", os.devnull, "--diagnostics"]),
+])
+def test_unwritable_output_exits_1(gold_path, tmp_path, capsys, command, flags):
+    target = str(tmp_path / "missing" / "out.jsonl")
+    assert run(command, gold_path, *flags, target) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {target}") and err.count("\n") == 1
+
+
 def test_evaluate_json_output(gold_path, capsys):
     assert run("evaluate", "--gold", gold_path, "--pred", gold_path) == 0
     payload = json.loads(capsys.readouterr().out)
@@ -160,7 +186,9 @@ def test_unknown_config_key_is_a_usage_error(gold_path, tmp_path, capsys):
     (["--context-budget", "-1"], None),
     ([], {"format": "bogus"}),
     ([], {"jobs": "4"}),
-], ids=["zero-batch", "negative-budget", "unknown-format", "string-jobs"])
+    ([], {"retries": -1}),
+], ids=["zero-batch", "negative-budget", "unknown-format", "string-jobs",
+        "negative-retries"])
 def test_bad_pipeline_values_are_usage_errors(gold_path, tmp_path, capsys,
                                               command, flags, config):
     if config is not None:
@@ -170,6 +198,33 @@ def test_bad_pipeline_values_are_usage_errors(gold_path, tmp_path, capsys,
     assert run(command, gold_path, *flags) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_annotate_needs_at_least_one_job(gold_path, capsys, jobs):
+    assert run("annotate", gold_path, "--backend", "empty", "--jobs", jobs) == 1
+    assert capsys.readouterr().err == "error: jobs must be >= 1\n"
+
+
+def test_build_backend_kinds(tmp_path):
+    p = tmp_path / "x.jsonl"
+    p.write_text("")
+    assert isinstance(build_backend(JobConfig(backend="empty")), EmptyBackend)
+    assert isinstance(build_backend(JobConfig(backend="replay", replay=str(p))),
+                      ReplayBackend)
+    assert isinstance(build_backend(JobConfig(backend="oracle", oracle=str(p))),
+                      OracleBackend)
+    http = build_backend(JobConfig(backend="http", url="u", model="m",
+                                   max_tokens=1))
+    assert isinstance(http, HttpBackend)
+    assert (http.url, http.model, http.max_tokens) == ("u", "m", 1)
+    with pytest.raises(UsageError):
+        build_backend(JobConfig(backend="nonsense"))
+
+
+def test_public_api_names_resolve():
+    missing = [n for n in corefkit.__all__ if not hasattr(corefkit, n)]
+    assert missing == []
 
 
 def test_http_backend_requires_url_and_model(gold_path, capsys):

@@ -14,8 +14,8 @@ from corefkit.pipeline import (PRESETS, BackendError, EmptyBackend,
                                annotate_corpus, annotate_document,
                                build_prompt, completion_of,
                                export_training_pairs, iter_windows, load_pairs,
-                               make_backend, mentions_to_document,
-                               slice_annotated, truncate_context, write_pairs)
+                               mentions_to_document, slice_annotated,
+                               truncate_context, write_pairs)
 from corefkit.synth import SynthConfig, random_corpus
 
 from conftest import make_sister_doc
@@ -254,18 +254,6 @@ def test_http_backend_wraps_failures(monkeypatch):
         backend = HttpBackend("http://unit.test", "m", session=session)
         with pytest.raises(BackendError):
             backend.generate("p")
-
-
-def test_make_backend_kinds(tmp_path):
-    assert isinstance(make_backend("empty"), EmptyBackend)
-    p = tmp_path / "x.jsonl"
-    p.write_text("")
-    assert isinstance(make_backend("replay", path=str(p)), ReplayBackend)
-    assert isinstance(make_backend("oracle", path=str(p)), OracleBackend)
-    http = make_backend("http", url="u", model="m", max_tokens=1)
-    assert (http.url, http.model, http.max_tokens) == ("u", "m", 1)
-    with pytest.raises(ValueError):
-        make_backend("nonsense")
 
 
 class _CountingBackend(ModelBackend):
