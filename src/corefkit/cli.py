@@ -88,7 +88,7 @@ def load_job_config(path: str | None, overrides: dict) -> JobConfig:
     known = {f.name: f.type for f in dataclasses.fields(JobConfig)}
     if path:
         try:
-            raw = json.loads(_read_text(path))
+            raw = json.loads(_read_text(path, UsageError))
         except json.JSONDecodeError as exc:
             raise UsageError(f"config {path}: invalid JSON ({exc})") from exc
         if not isinstance(raw, dict):
@@ -129,14 +129,16 @@ def pipeline_config(job: JobConfig) -> PipelineConfig:
 def build_backend(job: JobConfig) -> ModelBackend:
     if job.backend == "empty":
         return EmptyBackend()
-    if job.backend == "replay":
-        if not job.replay:
-            raise UsageError("--replay PATH is required for the replay backend")
-        return ReplayBackend(job.replay)
-    if job.backend == "oracle":
-        if not job.oracle:
-            raise UsageError("--oracle PATH is required for the oracle backend")
-        return OracleBackend(load_pairs(job.oracle))
+    if job.backend in ("replay", "oracle"):
+        path = getattr(job, job.backend)  # job.replay or job.oracle
+        if not path:
+            raise UsageError(f"--{job.backend} PATH is required for the {job.backend} backend")
+        try:
+            if job.backend == "replay":
+                return ReplayBackend(path)
+            return OracleBackend(load_pairs(path))
+        except (OSError, ValueError, KeyError) as exc:
+            raise ConlluError(f"--{job.backend} {path}: {exc}") from exc
     if job.backend == "http":
         if not job.url or not job.model:
             raise UsageError("--url and --model are required for the http backend")
@@ -147,13 +149,14 @@ def build_backend(job: JobConfig) -> ModelBackend:
 
 # -- small I/O helpers -----------------------------------------------------------
 
-def _read_text(path: str) -> str:
+def _read_text(path: str, error: type[Exception] = ConlluError) -> str:
+    """The text at ``path`` (stdin for ``-``); an unreadable path raises ``error``."""
     if path == "-":
         return sys.stdin.read()
     try:
         return Path(path).read_text(encoding="utf-8")
     except OSError as exc:
-        raise ConlluError(f"cannot read {path}: {exc}") from exc
+        raise error(f"cannot read {path}: {exc}") from exc
 
 
 def _write_text(path: str, text: str | Iterable[str]) -> None:
@@ -175,11 +178,16 @@ def _dataset_id(path: str) -> str:
 
 
 def _parse_file(path: str) -> list[Document]:
+    """The documents of one CoNLL-U file; each parse warning goes to stderr."""
+    name = "<stdin>" if path == "-" else path
     try:
-        return parse_conllu(_read_text(path))
+        docs = parse_conllu(_read_text(path))
     except ConlluError as exc:
-        name = "<stdin>" if path == "-" else path
         raise ConlluError(f"{name}: {exc}") from exc
+    for doc in docs:
+        for w in doc.warnings:
+            print(f"warning: {name}: {w}", file=sys.stderr)
+    return docs
 
 
 def _read_corpus(paths: list[str]) -> Corpus:

@@ -12,9 +12,16 @@ Discontinuous mentions use ``eid[i/n]`` part markers. Empty nodes (decimal
 IDs such as ``7.1``) carry zero mentions; they emit no surface word.
 Multiword-token ranges (``3-4``) are kept as opaque lines and never bear
 mentions. Unknown dash-fields and MISC attributes round-trip verbatim.
+
+Comment lines before the first ``# newdoc id`` are a file preamble (a CoNLL-U
+Plus ``# global.columns`` line, a licence note) and are skipped; a token line
+there is an error. Where the reader has to approximate (a bracket on an empty
+node, an empty node governed by an elided one) it adds a line to
+``Document.warnings``; the CLI prints each on stderr as ``warning: PATH: ...``.
 """
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 
 
@@ -155,6 +162,12 @@ def mention_head(fragments: tuple[tuple[int, int], ...], sentence: Sentence) -> 
 
 # -- Entity attribute grammar ------------------------------------------------
 
+# one bracket of an Entity= value: "(" body [")"] opens a mention (or is a
+# whole single-token mention), and any text not starting with "(" up to the
+# next ")" closes one
+_BRACKET = re.compile(r"\(([^()]+)(\)?)|(?!\()([^)]*)\)")
+
+
 def _split_eid(raw: str) -> tuple[str, int, int]:
     """Split an eid like ``e9[2/3]`` into (eid, part, nparts); plain eids are part 1/1."""
     if raw.endswith("]") and "[" in raw:
@@ -173,30 +186,20 @@ def parse_entity_value(value: str, line: int | None = None):
     """
     events = []
     i = 0
-    n = len(value)
-    while i < n:
-        if value[i] == "(":
-            j = i + 1
-            while j < n and value[j] not in "()":
-                j += 1
-            body = value[i + 1:j]
-            if not body:
+    while i < len(value):
+        m = _BRACKET.match(value, i)
+        if m is None:
+            if value[i] == "(":
                 raise ConlluError(f"empty Entity bracket in {value!r}", line)
-            eid_raw, _, fields = body.partition("-")
-            eid, part, nparts = _split_eid(eid_raw)
-            if j < n and value[j] == ")":
-                events.append(("single", eid, part, nparts, fields or None))
-                i = j + 1
-            else:
-                events.append(("open", eid, part, nparts, fields or None))
-                i = j
+            raise ConlluError(f"unbalanced Entity value {value!r}", line)
+        body, closed, close = m.groups()
+        if close is not None:
+            events.append(("close", *_split_eid(close), None))
         else:
-            j = value.find(")", i)
-            if j < 0:
-                raise ConlluError(f"unbalanced Entity value {value!r}", line)
-            eid, part, nparts = _split_eid(value[i:j])
-            events.append(("close", eid, part, nparts, None))
-            i = j + 1
+            eid_raw, _, fields = body.partition("-")
+            events.append(("single" if closed else "open", *_split_eid(eid_raw),
+                           fields or None))
+        i = m.end()
     return events
 
 
@@ -244,8 +247,7 @@ def _misc_string(pairs, entity: str | None) -> str:
 class _SentenceAccumulator:
     """Collects the lines of one sentence and assembles tokens + mentions."""
 
-    def __init__(self, doc_id: str):
-        self.doc_id = doc_id
+    def __init__(self):
         self.sent_id = ""
         self.text: str | None = None
         self.comments: list[str] = []
@@ -255,59 +257,49 @@ class _SentenceAccumulator:
     def empty(self) -> bool:
         return not (self.rows or self.sent_id or self.comments or self.text is not None)
 
-    def build(self, sent_index: int, warnings: list[str]):
+    def build(self, doc: Document) -> None:
+        """Append the sentence to ``doc`` and its mentions to ``doc.chains``."""
         tokens: list[Token] = []
         empties: list[Token] = []
         entity_events: list[tuple[tuple[int, int], list]] = []  # ((pos, sub), events)
         for line_no, id_field, cols in self.rows:
-            misc_pairs = _parse_misc(cols[9])
             entity_raw = None
             kept = []
-            for k, v in misc_pairs:
+            for k, v in _parse_misc(cols[9]):
                 if k == "Entity" and v is not None:
                     entity_raw = v
                 else:
                     kept.append((k, v))
-            if "." in id_field:
-                a, _, b = id_field.partition(".")
-                anchor, sub = int(a), int(b)
-                dep = 0
+            is_zero = "." in id_field
+            if is_zero:
+                anchor, _, sub = id_field.partition(".")
+                pos, sub = int(anchor), int(sub)
                 # empty nodes keep their governor in DEPS ("head:rel"); decimal
                 # governors mean the governor is itself elided.
-                deps = cols[8]
-                if deps not in ("_", ""):
-                    gov = deps.split("|")[0].partition(":")[0]
-                    if gov.isdigit():
-                        dep = int(gov)
-                    elif "." in gov:
-                        warnings.append(
-                            f"{self.sent_id or self.doc_id}: empty node {id_field} "
-                            f"governed by elided node {gov}")
-                tok = Token(anchor, cols[1], dep, True, sub, cols[2], cols[3],
-                            cols[4], cols[5], cols[7], cols[8], tuple(kept))
-                empties.append(tok)
-                if entity_raw:
-                    entity_events.append(((anchor, sub), parse_entity_value(entity_raw, line_no)))
+                gov = cols[8].split("|")[0].partition(":")[0]
+                dep = int(gov) if gov.isdigit() else 0
+                if "." in gov:
+                    doc.warnings.append(
+                        f"{self.sent_id or doc.doc_id}: empty node {id_field} "
+                        f"governed by elided node {gov}")
             else:
-                pos = int(id_field)
-                head_col = cols[6]
-                dep = int(head_col) if head_col.isdigit() else 0
+                pos, sub = int(id_field), 0
+                dep = int(cols[6]) if cols[6].isdigit() else 0
                 if dep == pos:
                     raise ConlluError(f"token {pos} governs itself", line_no)
-                tok = Token(pos, cols[1], dep, False, 0, cols[2], cols[3],
-                            cols[4], cols[5], cols[7], cols[8], tuple(kept))
-                tokens.append(tok)
-                if entity_raw:
-                    entity_events.append(((pos, 0), parse_entity_value(entity_raw, line_no)))
+            tok = Token(pos, cols[1], dep, is_zero, sub, cols[2], cols[3],
+                        cols[4], cols[5], cols[7], cols[8], tuple(kept))
+            (empties if is_zero else tokens).append(tok)
+            if entity_raw:
+                entity_events.append(((pos, sub), parse_entity_value(entity_raw, line_no)))
 
         for i, t in enumerate(tokens, start=1):
             if t.position != i:
                 raise ConlluError(
                     f"sentence {self.sent_id!r}: token positions not contiguous at {t.position}")
-        npos = len(tokens)
         seen_sub: dict[int, int] = {}
         for t in empties:
-            if not (0 <= t.position <= npos):
+            if not (0 <= t.position <= len(tokens)):
                 raise ConlluError(
                     f"sentence {self.sent_id!r}: empty node {t.tid} anchored outside sentence")
             if t.sub_index < 1 or seen_sub.get(t.position, 0) >= t.sub_index:
@@ -316,190 +308,141 @@ class _SentenceAccumulator:
             seen_sub[t.position] = t.sub_index
 
         sent = Sentence(self.sent_id, tokens, empties, self.text, self.comments, self.mwt_lines)
-        mentions = _assemble_mentions(entity_events, sent, sent_index, self.doc_id, warnings)
-        return sent, mentions
+        for m in _assemble_mentions(entity_events, sent, len(doc.sentences), doc):
+            doc.chains.setdefault(m.chain_id, Chain(m.chain_id)).mentions.append(m)
+        doc.sentences.append(sent)
 
 
 def _assemble_mentions(entity_events, sent: Sentence, sent_index: int,
-                       doc_id: str, warnings: list[str]) -> list[Mention]:
-    open_stack: list[dict] = []
+                       doc: Document) -> list[Mention]:
+    open_stack: list[tuple] = []  # (eid, part, nparts, fields, start)
     # several discontinuous mentions of one chain may be in flight at once;
-    # parts arrive in order, part i+1 joining the oldest instance expecting it
-    pending: dict[str, list[dict]] = {}
+    # parts arrive in order, part i+1 joining the oldest instance expecting it.
+    # An instance is (nparts, ((start, end, fields), ...)).
+    pending: dict[str, list[tuple]] = {}
     mentions: list[Mention] = []
-    npos = len(sent.tokens)
 
-    def surface_start(pos_sub):
+    def surface(pos_sub, start=None):
+        """A bracket's surface position. One on an empty node becomes the next
+        token when it opens a mention and the node's anchor (not before
+        ``start``) when it closes one."""
         pos, sub = pos_sub
         if sub == 0:
             return pos
-        warnings.append(f"{doc_id}/{sent.sent_id}: mention bracket on empty node "
-                        f"{pos}.{sub} approximated to surface span")
-        return min(pos + 1, npos) if npos else pos
+        doc.warnings.append(f"{doc.doc_id}/{sent.sent_id}: mention bracket on empty node "
+                            f"{pos}.{sub} approximated to surface span")
+        return min(pos + 1, len(sent.tokens)) if start is None else max(pos, start)
 
-    def surface_end(pos_sub, start):
-        pos, sub = pos_sub
-        if sub == 0:
-            return pos
-        warnings.append(f"{doc_id}/{sent.sent_id}: mention bracket on empty node "
-                        f"{pos}.{sub} approximated to surface span")
-        return max(pos, start)
-
-    def finish(eid, part_list):
-        part_list.sort(key=lambda p: p[0])
-        frags = tuple((s, e) for _, s, e, _ in part_list)
-        fields = part_list[0][3]
+    def add(eid, part, nparts, start, end, fields):
+        """File one finished bracket; the last part of a mention completes it."""
+        parts = ((start, end, fields),)
+        if nparts != 1:
+            instances = pending.setdefault(eid, [])
+            if part == 1:
+                instances.append((nparts, parts))
+                return
+            i = next((i for i, (n, done) in enumerate(instances)
+                      if n == nparts and len(done) + 1 == part), None)
+            if i is None:
+                raise ConlluError(
+                    f"document {doc.doc_id!r}: part {part}/{nparts} of chain {eid!r} "
+                    f"has no preceding part {part - 1} in sentence {sent.sent_id!r}")
+            parts = instances[i][1] + parts
+            if len(parts) != nparts:
+                instances[i] = (nparts, parts)
+                return
+            del instances[i]
+            if not instances:
+                del pending[eid]
+        frags = tuple((s, e) for s, e, _ in parts)
+        fields = parts[0][2]
         span = [p for s, e in frags for p in range(s, e + 1)]
         h = _head_index(fields)
-        if h is not None and 1 <= h <= len(span):
-            head = (span[h - 1], 0)
-        else:
-            head = mention_head(frags, sent)
+        head = (span[h - 1], 0) if h and h <= len(span) else mention_head(frags, sent)
         mentions.append(Mention(eid, sent_index, frags, head, False, _canonical_fields(fields)))
-
-    def add_part(eid, part, nparts, start, end, fields):
-        if part == 1:
-            pending.setdefault(eid, []).append(
-                dict(expect=2, nparts=nparts, items=[(1, start, end, fields)]))
-            inst = pending[eid][-1]
-        else:
-            inst = next((p for p in pending.get(eid, ())
-                         if p["expect"] == part and p["nparts"] == nparts), None)
-            if inst is None:
-                raise ConlluError(
-                    f"document {doc_id!r}: part {part}/{nparts} of chain {eid!r} "
-                    f"has no preceding part {part - 1} in sentence {sent.sent_id!r}")
-            inst["items"].append((part, start, end, fields))
-            inst["expect"] += 1
-        if len(inst["items"]) == nparts:
-            finish(eid, inst["items"])
-            pending[eid].remove(inst)
-            if not pending[eid]:
-                del pending[eid]
 
     for pos_sub, events in entity_events:
         for kind, eid, part, nparts, fields in events:
-            if kind == "single":
-                if pos_sub[1] != 0:
-                    mentions.append(Mention(eid, sent_index, (), pos_sub, True,
-                                            _canonical_fields(fields)))
-                elif nparts == 1:
-                    finish(eid, [(1, pos_sub[0], pos_sub[0], fields)])
-                else:
-                    add_part(eid, part, nparts, pos_sub[0], pos_sub[0], fields)
-            elif kind == "open":
-                open_stack.append(dict(eid=eid, part=part, nparts=nparts,
-                                       fields=fields, start=surface_start(pos_sub)))
+            if kind == "open":
+                open_stack.append((eid, part, nparts, fields, surface(pos_sub)))
+            elif kind == "single" and pos_sub[1]:
+                mentions.append(Mention(eid, sent_index, (), pos_sub, True,
+                                        _canonical_fields(fields)))
+            elif kind == "single":
+                add(eid, part, nparts, pos_sub[0], pos_sub[0], fields)
             else:  # close
-                match = None
-                for entry in reversed(open_stack):
-                    if entry["eid"] == eid and entry["part"] == part:
-                        match = entry
-                        break
+                match = next((o for o in reversed(open_stack)
+                              if o[0] == eid and o[1] == part), None)
                 if match is None:
                     raise ConlluError(
-                        f"document {doc_id!r}: unbalanced Entity bracket for chain {eid!r} "
+                        f"document {doc.doc_id!r}: unbalanced Entity bracket for chain {eid!r} "
                         f"(close without open in sentence {sent.sent_id!r})")
                 open_stack.remove(match)
-                end = surface_end(pos_sub, match["start"])
-                if match["nparts"] == 1:
-                    finish(eid, [(1, match["start"], end, match["fields"])])
-                else:
-                    add_part(eid, match["part"], match["nparts"],
-                             match["start"], end, match["fields"])
+                _, _, nparts, fields, start = match
+                add(eid, part, nparts, start, surface(pos_sub, start), fields)
 
     if open_stack:
         raise ConlluError(
-            f"document {doc_id!r}: unbalanced Entity bracket for chain "
-            f"{open_stack[-1]['eid']!r} (unclosed at end of sentence {sent.sent_id!r})")
+            f"document {doc.doc_id!r}: unbalanced Entity bracket for chain "
+            f"{open_stack[-1][0]!r} (unclosed at end of sentence {sent.sent_id!r})")
     if pending:
-        eid = next(iter(pending))
         raise ConlluError(
-            f"document {doc_id!r}: discontinuous mention of chain {eid!r} not completed "
-            f"within sentence {sent.sent_id!r}")
+            f"document {doc.doc_id!r}: discontinuous mention of chain {next(iter(pending))!r} "
+            f"not completed within sentence {sent.sent_id!r}")
     return mentions
 
 
 def parse_conllu(text: str) -> list[Document]:
     """Parse a CoNLL-U string (one or more ``# newdoc id`` documents)."""
     docs: list[Document] = []
-    doc: Document | None = None
     acc: _SentenceAccumulator | None = None
     sent_ids: set[str] = set()
-    pending_mentions: list[Mention] = []
-
-    def flush_sentence(line_no: int):
-        nonlocal acc
-        if acc is None or acc.empty():
+    # the blank line appended to the text closes its last sentence
+    for line_no, line in enumerate([*text.splitlines(), ""], start=1):
+        body = line[1:].strip() if line.startswith("#") else None
+        if not line.strip() or body is not None and body.startswith("newdoc id"):
+            if acc is not None and not acc.empty():
+                if not docs:
+                    raise ConlluError("sentence before any '# newdoc id' header", line_no)
+                if acc.sent_id and acc.sent_id in sent_ids:
+                    raise ConlluError(f"duplicate sent_id {acc.sent_id!r}", line_no)
+                sent_ids.add(acc.sent_id)
+                acc.build(docs[-1])
             acc = None
-            return
-        if doc is None:
-            raise ConlluError("sentence before any '# newdoc id' header", line_no)
-        if acc.sent_id and acc.sent_id in sent_ids:
-            raise ConlluError(f"duplicate sent_id {acc.sent_id!r}", line_no)
-        sent_ids.add(acc.sent_id)
-        sent, mentions = acc.build(len(doc.sentences), doc.warnings)
-        doc.sentences.append(sent)
-        pending_mentions.extend(mentions)
-        acc = None
-
-    def flush_doc(line_no: int):
-        nonlocal doc, pending_mentions
-        flush_sentence(line_no)
-        if doc is not None:
-            for m in pending_mentions:
-                doc.chains.setdefault(m.chain_id, Chain(m.chain_id)).mentions.append(m)
-            for chain in doc.chains.values():
-                chain.sort()
-            docs.append(doc)
-        doc = None
-        pending_mentions = []
-        sent_ids.clear()
-
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.rstrip("\r")
-        if not line.strip():
-            flush_sentence(line_no)
+            if body is not None:
+                docs.append(Document(body.partition("=")[2].strip()))
+                sent_ids.clear()
             continue
-        if line.startswith("#"):
-            body = line[1:].strip()
-            if body.startswith("newdoc id"):
-                flush_doc(line_no)
-                doc = Document(body.partition("=")[2].strip())
-                continue
-            if doc is not None and not doc.sentences and (acc is None or acc.empty()) \
-                    and not body.startswith(("sent_id", "text ", "text=")):
-                # document-level header block (e.g. "# global.Entity = ...")
-                doc.meta.append(line)
-                continue
-            if acc is None:
-                acc = _SentenceAccumulator(doc.doc_id if doc else "")
-            if body.startswith("sent_id"):
-                acc.sent_id = body.partition("=")[2].strip()
-            elif body.startswith("text") and body.partition("=")[0].strip() == "text":
-                acc.text = body.partition("=")[2].strip()
-            else:
-                acc.comments.append(line)
-            continue
-        # token line
-        cols = line.split("\t")
-        if len(cols) != 10:
-            raise ConlluError(f"expected 10 tab-separated columns, got {len(cols)}", line_no)
         if acc is None:
-            acc = _SentenceAccumulator(doc.doc_id if doc else "")
-        id_field = cols[0]
-        if "-" in id_field:
-            start = id_field.partition("-")[0]
-            if not start.isdigit():
-                raise ConlluError(f"bad token id {id_field!r}", line_no)
-            acc.mwt_lines[int(start)] = line
-            continue
-        if not (id_field.isdigit() or
-                ("." in id_field and all(p.isdigit() for p in id_field.split(".", 1)))):
-            raise ConlluError(f"bad token id {id_field!r}", line_no)
-        acc.rows.append((line_no, id_field, cols))
-
-    flush_doc(len(text.splitlines()) + 1)
+            acc = _SentenceAccumulator()
+        if body is None:  # token line
+            cols = line.split("\t")
+            if len(cols) != 10:
+                raise ConlluError(f"expected 10 tab-separated columns, got {len(cols)}", line_no)
+            if "-" in cols[0]:  # multiword-token range
+                start = cols[0].partition("-")[0]
+                if not start.isdigit():
+                    raise ConlluError(f"bad token id {cols[0]!r}", line_no)
+                acc.mwt_lines[int(start)] = line
+            elif cols[0].isdigit() or all(p.isdigit() for p in cols[0].split(".", 1)):
+                acc.rows.append((line_no, cols[0], cols))
+            else:
+                raise ConlluError(f"bad token id {cols[0]!r}", line_no)
+        elif not docs:
+            continue  # file preamble, e.g. "# global.columns = ..."
+        elif acc.empty() and not docs[-1].sentences \
+                and not body.startswith(("sent_id", "text ", "text=")):
+            # document-level header block (e.g. "# global.Entity = ...")
+            docs[-1].meta.append(line)
+        elif body.startswith("sent_id"):
+            acc.sent_id = body.partition("=")[2].strip()
+        elif body.startswith("text") and body.partition("=")[0].strip() == "text":
+            acc.text = body.partition("=")[2].strip()
+        else:
+            acc.comments.append(line)
+    for doc in docs:
+        for chain in doc.chains.values():
+            chain.sort()
     return docs
 
 
@@ -520,50 +463,40 @@ def _mention_fields(m: Mention) -> str | None:
     return str(span.index(m.head[0]) + 1)
 
 
-def _sentence_entity_strings(doc: Document, sent_index: int, sent: Sentence):
-    """Entity= values keyed by (position, sub_index) for one sentence."""
-    spans = []   # (start, end, open_text, eid_for_close, seq)
-    zeros = {}   # (anchor, sub) -> [entity text]
-    seq = 0
-    for chain in doc.chains.values():
-        for m in chain.mentions:
-            if m.sent_index != sent_index:
-                continue
-            if m.is_zero:
-                fields = _mention_fields(m)
-                text = f"({m.chain_id}{'-' + fields if fields else ''})"
-                zeros.setdefault(m.head, []).append(text)
-                continue
-            nparts = len(m.fragments)
-            fields = _mention_fields(m)
-            for part, (s, e) in enumerate(m.fragments, start=1):
-                eid = _eid_with_part(m.chain_id, part, nparts)
-                tail = f"-{fields}" if fields and part == 1 else ""
-                spans.append((s, e, f"({eid}{tail}", eid, seq))
-                seq += 1
+def _sentence_entity_strings(doc_id: str, mentions: list[Mention], npos: int):
+    """Entity= values keyed by (position, sub_index) for one sentence's mentions."""
+    opens_by_start: dict[int, list] = {}  # start -> [(end, open_text, eid_for_close)]
+    zeros: dict[tuple[int, int], list[str]] = {}  # (anchor, sub) -> [entity text]
+    for m in mentions:
+        fields = _mention_fields(m)
+        if m.is_zero:
+            zeros.setdefault(m.head, []).append(
+                f"({m.chain_id}{'-' + fields if fields else ''})")
+            continue
+        for part, (s, e) in enumerate(m.fragments, start=1):
+            eid = _eid_with_part(m.chain_id, part, len(m.fragments))
+            tail = f"-{fields}" if fields and part == 1 else ""
+            opens_by_start.setdefault(s, []).append((e, f"({eid}{tail}", eid))
 
     per_token: dict[tuple[int, int], str] = {}
-    stack: list[tuple[int, int, str, str, int]] = []
-    opens_by_start: dict[int, list] = {}
-    for sp in spans:
-        opens_by_start.setdefault(sp[0], []).append(sp)
-    for p in range(1, len(sent.tokens) + 1):
+    stack: list[tuple[int, str]] = []  # (end, eid_for_close)
+    for p in range(1, npos + 1):
         pieces = []
         # wider spans open first; equal spans order by bracket text so the
         # output is stable under parse -> serialize
-        for sp in sorted(opens_by_start.get(p, []), key=lambda x: (-x[1], x[2], x[4])):
-            if sp[1] == p:
-                pieces.append(sp[2] + ")")
+        for e, text, eid in sorted(opens_by_start.get(p, ()), key=lambda x: (-x[0], x[1])):
+            if e == p:
+                pieces.append(text + ")")
             else:
-                pieces.append(sp[2])
-                stack.append(sp)
-        while stack and stack[-1][1] == p:
-            pieces.append(stack.pop()[3] + ")")
-        for sp in list(stack):
-            if sp[1] == p:
+                pieces.append(text)
+                stack.append((e, eid))
+        while stack and stack[-1][0] == p:
+            pieces.append(stack.pop()[1] + ")")
+        for e, eid in stack:
+            if e == p:
                 raise ConlluError(
-                    f"document {doc.doc_id!r}: crossing mentions "
-                    f"{sp[3]!r} and {stack[-1][3]!r} cannot be bracketed")
+                    f"document {doc_id!r}: crossing mentions "
+                    f"{eid!r} and {stack[-1][1]!r} cannot be bracketed")
         if pieces:
             per_token[(p, 0)] = "".join(pieces)
     for key, texts in zeros.items():
@@ -573,35 +506,31 @@ def _sentence_entity_strings(doc: Document, sent_index: int, sent: Sentence):
 
 def serialize_conllu(doc: Document) -> str:
     """Render a Document back to CoNLL-U (LF line endings, Entity regenerated)."""
-    lines = [f"# newdoc id = {doc.doc_id}"]
-    lines.extend(doc.meta)
+    by_sentence: dict[int, list[Mention]] = {}
+    for chain in doc.chains.values():
+        for m in chain.mentions:
+            by_sentence.setdefault(m.sent_index, []).append(m)
+    lines = [f"# newdoc id = {doc.doc_id}", *doc.meta]
     for si, sent in enumerate(doc.sentences):
-        entity = _sentence_entity_strings(doc, si, sent)
+        npos = len(sent.tokens)
+        entity = _sentence_entity_strings(doc.doc_id, by_sentence.get(si, []), npos)
         if sent.sent_id:
             lines.append(f"# sent_id = {sent.sent_id}")
         if sent.text is not None:
             lines.append(f"# text = {sent.text}")
         lines.extend(sent.comments)
-        empties_by_anchor: dict[int, list[Token]] = {}
-        for t in sent.empty_nodes:
-            empties_by_anchor.setdefault(t.position, []).append(t)
-
-        def emit(tok: Token):
-            ent = entity.get((tok.position, tok.sub_index))
-            head_col = "_" if tok.is_zero else str(tok.dep_head)
+        # empty node p.k follows token p (0.k opens the sentence); one anchored
+        # outside the sentence follows no token and is not written
+        nodes = sorted([*sent.tokens, *(t for t in sent.empty_nodes if 0 <= t.position <= npos)],
+                       key=lambda t: (t.position, t.is_zero, t.sub_index))
+        for tok in nodes:
+            if not tok.is_zero and tok.position in sent.mwt_lines:
+                lines.append(sent.mwt_lines[tok.position])
             lines.append("\t".join([
                 tok.tid, tok.form, tok.lemma, tok.upos, tok.xpos, tok.feats,
-                head_col, tok.deprel, tok.deps, _misc_string(tok.misc, ent),
+                "_" if tok.is_zero else str(tok.dep_head), tok.deprel, tok.deps,
+                _misc_string(tok.misc, entity.get((tok.position, tok.sub_index))),
             ]))
-
-        for t in sorted(empties_by_anchor.get(0, []), key=lambda t: t.sub_index):
-            emit(t)
-        for tok in sent.tokens:
-            if tok.position in sent.mwt_lines:
-                lines.append(sent.mwt_lines[tok.position])
-            emit(tok)
-            for t in sorted(empties_by_anchor.get(tok.position, []), key=lambda t: t.sub_index):
-                emit(t)
         lines.append("")
     return "\n".join(lines) + "\n"
 

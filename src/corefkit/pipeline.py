@@ -20,6 +20,7 @@ from __future__ import annotations
 import json
 import os
 import threading
+from collections.abc import Iterator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
@@ -225,13 +226,9 @@ class ReplayBackend(ModelBackend):
     ({"doc_id", "window_index", "completion"} per line)."""
 
     def __init__(self, path):
-        self.by_ref: dict[tuple[str, int], str] = {}
-        with open(path, encoding="utf-8") as fh:
-            for line in fh:
-                if not line.strip():
-                    continue
-                rec = json.loads(line)
-                self.by_ref[(rec["doc_id"], rec["window_index"])] = rec["completion"]
+        self.by_ref: dict[tuple[str, int], str] = {
+            (rec["doc_id"], rec["window_index"]): rec["completion"]
+            for rec in _read_jsonl(path)}
 
     def generate(self, prompt, ref=None):
         if ref not in self.by_ref:
@@ -493,12 +490,15 @@ def write_pairs(path: str, pairs: list[TrainingPair]) -> None:
             fh.write(p.to_json() + "\n")
 
 
-def load_pairs(path: str) -> list[TrainingPair]:
-    out = []
+def _read_jsonl(path: str) -> Iterator[dict]:
+    """The records of a JSONL file (replayed completions or training pairs);
+    blank lines are skipped."""
     with open(path, encoding="utf-8") as fh:
         for line in fh:
             if line.strip():
-                rec = json.loads(line)
-                out.append(TrainingPair(rec["doc_id"], rec["window_index"],
-                                        rec["prompt"], rec["completion"]))
-    return out
+                yield json.loads(line)
+
+
+def load_pairs(path: str) -> list[TrainingPair]:
+    return [TrainingPair(rec["doc_id"], rec["window_index"], rec["prompt"], rec["completion"])
+            for rec in _read_jsonl(path)]

@@ -206,6 +206,35 @@ def test_annotate_needs_at_least_one_job(gold_path, capsys, jobs):
     assert capsys.readouterr().err == "error: jobs must be >= 1\n"
 
 
+def test_unreadable_config_exits_1(gold_path, tmp_path, capsys):
+    missing = str(tmp_path / "nothere.json")
+    assert run("export-train", gold_path, "--config", missing) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert missing in err
+
+
+@pytest.mark.parametrize("backend", ["replay", "oracle"])
+def test_missing_backend_file_names_its_option(gold_path, tmp_path, capsys, backend):
+    missing = str(tmp_path / "nope.jsonl")
+    assert run("annotate", gold_path, "--backend", backend, f"--{backend}", missing) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: --{backend} {missing}: ") and err.count("\n") == 1
+
+
+def test_parse_warnings_go_to_stderr(tmp_path, capsys):
+    src = tmp_path / "zero.conllu"
+    src.write_text("# newdoc id = d\n# sent_id = s1\n"
+                   "1\tAnna\t_\t_\t_\t_\t0\t_\t_\t_\n"
+                   "1.1\t_\t_\t_\t_\t_\t_\t_\t1:nsubj\tEntity=(e1\n"
+                   "2\tsings\t_\t_\t_\t_\t1\t_\t_\tEntity=e1)\n\n", encoding="utf-8")
+    assert run("convert", str(src), "--format", "minimal") == 0
+    captured = capsys.readouterr()
+    assert captured.out == "Anna <ent1> sings </ent>\n"
+    assert captured.err == (f"warning: {src}: d/s1: mention bracket on empty node 1.1 "
+                            "approximated to surface span\n")
+
+
 def test_build_backend_kinds(tmp_path):
     p = tmp_path / "x.jsonl"
     p.write_text("")

@@ -99,6 +99,14 @@ def test_interleaved_parts_match_oldest_open():
     ("1\topen\t_\t_\t_\t_\t0\t_\t_\tEntity=(e1-1", "unclosed"),
     ("1\tclose\t_\t_\t_\t_\t0\t_\t_\tEntity=e1)", "close without open"),
     ("1\tpart\t_\t_\t_\t_\t0\t_\t_\tEntity=(e1[2/2])", "no preceding part"),
+    ("1\tempty\t_\t_\t_\t_\t0\t_\t_\tEntity=()", "empty Entity bracket"),
+    ("1\tbare\t_\t_\t_\t_\t0\t_\t_\tEntity=e1", "unbalanced Entity value"),
+    ("1\tlone\t_\t_\t_\t_\t0\t_\t_\tEntity=(e1[1/2])", "not completed"),
+    ("2\tgap\t_\t_\t_\t_\t0\t_\t_\t_", "not contiguous"),
+    ("1\tw\t_\t_\t_\t_\t0\t_\t_\t_\n3.1\t_\t_\t_\t_\t_\t_\t_\t_\t_",
+     "anchored outside sentence"),
+    ("1\tw\t_\t_\t_\t_\t0\t_\t_\t_\n1.2\t_\t_\t_\t_\t_\t_\t_\t_\t_\n"
+     "1.1\t_\t_\t_\t_\t_\t_\t_\t_\t_", "not increasing"),
 ])
 def test_malformed_input_raises(line, message):
     text = f"# newdoc id = d\n# sent_id = s1\n{line}\n\n"
@@ -109,6 +117,11 @@ def test_malformed_input_raises(line, message):
 def test_sentence_before_document_header_raises():
     with pytest.raises(ConlluError, match="newdoc"):
         parse_conllu("# sent_id = s1\n1\tword\t_\t_\t_\t_\t0\t_\t_\t_\n\n")
+
+
+def test_comment_preamble_is_skipped():
+    preamble = "# global.columns = ID FORM LEMMA UPOS XPOS FEATS HEAD DEPREL DEPS MISC\n"
+    assert parse_conllu(preamble + DISC) == parse_conllu(DISC)
 
 
 def test_duplicate_sent_id_raises():
