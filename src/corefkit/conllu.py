@@ -357,6 +357,10 @@ def _assemble_mentions(entity_events, sent: Sentence, sent_index: int,
         frags = tuple((s, e) for s, e, _ in parts)
         fields = parts[0][2]
         span = [p for s, e in frags for p in range(s, e + 1)]
+        if not span:
+            raise ConlluError(
+                f"document {doc.doc_id!r}: mention of chain {eid!r} covers no token "
+                f"in sentence {sent.sent_id!r}")
         h = _head_index(fields)
         head = (span[h - 1], 0) if h and h <= len(span) else mention_head(frags, sent)
         mentions.append(Mention(eid, sent_index, frags, head, False, _canonical_fields(fields)))

@@ -9,8 +9,9 @@ Four wire grammars over whitespace-delimited atoms:
   headword   a single <ent1> after each mention head, <zero1> after zero anchors
 
 The tag formats' grammar lives in ``TAGS``, one template per event kind:
-render fills the templates in, and decode compiles them into one atom pattern
-per format.
+render fills the templates in, decode compiles them into one atom pattern
+per format, and ``AtomCounts`` counts the atoms a rendering would have, so
+context trimming can size a cut without rendering it.
 
 Open tags anchor before their token, everything else after. Close tags carry
 no chain id in the event model; pairing is recovered by stack ("last open,
@@ -20,6 +21,7 @@ atoms with one sentence per line.
 from __future__ import annotations
 
 import re
+from bisect import bisect_left
 from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Mapping, Sequence
@@ -229,6 +231,77 @@ def render(annotated: AnnotatedText) -> str:
         line.append(form + "|" + ",".join(items) if items else form)
         line.extend(after.get(i, ()))
     return "\n".join(" ".join(line) for line in lines)
+
+
+# rendered atoms per event kind: one or two per tag template, one per crac
+# zero (``##|[eK]``); crac open, close and head items join onto their token
+_ATOM_COUNTS: dict[Format, dict[str, int]] = {
+    fmt: {kind: len(template.split()) for kind, template in tags.items()}
+    for fmt, tags in TAGS.items()}
+_ATOM_COUNTS[Format.CRAC] = {OPEN: 0, CLOSE: 0, HEAD: 0, ZERO: 1}
+
+
+class AtomCounts:
+    """Rendered atoms of a growing :class:`AnnotatedText`, charged to tokens.
+
+    A token is charged its own atoms, those of the zero and head events
+    after it, and those of each open/close pair that opens on it. Pairs are
+    found by stack, as ``render`` finds them; an unpaired event renders
+    nothing. Events anchored at -1 render ahead of the first token and are
+    counted apart in ``lead``. So a suffix cut at token ``c`` renders the
+    atoms charged from ``c`` on, which ``prefix`` gives as a difference.
+
+    The counts are exact while every form ends in a non-space, no chain id
+    holds whitespace and no close pairs with an open of an earlier piece.
+    Otherwise they can only be low: a crac item after an empty form is an
+    atom of its own, for instance.
+    """
+
+    def __init__(self, fmt: Format):
+        self.atoms = _ATOM_COUNTS[Format(fmt)]
+        self.lead = 0
+        self.prefix = [0]  # prefix[i]: atoms charged to tokens [0, i)
+
+    def extend(self, piece: AnnotatedText) -> None:
+        """Count ``piece`` as appended after the tokens counted so far; its
+        pairs are found within the piece. Its events at -1 are charged to
+        the last token before it."""
+        n = len(piece.tokens)
+        charged = [len(form.split()) for form in piece.tokens]
+        lead = 0
+        opens: list[int] = []
+        for ev in sorted(piece.events, key=TagEvent.slot):
+            if ev.kind == OPEN:
+                opens.append(ev.anchor)
+                continue
+            if ev.kind != CLOSE:
+                anchor, atoms = ev.anchor, self.atoms[ev.kind]
+            elif not opens:
+                continue
+            else:
+                anchor = opens.pop()
+                if anchor < 0 or ev.anchor >= n:
+                    continue  # a pair not inside the text never renders
+                atoms = self.atoms[OPEN] + self.atoms[CLOSE]
+            if 0 <= anchor < n:
+                charged[anchor] += atoms
+            elif anchor == -1:
+                lead += atoms
+        if len(self.prefix) > 1:
+            self.prefix[-1] += lead
+        else:
+            self.lead += lead
+        for atoms in charged:
+            self.prefix.append(self.prefix[-1] + atoms)
+
+    def cut(self, budget: int) -> int:
+        """The smallest cut whose counted suffix is at most ``budget`` atoms,
+        or the token count when there is none."""
+        n = len(self.prefix) - 1
+        total = self.prefix[n]
+        if n == 0 or self.lead + total <= budget:
+            return 0
+        return bisect_left(self.prefix, total - budget, 1, n)
 
 
 # -- decoding ----------------------------------------------------------------

@@ -29,7 +29,7 @@ import requests
 from .align import clean
 from .conllu import Chain, Corpus, Document, Mention
 from .diag import Diagnostic
-from .formats import (OPEN, CLOSE, AnnotatedText, Format, TagEvent,
+from .formats import (OPEN, CLOSE, AnnotatedText, AtomCounts, Format, TagEvent,
                       build_events, decode, events_to_mentions)
 from .reindex import IdAllocator, IdMap, globalize, localize
 
@@ -113,8 +113,12 @@ def slice_annotated(annotated: AnnotatedText, lo: int, hi: int) -> AnnotatedText
     """Tokens [lo, hi) with their events, re-anchored to the slice.
 
     Open/close pairs that straddle a boundary lose the half outside; the
-    surviving half is dropped too, so the slice stays balanced. Intended for
-    sentence-aligned slices, where nothing ever straddles.
+    surviving half is dropped too, so the slice stays balanced. At a sentence
+    boundary nothing straddles. A cut between tokens, as
+    :func:`truncate_context` makes, can fall inside a mention: its words
+    stay in the slice untagged. A zero or head tag after token ``lo - 1``
+    is dropped with that token; a zero ahead of the first token stays only
+    when ``lo`` is 0.
     """
     events = sorted(enumerate(annotated.events), key=lambda p: (p[1].slot(), p[0]))
     stack: list[tuple[int, TagEvent]] = []
@@ -125,6 +129,10 @@ def slice_annotated(annotated: AnnotatedText, lo: int, hi: int) -> AnnotatedText
             return lo <= ev.anchor < hi
         return lo <= ev.anchor < hi or (ev.anchor == lo - 1 == -1)
 
+    def shift(ev: TagEvent) -> TagEvent:
+        # events are frozen, so one that keeps its anchor is shared
+        return TagEvent(ev.kind, ev.chain, max(ev.anchor - lo, -1)) if lo else ev
+
     for seq, ev in events:
         if ev.kind == OPEN:
             stack.append((seq, ev))
@@ -133,10 +141,10 @@ def slice_annotated(annotated: AnnotatedText, lo: int, hi: int) -> AnnotatedText
                 continue
             oseq, oev = stack.pop()
             if inside(oev) and inside(ev):
-                keep.append((oseq, replace(oev, anchor=oev.anchor - lo)))
-                keep.append((seq, replace(ev, anchor=ev.anchor - lo)))
+                keep.append((oseq, shift(oev)))
+                keep.append((seq, shift(ev)))
         elif inside(ev):
-            keep.append((seq, replace(ev, anchor=max(ev.anchor - lo, -1))))
+            keep.append((seq, shift(ev)))
     keep.sort(key=lambda p: (p[1].slot(), p[0]))
     return AnnotatedText(
         list(annotated.tokens[lo:hi]),
@@ -146,26 +154,36 @@ def slice_annotated(annotated: AnnotatedText, lo: int, hi: int) -> AnnotatedText
     )
 
 
-def truncate_context(annotated: AnnotatedText, budget: int) -> AnnotatedText:
+def truncate_context(annotated: AnnotatedText, budget: int,
+                     counts: AtomCounts | None = None) -> AnnotatedText:
     """Largest whole-token suffix rendering to at most ``budget`` words.
 
     "Words" are whitespace-separated atoms of the rendered text, so inline
     tags count against the budget (two atoms each in the verbose XML form).
-    The cut is found by bisecting on the (monotone) rendered length.
+    The cut is the smallest one whose suffix fits by ``counts``, the
+    :class:`AtomCounts` of ``annotated`` (made here when not given); finding
+    it renders nothing and takes time logarithmic in the text's length. One
+    render of the slice confirms it. Counts are never high, so a slice that
+    fits is the answer. When one does not (an empty crac form, say), the cut
+    moves up by bisection on the rendered size, which never grows as the cut
+    moves right.
     """
     n = len(annotated.tokens)
+    if counts is None:
+        counts = AtomCounts(annotated.fmt)
+        counts.extend(annotated)
 
-    def size(cut: int) -> int:
-        view = slice_annotated(annotated, cut, n)
-        rendered = view.render()
-        return len(rendered.split())
+    def fits(view: AnnotatedText) -> bool:
+        return len(view.render().split()) <= budget
 
-    if size(0) <= budget:
-        return slice_annotated(annotated, 0, n)
-    lo, hi = 0, n  # size(lo) > budget, size(hi) == 0 <= budget
+    lo = counts.cut(budget)
+    view = slice_annotated(annotated, lo, n)
+    if lo == n or fits(view):
+        return view
+    hi = n  # lo does not fit; the empty suffix at n does
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if size(mid) <= budget:
+        if fits(slice_annotated(annotated, mid, n)):
             hi = mid
         else:
             lo = mid
@@ -284,12 +302,13 @@ def _batch_view(doc: Document, lo: int, hi: int, fmt: Format) -> AnnotatedText:
     return AnnotatedText(tokens, [], fmt, tuple(breaks))
 
 
-def _append(acc: AnnotatedText, piece: AnnotatedText) -> AnnotatedText:
+def _append(acc: AnnotatedText, counts: AtomCounts, piece: AnnotatedText) -> None:
+    """Append ``piece`` to ``acc`` in place and add it to ``acc``'s counts."""
+    counts.extend(piece)
     offset = len(acc.tokens)
-    events = acc.events + [replace(ev, anchor=ev.anchor + offset) for ev in piece.events]
-    breaks = acc.breaks + ((offset,) if offset else ()) + tuple(
-        b + offset for b in piece.breaks)
-    return AnnotatedText(acc.tokens + list(piece.tokens), events, acc.fmt, breaks)
+    acc.tokens += piece.tokens
+    acc.events += [replace(ev, anchor=ev.anchor + offset) for ev in piece.events]
+    acc.breaks += ((offset,) if offset else ()) + tuple(b + offset for b in piece.breaks)
 
 
 def _clip_to_tokens(annotated: AnnotatedText, n: int) -> AnnotatedText:
@@ -341,15 +360,16 @@ def _walk_windows(doc: Document, cfg: PipelineConfig, take) -> None:
     become context for the windows after it.
     """
     acc = AnnotatedText([], [], cfg.fmt, ())
+    counts = AtomCounts(cfg.fmt)
     doc_map = IdMap() if not cfg.reindex else None
     for w_index, (lo, hi) in enumerate(iter_windows(len(doc.sentences),
                                                     cfg.sentences_per_batch)):
         batch = _batch_view(doc, lo, hi, cfg.fmt)
-        context = truncate_context(acc, cfg.context_budget)
+        context = truncate_context(acc, cfg.context_budget, counts)
         local_ctx, idmap = localize(context, doc_map)
         prompt = build_prompt(local_ctx.render(), batch.render(), cfg.fmt)
         events = take(w_index, lo, hi, batch, prompt, idmap)
-        acc = _append(acc, replace(batch, events=events))
+        _append(acc, counts, replace(batch, events=events))
 
 
 def annotate_document(doc: Document, backend: ModelBackend,

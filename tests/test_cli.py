@@ -270,6 +270,19 @@ def test_malformed_input_exits_2_with_location(tmp_path, capsys):
     assert "bad.conllu" in err and "line 3" in err
 
 
+def test_mention_with_empty_span_exits_2(tmp_path, capsys):
+    bad = tmp_path / "empty.conllu"
+    bad.write_text("# newdoc id = x\n# sent_id = s1\n"
+                   "2.1\t_\t_\t_\t_\t_\t_\t_\t_\tEntity=(e1\n"
+                   "1\tw\t_\t_\t_\t_\t0\t_\t_\tEntity=e1)\n"
+                   "2\tx\t_\t_\t_\t_\t1\t_\t_\t_\n\n", encoding="utf-8")
+    assert run("convert", str(bad)) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert [line for line in err if line.startswith("error:")] == [
+        f"error: {bad}: document 'x': mention of chain 'e1' covers no token "
+        f"in sentence 's1'"]
+
+
 def test_missing_file_exits_2(capsys):
     assert run("convert", "/nonexistent/file.conllu") == 2
 

@@ -107,6 +107,10 @@ def test_interleaved_parts_match_oldest_open():
      "anchored outside sentence"),
     ("1\tw\t_\t_\t_\t_\t0\t_\t_\t_\n1.2\t_\t_\t_\t_\t_\t_\t_\t_\t_\n"
      "1.1\t_\t_\t_\t_\t_\t_\t_\t_\t_", "not increasing"),
+    # an empty node listed before the token it follows opens a mention that
+    # closes on an earlier token, so its surface span is empty
+    ("2.1\t_\t_\t_\t_\t_\t_\t_\t_\tEntity=(e1\n1\tw\t_\t_\t_\t_\t0\t_\t_\tEntity=e1)\n"
+     "2\tx\t_\t_\t_\t_\t1\t_\t_\t_", r"chain 'e1' covers no token in sentence 's1'"),
 ])
 def test_malformed_input_raises(line, message):
     text = f"# newdoc id = d\n# sent_id = s1\n{line}\n\n"

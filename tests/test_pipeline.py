@@ -4,9 +4,12 @@ import threading
 
 import pytest
 import requests
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from corefkit import formats, pipeline
 from corefkit.conllu import Corpus, Document, Mention
-from corefkit.formats import AnnotatedText, Format, TagEvent
+from corefkit.formats import AnnotatedText, AtomCounts, Format, TagEvent
 from corefkit.metrics import conll_f1
 from corefkit.pipeline import (PRESETS, BackendError, EmptyBackend,
                                HttpBackend, ModelBackend, OracleBackend,
@@ -16,7 +19,7 @@ from corefkit.pipeline import (PRESETS, BackendError, EmptyBackend,
                                export_training_pairs, iter_windows, load_pairs,
                                mentions_to_document, slice_annotated,
                                truncate_context, write_pairs)
-from corefkit.synth import SynthConfig, random_corpus
+from corefkit.synth import SynthConfig, random_corpus, random_document
 
 from conftest import make_sister_doc
 
@@ -114,6 +117,87 @@ def test_truncate_is_a_suffix_and_fits(budget):
     kept = truncate_context(ann, budget)
     assert len(kept.render().split()) <= budget or budget == 0
     assert ann.tokens[len(ann.tokens) - len(kept.tokens):] == kept.tokens
+
+
+def _bisected_context(annotated, budget):
+    """Reference cut: bisection on the rendered size of each probed suffix."""
+    n = len(annotated.tokens)
+
+    def size(cut):
+        return len(slice_annotated(annotated, cut, n).render().split())
+
+    if size(0) <= budget:
+        return slice_annotated(annotated, 0, n)
+    lo, hi = 0, n
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if size(mid) <= budget:
+            hi = mid
+        else:
+            lo = mid
+    return slice_annotated(annotated, hi, n)
+
+
+_KINDS = {Format.CRAC: ("open", "close", "zero"),
+          Format.EXPLICIT: ("open", "close", "zero"),
+          Format.MINIMAL: ("open", "close", "zero"),
+          Format.HEADWORD: ("head", "zero")}
+
+
+@st.composite
+def _pieces(draw):
+    """A format and a few annotated pieces: forms empty, blank, multi-word or
+    plain; events of the format's kinds, unbalanced and unsorted, anchored
+    from -1 to n, one chain id with a space; breaks anywhere."""
+    fmt = draw(st.sampled_from(list(Format)))
+    pieces = []
+    for _ in range(draw(st.integers(1, 3))):
+        tokens = draw(st.lists(st.sampled_from(
+            ["w", "word", "", " ", "New York", "end ", "\xa0", "a|b"]), max_size=8))
+        n = len(tokens)
+        events = draw(st.lists(st.builds(
+            lambda kind, chain, anchor: TagEvent(
+                kind, None if kind == "close" else chain, anchor),
+            st.sampled_from(_KINDS[fmt]), st.sampled_from(["e1", "e2", "e10", "e 3"]),
+            st.integers(-1, n)), max_size=8))
+        breaks = draw(st.lists(st.integers(0, n), unique=True))
+        pieces.append(AnnotatedText(tokens, events, fmt, tuple(sorted(breaks))))
+    return fmt, pieces
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), drawn=_pieces())
+def test_truncate_matches_bisection_on_rendered_size(data, drawn):
+    fmt, pieces = drawn
+    acc, counts = AnnotatedText([], [], fmt, ()), AtomCounts(fmt)
+    for piece in pieces:
+        pipeline._append(acc, counts, piece)
+    size = len(acc.render().split())
+    budget = data.draw(st.integers(0, size + 2))
+    expected = _bisected_context(acc, budget)
+    assert truncate_context(acc, budget) == expected
+    # the counts kept piece by piece, as the window walker keeps them
+    assert truncate_context(acc, budget, counts) == expected
+
+
+def test_trimming_renders_per_window_do_not_grow_with_the_document(monkeypatch):
+    log = []
+    real_render, real_prompt = formats.render, pipeline.build_prompt
+    monkeypatch.setattr(formats, "render",
+                        lambda annotated: log.append("render") or real_render(annotated))
+    monkeypatch.setattr(pipeline, "build_prompt",
+                        lambda *args: log.append("prompt") or real_prompt(*args))
+    cfg = PRESETS["large-infer"]
+
+    def most_renders_per_window(sentences):
+        """Renders from one prompt to the next: the previous completion, then
+        trimming, context and batch of the window."""
+        doc = random_document("d", SynthConfig(sentences=(sentences, sentences), seed=7))
+        log.clear()
+        export_training_pairs(doc, cfg)
+        return max(run.count("render") for run in " ".join(log).split("prompt"))
+
+    assert most_renders_per_window(1200) <= most_renders_per_window(200)  # 200: under budget
 
 
 def _context_of(prompt):
