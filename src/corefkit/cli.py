@@ -30,7 +30,7 @@ from .align import clean as clean_output
 from .conllu import (ConlluError, Corpus, Document, Sentence, Token,
                      parse_conllu, serialize_conllu)
 from .diag import Diagnostic
-from .formats import (Format, apply_idmap, build_events, decode,
+from .formats import (Format, FormatError, apply_idmap, build_events, decode,
                       events_to_mentions)
 from .pipeline import (BackendError, EmptyBackend, HttpBackend, ModelBackend,
                        OracleBackend, PRESETS, PipelineConfig, ReplayBackend,
@@ -429,7 +429,7 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (ConlluError, json.JSONDecodeError, OSError, KeyError) as exc:
+    except (ConlluError, FormatError, json.JSONDecodeError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except BackendError as exc:

@@ -483,7 +483,7 @@ def _sentence_entity_strings(doc_id: str, mentions: list[Mention], npos: int):
             opens_by_start.setdefault(s, []).append((e, f"({eid}{tail}", eid))
 
     per_token: dict[tuple[int, int], str] = {}
-    stack: list[tuple[int, str]] = []  # (end, eid_for_close)
+    stack: list[tuple[int, str]] = []  # (end, eid_for_close), in opening order
     for p in range(1, npos + 1):
         pieces = []
         # wider spans open first; equal spans order by bracket text so the
@@ -494,13 +494,17 @@ def _sentence_entity_strings(doc_id: str, mentions: list[Mention], npos: int):
             else:
                 pieces.append(text)
                 stack.append((e, eid))
-        while stack and stack[-1][0] == p:
-            pieces.append(stack.pop()[1] + ")")
-        for e, eid in stack:
-            if e == p:
-                raise ConlluError(
-                    f"document {doc_id!r}: crossing mentions "
-                    f"{eid!r} and {stack[-1][1]!r} cannot be bracketed")
+        # closes are named, so spans ending here close latest-opened first,
+        # crossing or not; a reader gives a close to the latest open of its
+        # eid, so one of the same eid opened later must not still be open
+        for i in reversed(range(len(stack))):
+            if stack[i][0] == p:
+                eid = stack.pop(i)[1]
+                if any(other == eid for _, other in stack[i:]):
+                    raise ConlluError(
+                        f"document {doc_id!r}: crossing mentions of chain "
+                        f"{eid!r} cannot be bracketed")
+                pieces.append(eid + ")")
         if pieces:
             per_token[(p, 0)] = "".join(pieces)
     for key, texts in zeros.items():

@@ -177,19 +177,18 @@ def encode(sentences: Sequence[Sentence], mentions: Sequence[Mention],
 
 # -- rendering ---------------------------------------------------------------
 
-def _pair_events(events: Sequence[TagEvent]):
-    """Stack-pair opens with closes; returns ({open_idx: close_idx}, {close_idx: open_idx})."""
+def _pair_events(events: Sequence[TagEvent]) -> dict[int, int]:
+    """Stack-pair opens with closes ("last open, first closed") in events
+    sorted by slot; maps the index of each paired event to its mate's."""
     stack: list[int] = []
-    open_to_close: dict[int, int] = {}
-    close_to_open: dict[int, int] = {}
+    mate: dict[int, int] = {}
     for i, ev in enumerate(events):
         if ev.kind == OPEN:
             stack.append(i)
         elif ev.kind == CLOSE and stack:
             j = stack.pop()
-            open_to_close[j] = i
-            close_to_open[i] = j
-    return open_to_close, close_to_open
+            mate[i], mate[j] = j, i
+    return mate
 
 
 def render(annotated: AnnotatedText) -> str:
@@ -200,17 +199,17 @@ def render(annotated: AnnotatedText) -> str:
     after: dict[int, list[str]] = {}    # atoms behind token i (-1: leading)
 
     if annotated.fmt is Format.CRAC:
-        o2c, c2o = _pair_events(events)
+        mate = _pair_events(events)
         ranked: dict[int, tuple[list[str], list[str], list[str]]] = {}
         for i, ev in enumerate(events):
             if ev.kind == ZERO:
                 after.setdefault(ev.anchor, []).append(f"##|[e{ev.chain}]")
                 continue
             if ev.kind == OPEN:
-                single = i in o2c and events[o2c[i]].anchor == ev.anchor
+                single = i in mate and events[mate[i]].anchor == ev.anchor
                 item, rank = (f"[e{ev.chain}]", 0) if single else (f"[e{ev.chain}", 1)
-            elif ev.kind == CLOSE and i in c2o and events[c2o[i]].anchor != ev.anchor:
-                item, rank = f"e{events[c2o[i]].chain}]", 2
+            elif ev.kind == CLOSE and i in mate and events[mate[i]].anchor != ev.anchor:
+                item, rank = f"e{events[mate[i]].chain}]", 2
             else:
                 continue  # heads, unpaired closes, and closes of singletons
             ranked.setdefault(ev.anchor, ([], [], []))[rank].append(item)
@@ -246,19 +245,23 @@ class AtomCounts:
 
     A token is charged its own atoms, those of the zero and head events
     after it, and those of each open/close pair that opens on it. Pairs are
-    found by stack, as ``render`` finds them; an unpaired event renders
-    nothing. Events anchored at -1 render ahead of the first token and are
-    counted apart in ``lead``. So a suffix cut at token ``c`` renders the
-    atoms charged from ``c`` on, which ``prefix`` gives as a difference.
+    found by :func:`_pair_events`, as ``render`` finds them; an unpaired
+    event renders nothing. A crac form that is empty or ends in whitespace
+    renders its ``|items`` as an atom of their own when it carries any; that
+    atom is charged to the latest open whose item the form carries. Events
+    anchored at -1 render ahead of the first token and are counted apart in
+    ``lead``. So a suffix cut at token ``c`` renders the atoms charged from
+    ``c`` on, which ``prefix`` gives as a difference.
 
-    The counts are exact while every form ends in a non-space, no chain id
-    holds whitespace and no close pairs with an open of an earlier piece.
-    Otherwise they can only be low: a crac item after an empty form is an
-    atom of its own, for instance.
+    The counts are exact for every suffix ``slice_annotated`` cuts from a
+    text made of pieces that each pair up within themselves (as
+    ``pipeline._append`` makes them), rendered with display chain indices
+    as ``localize`` gives them.
     """
 
     def __init__(self, fmt: Format):
-        self.atoms = _ATOM_COUNTS[Format(fmt)]
+        self.fmt = Format(fmt)
+        self.atoms = _ATOM_COUNTS[self.fmt]
         self.lead = 0
         self.prefix = [0]  # prefix[i]: atoms charged to tokens [0, i)
 
@@ -268,25 +271,30 @@ class AtomCounts:
         the last token before it."""
         n = len(piece.tokens)
         charged = [len(form.split()) for form in piece.tokens]
+        carried: dict[int, int] = {}  # crac: token -> latest open whose item it carries
         lead = 0
-        opens: list[int] = []
-        for ev in sorted(piece.events, key=TagEvent.slot):
-            if ev.kind == OPEN:
-                opens.append(ev.anchor)
+        events = sorted(piece.events, key=TagEvent.slot)
+        mate = _pair_events(events)
+        for i, ev in enumerate(events):
+            if ev.kind == OPEN or ev.kind == CLOSE and i not in mate:
                 continue
-            if ev.kind != CLOSE:
-                anchor, atoms = ev.anchor, self.atoms[ev.kind]
-            elif not opens:
-                continue
-            else:
-                anchor = opens.pop()
+            anchor, atoms = ev.anchor, self.atoms[ev.kind]
+            if ev.kind == CLOSE:
+                anchor = events[mate[i]].anchor
                 if anchor < 0 or ev.anchor >= n:
                     continue  # a pair not inside the text never renders
-                atoms = self.atoms[OPEN] + self.atoms[CLOSE]
+                atoms += self.atoms[OPEN]
+                if self.fmt is Format.CRAC:
+                    for token in (anchor, ev.anchor):
+                        carried[token] = max(carried.get(token, anchor), anchor)
             if 0 <= anchor < n:
                 charged[anchor] += atoms
             elif anchor == -1:
                 lead += atoms
+        for token, opened in carried.items():
+            form = piece.tokens[token]
+            if not form or form[-1].isspace():
+                charged[opened] += 1
         if len(self.prefix) > 1:
             self.prefix[-1] += lead
         else:

@@ -57,12 +57,18 @@ class PRF:
 METRICS = ("muc", "b3", "ceaf_e")
 
 
+def _owners(clusters: list[set]) -> dict:
+    """Each mention's cluster index; the first cluster holding it wins."""
+    owner: dict = {}
+    for idx, cluster in enumerate(clusters):
+        for m in cluster:
+            owner.setdefault(m, idx)
+    return owner
+
+
 def muc(gold: list[set], pred: list[set]) -> PRF:
     def side(keys: list[set], responses: list[set]) -> tuple[float, float]:
-        owner: dict = {}
-        for idx, cluster in enumerate(responses):
-            for m in cluster:
-                owner[m] = idx
+        owner = _owners(responses)
         num = den = 0.0
         for cluster in keys:
             parts = {owner[m] for m in cluster if m in owner}
@@ -78,10 +84,11 @@ def muc(gold: list[set], pred: list[set]) -> PRF:
 
 def b_cubed(gold: list[set], pred: list[set]) -> PRF:
     def side(keys: list[set], responses: list[set]) -> tuple[float, float]:
+        owner = _owners(responses)
         num = den = 0.0
         for cluster in keys:
             for m in cluster:
-                resp = next((r for r in responses if m in r), frozenset())
+                resp = responses[owner[m]] if m in owner else frozenset()
                 num += len(cluster & resp) / len(cluster)
                 den += 1
         return num, den

@@ -30,7 +30,7 @@ from .align import clean
 from .conllu import Chain, Corpus, Document, Mention
 from .diag import Diagnostic
 from .formats import (OPEN, CLOSE, AnnotatedText, AtomCounts, Format, TagEvent,
-                      build_events, decode, events_to_mentions)
+                      _pair_events, build_events, decode, events_to_mentions)
 from .reindex import IdAllocator, IdMap, globalize, localize
 
 
@@ -40,7 +40,7 @@ class PipelineConfig:
 
     fmt: Format = Format.HEADWORD
     sentences_per_batch: int = 4
-    context_budget: int = 250        # max rendered words of previous context
+    context_budget: int = 250        # max words of the prompt's previous context
     fuzzy_threshold: float = 0.5
     on_the_fly_clean: bool = True    # False: trust model tokens positionally
     reindex: bool = True             # False: one id numbering per document
@@ -120,35 +120,20 @@ def slice_annotated(annotated: AnnotatedText, lo: int, hi: int) -> AnnotatedText
     is dropped with that token; a zero ahead of the first token stays only
     when ``lo`` is 0.
     """
-    events = sorted(enumerate(annotated.events), key=lambda p: (p[1].slot(), p[0]))
-    stack: list[tuple[int, TagEvent]] = []
-    keep: list[tuple[int, TagEvent]] = []
+    events = sorted(annotated.events, key=TagEvent.slot)
+    mate = _pair_events(events)
 
     def inside(ev: TagEvent) -> bool:
         if ev.kind == OPEN:
             return lo <= ev.anchor < hi
         return lo <= ev.anchor < hi or (ev.anchor == lo - 1 == -1)
 
-    def shift(ev: TagEvent) -> TagEvent:
-        # events are frozen, so one that keeps its anchor is shared
-        return TagEvent(ev.kind, ev.chain, max(ev.anchor - lo, -1)) if lo else ev
-
-    for seq, ev in events:
-        if ev.kind == OPEN:
-            stack.append((seq, ev))
-        elif ev.kind == CLOSE:
-            if not stack:
-                continue
-            oseq, oev = stack.pop()
-            if inside(oev) and inside(ev):
-                keep.append((oseq, shift(oev)))
-                keep.append((seq, shift(ev)))
-        elif inside(ev):
-            keep.append((seq, shift(ev)))
-    keep.sort(key=lambda p: (p[1].slot(), p[0]))
+    kept = [ev for i, ev in enumerate(events) if inside(ev) and (
+        ev.kind not in (OPEN, CLOSE) or i in mate and inside(events[mate[i]]))]
     return AnnotatedText(
         list(annotated.tokens[lo:hi]),
-        [ev for _, ev in keep],
+        # events are frozen, so one that keeps its anchor is shared
+        [TagEvent(ev.kind, ev.chain, max(ev.anchor - lo, -1)) for ev in kept] if lo else kept,
         annotated.fmt,
         tuple(b - lo for b in annotated.breaks if lo < b < hi),
     )
@@ -156,38 +141,21 @@ def slice_annotated(annotated: AnnotatedText, lo: int, hi: int) -> AnnotatedText
 
 def truncate_context(annotated: AnnotatedText, budget: int,
                      counts: AtomCounts | None = None) -> AnnotatedText:
-    """Largest whole-token suffix rendering to at most ``budget`` words.
+    """Largest whole-token suffix whose prompt context is at most ``budget``
+    words.
 
-    "Words" are whitespace-separated atoms of the rendered text, so inline
-    tags count against the budget (two atoms each in the verbose XML form).
-    The cut is the smallest one whose suffix fits by ``counts``, the
-    :class:`AtomCounts` of ``annotated`` (made here when not given); finding
-    it renders nothing and takes time logarithmic in the text's length. One
-    render of the slice confirms it. Counts are never high, so a slice that
-    fits is the answer. When one does not (an empty crac form, say), the cut
-    moves up by bisection on the rendered size, which never grows as the cut
-    moves right.
+    "Words" are whitespace-separated atoms of the suffix as the prompt
+    shows it, localized to display chain indices, so inline tags count
+    against the budget (two atoms each in the verbose XML form). The cut is
+    the smallest one whose suffix fits by ``counts``, the
+    :class:`AtomCounts` of ``annotated`` (made here when not given), which
+    are exact for the accumulator the window walker builds; finding it
+    renders nothing and takes time logarithmic in the text's length.
     """
-    n = len(annotated.tokens)
     if counts is None:
         counts = AtomCounts(annotated.fmt)
         counts.extend(annotated)
-
-    def fits(view: AnnotatedText) -> bool:
-        return len(view.render().split()) <= budget
-
-    lo = counts.cut(budget)
-    view = slice_annotated(annotated, lo, n)
-    if lo == n or fits(view):
-        return view
-    hi = n  # lo does not fit; the empty suffix at n does
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if fits(slice_annotated(annotated, mid, n)):
-            hi = mid
-        else:
-            lo = mid
-    return slice_annotated(annotated, hi, n)
+    return slice_annotated(annotated, counts.cut(budget), len(annotated.tokens))
 
 
 # -- model backends --------------------------------------------------------------
@@ -303,11 +271,17 @@ def _batch_view(doc: Document, lo: int, hi: int, fmt: Format) -> AnnotatedText:
 
 
 def _append(acc: AnnotatedText, counts: AtomCounts, piece: AnnotatedText) -> None:
-    """Append ``piece`` to ``acc`` in place and add it to ``acc``'s counts."""
+    """Append ``piece`` to ``acc`` in place and add it to ``acc``'s counts.
+
+    The piece keeps what :func:`slice_annotated` keeps of it: events
+    anchored inside it, opens and closes only in pairs. So no pair spans two
+    pieces and the counts stay exact; the rest never renders in a context.
+    """
+    piece = slice_annotated(piece, 0, len(piece.tokens))
     counts.extend(piece)
     offset = len(acc.tokens)
     acc.tokens += piece.tokens
-    acc.events += [replace(ev, anchor=ev.anchor + offset) for ev in piece.events]
+    acc.events += [TagEvent(ev.kind, ev.chain, ev.anchor + offset) for ev in piece.events]
     acc.breaks += ((offset,) if offset else ()) + tuple(b + offset for b in piece.breaks)
 
 

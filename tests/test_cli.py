@@ -283,6 +283,20 @@ def test_mention_with_empty_span_exits_2(tmp_path, capsys):
         f"in sentence 's1'"]
 
 
+@pytest.mark.parametrize("command", [("convert", "--format", "crac"), ("export-train",)])
+def test_crossing_mentions_exit_2(tmp_path, capsys, command):
+    # valid CoNLL-U, but no inline format nests e1 = a b c and e2 = b c d
+    path = tmp_path / "crossing.conllu"
+    path.write_text("# newdoc id = x\n# sent_id = s1\n" + "".join(
+        f"{i}\t{w}\t_\t_\t_\t_\t{int(i > 1)}\t_\t_\tEntity={entity}\n"
+        for i, (w, entity) in enumerate(zip("abcd", ["(e1", "(e2", "e1)", "e2)"]), start=1))
+        + "\n", encoding="utf-8")
+    assert run(command[0], str(path), *command[1:]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: crossing mentions of chains 'e1' and 'e2' in sentence 0; "
+        "normalize before encoding"]
+
+
 def test_missing_file_exits_2(capsys):
     assert run("convert", "/nonexistent/file.conllu") == 2
 

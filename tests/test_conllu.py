@@ -2,8 +2,8 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from corefkit.conllu import (ConlluError, mention_head, parse_conllu,
-                             serialize_conllu)
+from corefkit.conllu import (Chain, ConlluError, Document, Mention, Sentence,
+                             Token, mention_head, parse_conllu, serialize_conllu)
 from corefkit.synth import SynthConfig, random_document
 
 from conftest import SISTER_CONLLU, make_sister_doc
@@ -90,6 +90,38 @@ def test_interleaved_parts_match_oldest_open():
     doc = parse_conllu(text)[0]
     frags = sorted(m.fragments for m in doc.chains["e1"].mentions)
     assert frags == [((1, 1), (3, 3)), ((2, 2), (4, 4))]
+
+
+CROSSING = """\
+# newdoc id = d
+# sent_id = s1
+1\ta\t_\t_\t_\t_\t0\t_\t_\tEntity=(e1
+2\tb\t_\t_\t_\t_\t1\t_\t_\tEntity=(e2
+3\tc\t_\t_\t_\t_\t1\t_\t_\tEntity=e1)
+4\td\t_\t_\t_\t_\t1\t_\t_\tEntity=e2)
+
+"""
+
+
+def test_crossing_mentions_round_trip():
+    doc = parse_conllu(CROSSING)[0]
+    assert chain_table(doc) == {"e1": [(((1, 3),), (1, 0), False)],
+                                "e2": [(((2, 4),), (2, 0), False)]}
+    text = serialize_conllu(doc)
+    assert [line.rpartition("\t")[2] for line in text.splitlines()[2:6]] == [
+        "Entity=(e1-1", "Entity=(e2-1", "Entity=e1)", "Entity=e2)"]
+    back = parse_conllu(text)[0]
+    assert back == doc
+    assert serialize_conllu(back) == text
+
+
+def test_crossing_mentions_of_one_chain_are_refused():
+    # a reader would give the close on "c" to the later open of e1
+    sent = Sentence("s1", [Token(i, w) for i, w in enumerate("abcd", start=1)])
+    doc = Document("d", [sent], {"e1": Chain("e1", [
+        Mention("e1", 0, ((1, 3),), (1, 0)), Mention("e1", 0, ((2, 4),), (2, 0))])})
+    with pytest.raises(ConlluError, match="crossing mentions of chain 'e1'"):
+        serialize_conllu(doc)
 
 
 @pytest.mark.parametrize("line, message", [

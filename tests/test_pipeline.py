@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from corefkit import formats, pipeline
 from corefkit.conllu import Corpus, Document, Mention
-from corefkit.formats import AnnotatedText, AtomCounts, Format, TagEvent
+from corefkit.formats import AnnotatedText, AtomCounts, Format, TagEvent, build_events
 from corefkit.metrics import conll_f1
 from corefkit.pipeline import (PRESETS, BackendError, EmptyBackend,
                                HttpBackend, ModelBackend, OracleBackend,
@@ -19,6 +19,7 @@ from corefkit.pipeline import (PRESETS, BackendError, EmptyBackend,
                                export_training_pairs, iter_windows, load_pairs,
                                mentions_to_document, slice_annotated,
                                truncate_context, write_pairs)
+from corefkit.reindex import localize
 from corefkit.synth import SynthConfig, random_corpus, random_document
 
 from conftest import make_sister_doc
@@ -124,7 +125,7 @@ def _bisected_context(annotated, budget):
     n = len(annotated.tokens)
 
     def size(cut):
-        return len(slice_annotated(annotated, cut, n).render().split())
+        return len(localize(slice_annotated(annotated, cut, n))[0].render().split())
 
     if size(0) <= budget:
         return slice_annotated(annotated, 0, n)
@@ -198,6 +199,22 @@ def test_trimming_renders_per_window_do_not_grow_with_the_document(monkeypatch):
         return max(run.count("render") for run in " ".join(log).split("prompt"))
 
     assert most_renders_per_window(1200) <= most_renders_per_window(200)  # 200: under budget
+
+
+@pytest.mark.parametrize("fmt", list(Format))
+def test_truncate_context_renders_nothing(monkeypatch, fmt):
+    """Trimming a long walker accumulator takes its cut from the counts alone."""
+    doc = random_document("d", SynthConfig(sentences=(400, 400), seed=7))
+    full = build_events(doc.sentences, doc.mentions(), fmt)
+    starts = pipeline._sentence_starts(doc)
+    acc, counts = AnnotatedText([], [], fmt, ()), AtomCounts(fmt)
+    for lo, hi in iter_windows(len(doc.sentences), 6):
+        pipeline._append(acc, counts, slice_annotated(full, starts[lo], starts[hi]))
+    calls = []
+    monkeypatch.setattr(formats, "render", lambda annotated: calls.append(annotated) or "")
+    kept = truncate_context(acc, 3072, counts)
+    assert calls == []
+    assert 0 < len(kept.tokens) < len(acc.tokens)
 
 
 def _context_of(prompt):
