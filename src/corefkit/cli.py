@@ -21,7 +21,8 @@ import argparse
 import dataclasses
 import json
 import sys
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -143,7 +144,8 @@ def build_backend(job: JobConfig) -> ModelBackend:
         if not job.url or not job.model:
             raise UsageError("--url and --model are required for the http backend")
         return HttpBackend(job.url, job.model, max_tokens=job.max_tokens,
-                           timeout=job.timeout, token_env=job.token_env)
+                           timeout=job.timeout, token_env=job.token_env,
+                           connections=job.jobs)
     raise UsageError(f"unknown backend {job.backend!r}")
 
 
@@ -177,9 +179,14 @@ def _dataset_id(path: str) -> str:
     return "stdin" if path == "-" else Path(path).stem
 
 
+def _shown(path: str) -> str:
+    """``path`` as messages name it."""
+    return "<stdin>" if path == "-" else path
+
+
 def _parse_file(path: str) -> list[Document]:
     """The documents of one CoNLL-U file; each parse warning goes to stderr."""
-    name = "<stdin>" if path == "-" else path
+    name = _shown(path)
     try:
         docs = parse_conllu(_read_text(path))
     except ConlluError as exc:
@@ -194,6 +201,20 @@ def _read_corpus(paths: list[str]) -> Corpus:
     return Corpus([(_dataset_id(p), _parse_file(p)) for p in paths])
 
 
+def _documents(paths: list[str]) -> list[tuple[str, Document]]:
+    """(path, document) for every document of the files at ``paths``."""
+    return [(p, d) for p in paths for d in _parse_file(p)]
+
+
+@contextmanager
+def _in_document(path: str, doc: Document) -> Iterator[None]:
+    """Names the file and the document in a ``FormatError`` raised inside."""
+    try:
+        yield
+    except FormatError as exc:
+        raise FormatError(f"{_shown(path)}: document {doc.doc_id!r}: {exc}") from exc
+
+
 def _write_diags(path: str | None, diags: list[Diagnostic]) -> None:
     if path:
         _write_text(path, (d.to_json() + "\n" for d in diags))
@@ -203,10 +224,11 @@ def _write_diags(path: str | None, diags: list[Diagnostic]) -> None:
 
 def cmd_convert(args) -> int:
     fmt = Format(args.format)
-    docs = [d for p in args.input for d in _parse_file(p)]
+    docs = _documents(args.input)
     blocks = []
-    for doc in docs:
-        annotated = build_events(doc.sentences, doc.mentions(), fmt)
+    for path, doc in docs:
+        with _in_document(path, doc):
+            annotated = build_events(doc.sentences, doc.mentions(), fmt)
         _, idmap = localize(annotated)
         # convert output numbers chains from 1; prompts number them from 0
         display = {cid: i + 1 for cid, i in idmap.global_to_local.items()}
@@ -274,8 +296,11 @@ def cmd_annotate(args) -> int:
     if job.jobs < 1:
         raise UsageError("jobs must be >= 1")
     backend = build_backend(job)
-    corpus = _read_corpus(args.input)
-    predicted, reports = annotate_corpus(corpus, backend, cfg, jobs=job.jobs)
+    try:
+        predicted, reports = annotate_corpus(_read_corpus(args.input), backend, cfg,
+                                             jobs=job.jobs)
+    finally:
+        backend.close()
     out = "".join(serialize_conllu(d) for _, docs in predicted.datasets for d in docs)
     _write_text(args.output, out)
     diags = [d for r in reports for d in r.diagnostics]
@@ -319,7 +344,10 @@ def cmd_stats(args) -> int:
 
 def cmd_export_train(args) -> int:
     cfg = pipeline_config(load_job_config(args.config, vars(args)))
-    pairs = export_training_pairs(_read_corpus(args.input), cfg)
+    pairs = []
+    for path, doc in _documents(args.input):
+        with _in_document(path, doc):
+            pairs += export_training_pairs(doc, cfg)
     _write_text(args.output, (p.to_json() + "\n" for p in pairs))
     return 0
 
@@ -389,7 +417,7 @@ def build_parser() -> _Parser:
     p.add_argument("--replay", default=None, help="JSONL of captured completions")
     p.add_argument("--oracle", default=None, help="JSONL of exported training pairs")
     p.add_argument("--jobs", type=int, default=None,
-                   help="documents annotated in parallel")
+                   help="documents annotated at once (http: one connection each)")
     p.add_argument("--diagnostics", help="write JSONL diagnostics here")
     p.set_defaults(func=cmd_annotate)
 

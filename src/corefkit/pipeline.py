@@ -19,12 +19,11 @@ from __future__ import annotations
 
 import json
 import os
-import threading
+import time
 from collections.abc import Iterator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
-
-import requests
+from typing import TYPE_CHECKING
 
 from .align import clean
 from .conllu import Chain, Corpus, Document, Mention
@@ -32,6 +31,9 @@ from .diag import Diagnostic
 from .formats import (OPEN, CLOSE, AnnotatedText, AtomCounts, Format, TagEvent,
                       _pair_events, build_events, decode, events_to_mentions)
 from .reindex import IdAllocator, IdMap, globalize, localize
+
+if TYPE_CHECKING:
+    import requests
 
 
 @dataclass
@@ -161,22 +163,43 @@ def truncate_context(annotated: AnnotatedText, budget: int,
 # -- model backends --------------------------------------------------------------
 
 class BackendError(RuntimeError):
-    """The backend could not produce a completion for this prompt."""
+    """The backend could not produce a completion for this prompt; another
+    attempt may. ``retry_after`` is the wait in seconds the backend asked for
+    before that attempt, or None."""
+
+    def __init__(self, message: str, retry_after: float | None = None):
+        super().__init__(message)
+        self.retry_after = retry_after
+
+
+class PermanentBackendError(BackendError):
+    """The same prompt would fail again, so the window is not retried."""
+
+
+RETRY_AFTER_CAP_S = 60.0
+_sleep = time.sleep  # the wait before a retry; tests replace it
 
 
 class ModelBackend:
     """Interface: ``generate(prompt, ref)`` returns the completion text.
 
     ``ref`` identifies the window as (doc_id, window_index); offline
-    backends key on it, live ones may ignore it. ``single_flight`` backends
-    are never called concurrently, whatever the job count. ``generate`` is
-    the only side-effecting call the pipeline makes.
-    """
+    backends key on it, live ones may ignore it. ``generate`` must be
+    thread-safe: with ``jobs > 1`` the pool calls it from several threads at
+    once. It is the only side-effecting call the pipeline makes.
 
-    single_flight = False
+    ``close`` releases what the backend holds once the run is over. The CLI
+    exits soon after, but ``cli.main`` and ``annotate_corpus`` also run
+    inside long-lived processes that build a backend per run; without it each
+    http run would keep up to ``jobs`` idle sockets open until the session
+    is collected.
+    """
 
     def generate(self, prompt: str, ref: tuple[str, int] | None = None) -> str:
         raise NotImplementedError
+
+    def close(self) -> None:
+        pass
 
 
 class EmptyBackend(ModelBackend):
@@ -199,10 +222,10 @@ class OracleBackend(ModelBackend):
 
     def generate(self, prompt, ref=None):
         if ref is None or ref not in self.by_ref:
-            raise BackendError(f"no oracle completion for window {ref!r}")
+            raise PermanentBackendError(f"no oracle completion for window {ref!r}")
         pair = self.by_ref[ref]
         if pair.prompt != prompt:
-            raise BackendError(
+            raise PermanentBackendError(
                 f"prompt for window {ref!r} does not match the exported one")
         return pair.completion
 
@@ -218,27 +241,55 @@ class ReplayBackend(ModelBackend):
 
     def generate(self, prompt, ref=None):
         if ref not in self.by_ref:
-            raise BackendError(f"no replayed completion for window {ref!r}")
+            raise PermanentBackendError(f"no replayed completion for window {ref!r}")
         return self.by_ref[ref]
+
+
+def _retry_after(value: str | None) -> float | None:
+    """A ``Retry-After`` header given in seconds, capped; None for an
+    HTTP date or anything else."""
+    value = (value or "").strip()
+    if not (value.isascii() and value.isdigit()):
+        return None
+    return min(float(value), RETRY_AFTER_CAP_S)
 
 
 class HttpBackend(ModelBackend):
     """OpenAI-style completions endpoint. The bearer token is read from the
-    environment (never from config files or flags)."""
+    environment (never from config files or flags).
 
-    single_flight = True  # one shared requests.Session; serialize access
+    One session serves every thread; its connection pool holds
+    ``connections`` keep-alive connections, one per concurrent caller.
+    ``requests`` does not promise that a ``Session`` is thread-safe. Sharing
+    one relies on each call being a plain POST with per-call headers and no
+    redirect to follow: the only session state a call writes is the cookie
+    jar, which ``http.cookiejar`` locks, and urllib3's connection pool is
+    thread-safe. ``tests/test_http.py`` checks that ``--jobs 4`` against a
+    loopback server gives the ``--jobs 1`` output byte for byte.
+    A 408, 429, 5xx, timeout, connection error or malformed response is
+    transient; any other 4xx is permanent.
+    """
 
     def __init__(self, url: str, model: str, max_tokens: int = 2048,
                  timeout: float = 120.0, token_env: str = "COREFKIT_API_TOKEN",
-                 session: requests.Session | None = None):
+                 session: requests.Session | None = None, connections: int = 1):
         self.url = url
         self.model = model
         self.max_tokens = max_tokens
         self.timeout = timeout
         self.token_env = token_env
-        self.session = session or requests.Session()
+        self._owns_session = session is None
+        if session is None:
+            import requests  # deferred: most runs never talk to an endpoint
+            from requests.adapters import HTTPAdapter
+            session = requests.Session()
+            adapter = HTTPAdapter(pool_maxsize=connections)
+            session.mount("http://", adapter)
+            session.mount("https://", adapter)
+        self.session = session
 
     def generate(self, prompt, ref=None):
+        import requests
         headers = {}
         token = os.environ.get(self.token_env)
         if token:
@@ -248,14 +299,28 @@ class HttpBackend(ModelBackend):
         try:
             resp = self.session.post(self.url, json=payload, headers=headers,
                                      timeout=self.timeout)
-            resp.raise_for_status()
-            text = resp.json()["choices"][0]["text"]
-        except (requests.RequestException, KeyError, IndexError, TypeError,
-                ValueError) as exc:
+        except requests.RequestException as exc:
             raise BackendError(f"completion request failed: {exc}") from exc
+        status = resp.status_code
+        if status >= 400:
+            message = f"completion request failed: HTTP {status} from {self.url}"
+            if status < 500 and status not in (408, 429):
+                raise PermanentBackendError(message)
+            raise BackendError(message, _retry_after(resp.headers.get("Retry-After"))
+                               if status in (429, 503) else None)
+        try:
+            text = resp.json()["choices"][0]["text"]
+        except (KeyError, IndexError, TypeError, ValueError) as exc:
+            raise BackendError(f"malformed completion response: {exc!r}") from exc
         if not isinstance(text, str):
             raise BackendError(f"completion text is not a string: {text!r}")
         return text
+
+    def close(self) -> None:
+        """Closes the session this backend made; one passed in stays open
+        for its owner."""
+        if self._owns_session:
+            self.session.close()
 
 
 # -- annotation loop -------------------------------------------------------------
@@ -367,6 +432,10 @@ def annotate_document(doc: Document, backend: ModelBackend,
             except BackendError as exc:
                 report.diagnostics.append(
                     Diagnostic("backend", f"attempt {attempt + 1}: {exc}", w_index))
+                if isinstance(exc, PermanentBackendError):
+                    break
+                if exc.retry_after and attempt < cfg.retries:
+                    _sleep(exc.retry_after)
         if completion is None:
             report.diagnostics.append(
                 Diagnostic("pipeline", "window left unannotated", w_index))
@@ -398,29 +467,17 @@ def annotate_document(doc: Document, backend: ModelBackend,
     return mentions_to_document(doc, predicted), reports
 
 
-class _Serialized(ModelBackend):
-    """Lets pooled workers share a single-flight backend by taking turns."""
-
-    def __init__(self, inner: ModelBackend):
-        self.inner = inner
-        self._lock = threading.Lock()
-
-    def generate(self, prompt, ref=None):
-        with self._lock:
-            return self.inner.generate(prompt, ref)
-
-
 def annotate_corpus(corpus: Corpus, backend: ModelBackend, cfg: PipelineConfig,
                     jobs: int = 1) -> tuple[Corpus, list[WindowReport]]:
-    """Documents are independent, so they fan out over a thread pool; output
-    order always follows input order. Single-flight backends still see one
-    request at a time."""
+    """Documents are independent, so up to ``jobs`` of them are annotated at
+    once; each document's windows still run in order, since every prompt
+    carries the previous window's output. Output order always follows input
+    order."""
     flat = [(name, doc) for name, docs in corpus.datasets for doc in docs]
     if jobs > 1 and len(flat) > 1:
-        worker = _Serialized(backend) if backend.single_flight else backend
         with ThreadPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(
-                lambda nd: annotate_document(nd[1], worker, cfg), flat))
+                lambda nd: annotate_document(nd[1], backend, cfg), flat))
     else:
         results = [annotate_document(doc, backend, cfg) for _, doc in flat]
 

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import corefkit
+from corefkit import cli
 from corefkit.cli import JobConfig, UsageError, build_backend, main
 from corefkit.conllu import parse_conllu, serialize_conllu
 from corefkit.pipeline import (EmptyBackend, HttpBackend, OracleBackend,
@@ -247,8 +248,37 @@ def test_build_backend_kinds(tmp_path):
                                    max_tokens=1))
     assert isinstance(http, HttpBackend)
     assert (http.url, http.model, http.max_tokens) == ("u", "m", 1)
+    http.close()
+    # one keep-alive connection per job, past urllib3's default pool of 10
+    pooled = build_backend(JobConfig(backend="http", url="http://u", model="m", jobs=12))
+    assert pooled.session.get_adapter("http://u").poolmanager.connection_pool_kw[
+        "maxsize"] == 12
+    pooled.close()
     with pytest.raises(UsageError):
         build_backend(JobConfig(backend="nonsense"))
+
+
+def test_annotate_closes_its_backend(gold_path, monkeypatch):
+    closed = []
+
+    class Recording(EmptyBackend):
+        def close(self):
+            closed.append(True)
+
+    monkeypatch.setattr(cli, "build_backend", lambda job: Recording())
+    assert run("annotate", gold_path) == 0
+    assert closed == [True]
+
+
+def test_cli_import_leaves_requests_unloaded():
+    # requests is imported only when an http backend is built
+    src = str(Path(corefkit.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, corefkit.cli; print('requests' in sys.modules)"],
+        capture_output=True, text=True, timeout=60, env=env)
+    assert (proc.returncode, proc.stdout) == (0, "False\n")
 
 
 def test_public_api_names_resolve():
@@ -293,8 +323,8 @@ def test_crossing_mentions_exit_2(tmp_path, capsys, command):
         + "\n", encoding="utf-8")
     assert run(command[0], str(path), *command[1:]) == 2
     assert capsys.readouterr().err.splitlines() == [
-        "error: crossing mentions of chains 'e1' and 'e2' in sentence 0; "
-        "normalize before encoding"]
+        f"error: {path}: document 'x': crossing mentions of chains 'e1' and 'e2' "
+        "in sentence 0; normalize before encoding"]
 
 
 def test_missing_file_exits_2(capsys):

@@ -1,19 +1,20 @@
 """Windowed annotation loop, context trimming, backends, training export."""
 import json
+import sys
 import threading
 
 import pytest
-import requests
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from corefkit import formats, pipeline
-from corefkit.conllu import Corpus, Document, Mention
+from corefkit.conllu import Corpus, Document, Mention, serialize_corpus
 from corefkit.formats import AnnotatedText, AtomCounts, Format, TagEvent, build_events
 from corefkit.metrics import conll_f1
 from corefkit.pipeline import (PRESETS, BackendError, EmptyBackend,
                                HttpBackend, ModelBackend, OracleBackend,
-                               PipelineConfig, ReplayBackend, TrainingPair,
+                               PermanentBackendError, PipelineConfig,
+                               ReplayBackend, TrainingPair,
                                annotate_corpus, annotate_document,
                                build_prompt, completion_of,
                                export_training_pairs, iter_windows, load_pairs,
@@ -255,9 +256,9 @@ def test_oracle_backend_round_trips_the_fixture(sister_doc):
 def test_oracle_backend_refuses_unknown_or_skewed_prompts(sister_doc):
     pairs = export_training_pairs(sister_doc, PipelineConfig())
     backend = OracleBackend(pairs)
-    with pytest.raises(BackendError, match="no oracle completion"):
+    with pytest.raises(PermanentBackendError, match="no oracle completion"):
         backend.generate("whatever", ref=("other", 0))
-    with pytest.raises(BackendError, match="does not match"):
+    with pytest.raises(PermanentBackendError, match="does not match"):
         backend.generate("skewed prompt", ref=(sister_doc.doc_id, 0))
 
 
@@ -267,21 +268,22 @@ def test_replay_backend_serves_by_window(tmp_path, sister_doc):
                                 "completion": FIXTURE_COMPLETION}) + "\n")
     backend = ReplayBackend(path)
     assert backend.generate("ignored", ref=("demo", 0)) == FIXTURE_COMPLETION
-    with pytest.raises(BackendError):
+    with pytest.raises(PermanentBackendError):
         backend.generate("ignored", ref=("demo", 1))
     pred, _ = annotate_document(sister_doc, backend, PipelineConfig())
     assert len(pred.chains) == 2
 
 
 class FlakyBackend(ModelBackend):
-    def __init__(self, fail_times):
+    def __init__(self, fail_times, error=BackendError):
         self.fail_times = fail_times
+        self.error = error
         self.calls = 0
 
     def generate(self, prompt, ref=None):
         self.calls += 1
         if self.calls <= self.fail_times:
-            raise BackendError("transient")
+            raise self.error("transient")
         return completion_of(prompt)
 
 
@@ -301,14 +303,17 @@ def test_exhausted_retries_leave_window_unannotated(sister_doc):
     assert any("unannotated" in d.message for d in report.diagnostics)
 
 
+def test_permanent_failure_is_not_retried(sister_doc):
+    backend = FlakyBackend(fail_times=1, error=PermanentBackendError)
+    _, [report] = annotate_document(sister_doc, backend, PipelineConfig(retries=2))
+    assert not report.annotated and report.attempts == backend.calls == 1
+
+
 class _FakeResponse:
     def __init__(self, payload, status=200):
         self.payload = payload
-        self.status = status
-
-    def raise_for_status(self):
-        if self.status >= 400:
-            raise requests.HTTPError(f"{self.status}")
+        self.status_code = status
+        self.headers = {}
 
     def json(self):
         return self.payload
@@ -319,10 +324,14 @@ class _FakeSession:
         self.payload = payload
         self.status = status
         self.seen = []
+        self.closed = False
 
     def post(self, url, json=None, headers=None, timeout=None):
         self.seen.append((url, json, headers, timeout))
         return _FakeResponse(self.payload, self.status)
+
+    def close(self):
+        self.closed = True
 
 
 def test_http_backend_request_shape(monkeypatch):
@@ -346,6 +355,12 @@ def test_http_backend_token_only_from_environment(monkeypatch):
     assert session.seen[0][2] == {}  # no token in env -> no auth header
 
 
+def test_http_backend_leaves_a_passed_session_open():
+    session = _FakeSession({"choices": [{"text": "ok"}]})
+    HttpBackend("http://unit.test", "m", session=session).close()
+    assert not session.closed
+
+
 def test_http_backend_wraps_failures(monkeypatch):
     monkeypatch.delenv("COREFKIT_API_TOKEN", raising=False)
     for session in (_FakeSession({}, status=500), _FakeSession({"nope": 1}),
@@ -357,30 +372,46 @@ def test_http_backend_wraps_failures(monkeypatch):
             backend.generate("p")
 
 
-class _CountingBackend(ModelBackend):
-    single_flight = True
+class _PairedBackend(EmptyBackend):
+    """Holds its first two calls until both have arrived, so they pass only
+    when they run at once."""
 
     def __init__(self):
-        self.active = 0
-        self.peak = 0
-        self._guard = threading.Lock()
+        self.gate = threading.Barrier(2, timeout=5)
+        self.calls = 0
+        self._lock = threading.Lock()
 
     def generate(self, prompt, ref=None):
-        with self._guard:
-            self.active += 1
-            self.peak = max(self.peak, self.active)
-        try:
-            return completion_of(prompt)
-        finally:
-            with self._guard:
-                self.active -= 1
+        with self._lock:
+            self.calls += 1
+            held = self.calls <= 2
+        if held:
+            self.gate.wait()
+        return super().generate(prompt, ref)
 
 
-def test_single_flight_backend_never_runs_concurrently():
+def test_pooled_documents_run_concurrently():
     corpus = random_corpus(6, SynthConfig(seed=1), seed=1)
-    backend = _CountingBackend()
-    annotate_corpus(corpus, backend, PipelineConfig(), jobs=4)
-    assert backend.peak == 1
+    backend = _PairedBackend()
+    annotate_corpus(corpus, backend, PipelineConfig(), jobs=2)
+    assert not backend.gate.broken
+
+
+def test_many_workers_give_the_serial_prediction():
+    gold = random_corpus(16, SynthConfig(seed=4, sentences=(1, 14)), seed=4)
+    cfg = PipelineConfig(sentences_per_batch=2, context_budget=40)
+    backend = OracleBackend(export_training_pairs(gold, cfg))
+    serial, serial_reports = annotate_corpus(gold, backend, cfg)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        pooled, pooled_reports = annotate_corpus(gold, backend, cfg, jobs=8)
+    finally:
+        sys.setswitchinterval(interval)
+    assert all(r.annotated for r in pooled_reports)
+    assert pooled_reports == serial_reports
+    assert (serialize_corpus(pooled.datasets[0][1])
+            == serialize_corpus(serial.datasets[0][1]))
 
 
 def test_annotate_corpus_keeps_input_order():
