@@ -16,7 +16,7 @@ Three stages:
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .diag import Diagnostic
 from .formats import CLOSE, OPEN, AnnotatedText, Format, TagEvent, decode
@@ -31,8 +31,6 @@ class Alignment:
     """Monotonic partial injection from output tokens to input tokens."""
 
     pairs: list[tuple[int, int, str]]  # (output_index, input_index, kind), ascending
-    unmatched_output: set[int] = field(default_factory=set)
-    unmatched_input: set[int] = field(default_factory=set)
 
     def out_to_in(self) -> dict[int, int]:
         return {o: i for o, i, _ in self.pairs}
@@ -116,27 +114,16 @@ def anchor_align(input_tokens: list[str], output_tokens: list[str]) -> Alignment
             work.append((prev_i, i, prev_o, o))
             prev_i, prev_o = i + 1, o + 1
         work.append((prev_i, ihi, prev_o, ohi))
+    # monotonic, so ascending by input index is ascending by output index
     matched.sort()
-    pairs = [(o, i, ANCHOR) for i, o in matched]
-    pairs.sort()
-    return _with_unmatched(pairs, len(input_tokens), len(output_tokens))
-
-
-def _with_unmatched(pairs, n_in: int, n_out: int) -> Alignment:
-    got_in = {i for _, i, _ in pairs}
-    got_out = {o for o, _, _ in pairs}
-    return Alignment(pairs,
-                     {o for o in range(n_out) if o not in got_out},
-                     {i for i in range(n_in) if i not in got_in})
+    return Alignment([(o, i, ANCHOR) for i, o in matched])
 
 
 def expand_and_fuzzy(al: Alignment, input_tokens: list[str], output_tokens: list[str],
                      fuzzy_threshold: float = 0.5) -> Alignment:
     """Grow anchor islands over equal neighbours, then pair leftover gap
     tokens greedily in order by edit similarity."""
-    pairs = [(o, i, k) for o, i, k in al.pairs]
-    pairs.sort()
-    bounds = [(-1, -1)] + [(o, i) for o, i, _ in pairs] + [(len(output_tokens), len(input_tokens))]
+    bounds = [(-1, -1)] + [(o, i) for o, i, _ in al.pairs] + [(len(output_tokens), len(input_tokens))]
 
     expanded: list[tuple[int, int, str]] = []
     gaps: list[tuple[int, int, int, int]] = []  # olo, ohi, ilo, ihi (exclusive)
@@ -163,8 +150,7 @@ def expand_and_fuzzy(al: Alignment, input_tokens: list[str], output_tokens: list
                     floor = i + 1
                     break
 
-    merged = sorted(pairs + expanded + fuzzy)
-    return _with_unmatched(merged, len(input_tokens), len(output_tokens))
+    return Alignment(sorted(al.pairs + expanded + fuzzy))
 
 
 def align_tokens(input_tokens: list[str], output_tokens: list[str],

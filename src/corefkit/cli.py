@@ -61,7 +61,6 @@ class JobConfig:
     sentences_per_batch: int | None = None
     context_budget: int | None = None
     fuzzy_threshold: float | None = None
-    clean: bool = True
     reindex: bool = True
     retries: int = 2
     backend: str = "empty"
@@ -116,8 +115,7 @@ def pipeline_config(job: JobConfig) -> PipelineConfig:
                          f"(choose from {', '.join(sorted(PRESETS))})")
     changes = {"fmt": job.format, "sentences_per_batch": job.sentences_per_batch,
                "context_budget": job.context_budget,
-               "fuzzy_threshold": job.fuzzy_threshold,
-               "on_the_fly_clean": job.clean, "reindex": job.reindex,
+               "fuzzy_threshold": job.fuzzy_threshold, "reindex": job.reindex,
                "retries": job.retries}
     try:
         return dataclasses.replace(
@@ -138,7 +136,7 @@ def build_backend(job: JobConfig) -> ModelBackend:
             if job.backend == "replay":
                 return ReplayBackend(path)
             return OracleBackend(load_pairs(path))
-        except (OSError, ValueError, KeyError) as exc:
+        except (OSError, ValueError) as exc:
             raise ConlluError(f"--{job.backend} {path}: {exc}") from exc
     if job.backend == "http":
         if not job.url or not job.model:
@@ -404,7 +402,6 @@ def build_parser() -> _Parser:
     _add_pipeline_flags(p)
     p.add_argument("--fuzzy-threshold", type=float, default=None,
                    dest="fuzzy_threshold")
-    p.add_argument("--clean", action=argparse.BooleanOptionalAction, default=None)
     p.add_argument("--retries", type=int, default=None)
     p.add_argument("--backend", choices=["empty", "oracle", "replay", "http"],
                    default=None)

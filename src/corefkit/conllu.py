@@ -11,7 +11,8 @@ as ``Entity=`` attributes using bracket notation:
 Discontinuous mentions use ``eid[i/n]`` part markers. Empty nodes (decimal
 IDs such as ``7.1``) carry zero mentions; they emit no surface word.
 Multiword-token ranges (``3-4``) are kept as opaque lines and never bear
-mentions. Unknown dash-fields and MISC attributes round-trip verbatim.
+mentions. Unknown dash-fields and MISC attributes round-trip verbatim, and
+the regenerated ``Entity=`` goes back where it was read.
 
 Comment lines before the first ``# newdoc id`` are a file preamble (a CoNLL-U
 Plus ``# global.columns`` line, a licence note) and are skipped; a token line
@@ -41,7 +42,9 @@ class Token:
 
     ``position`` is the 1-based surface index; for empty nodes it is the
     index of the surface token the node follows (0 = sentence start) and
-    ``sub_index`` is the k of the ``position.k`` decimal ID.
+    ``sub_index`` is the k of the ``position.k`` decimal ID. ``misc`` holds
+    the MISC attributes in order, an ``Entity=`` value reduced to
+    ``("Entity", "")``: mentions live in the document's chains.
     """
 
     position: int
@@ -129,6 +132,14 @@ class Document:
         out = [m for c in self.chains.values() for m in c.mentions]
         out.sort(key=lambda m: (m.sent_index, m.head[0], m.head[1]))
         return out
+
+    def sentence_starts(self) -> list[int]:
+        """The document-wide index of each sentence's first surface token,
+        then the total token count."""
+        starts = [0]
+        for s in self.sentences:
+            starts.append(starts[-1] + len(s.tokens))
+        return starts
 
     def surface_token_count(self) -> int:
         return sum(len(s.tokens) for s in self.sentences)
@@ -235,12 +246,16 @@ def _parse_misc(raw: str) -> tuple[tuple[str, str | None], ...]:
     return tuple(out)
 
 
+# stands in a token's MISC where its Entity= value was parsed, so the value
+# written back goes there; a token without one gets it first
+_ENTITY_SLOT = ("Entity", "")
+
+
 def _misc_string(pairs, entity: str | None) -> str:
-    items = []
-    if entity:
-        items.append(f"Entity={entity}")
-    for k, v in pairs:
-        items.append(k if v is None else f"{k}={v}")
+    if entity and _ENTITY_SLOT not in pairs:
+        pairs = (_ENTITY_SLOT, *pairs)
+    items = [f"Entity={entity}" if (k, v) == _ENTITY_SLOT else k if v is None else f"{k}={v}"
+             for k, v in pairs if entity or (k, v) != _ENTITY_SLOT]
     return "|".join(items) if items else "_"
 
 
@@ -268,6 +283,8 @@ class _SentenceAccumulator:
             for k, v in _parse_misc(cols[9]):
                 if k == "Entity" and v is not None:
                     entity_raw = v
+                    if _ENTITY_SLOT not in kept:
+                        kept.append(_ENTITY_SLOT)
                 else:
                     kept.append((k, v))
             is_zero = "." in id_field

@@ -103,14 +103,12 @@ def build_events(sentences: Sequence[Sentence], mentions: Sequence[Mention],
     tokens: list[str] = []
     breaks: list[int] = []
     index_of: dict[tuple[int, int], int] = {}
-    last_index: list[int] = []
     for si, s in enumerate(sentences):
         if si:
             breaks.append(len(tokens))
         for t in s.tokens:
             index_of[(si, t.position)] = len(tokens)
             tokens.append(t.form)
-        last_index.append(len(tokens) - 1)
 
     spans = []  # (si, start, end, chain, head_pos, seq)
     zeros = []  # (si, anchor_pos, sub, chain)
@@ -131,9 +129,10 @@ def build_events(sentences: Sequence[Sentence], mentions: Sequence[Mention],
                 if b[1] > a[2]:
                     break
                 if b[2] > a[2]:
+                    where = sentences[a[0]].sent_id or a[0] + 1  # its id, or its 1-based place
                     raise FormatError(
                         f"crossing mentions of chains {a[3]!r} and {b[3]!r} "
-                        f"in sentence {a[0]}; normalize before encoding")
+                        f"in sentence {where!r}; normalize before encoding")
 
     events: list[tuple[tuple, TagEvent]] = []
     if fmt is Format.HEADWORD:

@@ -307,16 +307,7 @@ class DistanceCdf:
         return buf.getvalue()
 
 
-def _word_offsets(doc: Document) -> dict[int, int]:
-    offsets = {}
-    total = 0
-    for si, s in enumerate(doc.sentences):
-        offsets[si] = total
-        total += len(s.tokens)
-    return offsets
-
-
-def _head_word_index(m: Mention, offsets: dict[int, int]) -> int:
+def _head_word_index(m: Mention, offsets: list[int]) -> int:
     # an empty node head carries its anchor position, so it lands on the
     # anchor's word index; anchor 0 clamps to the sentence start
     return offsets[m.sent_index] + max(m.head[0] - 1, 0)
@@ -328,7 +319,7 @@ def antecedent_cdf(gold: Corpus) -> DistanceCdf:
     distances: list[int] = []
     for _, docs in gold.datasets:
         for doc in docs:
-            offsets = _word_offsets(doc)
+            offsets = doc.sentence_starts()
             for chain in doc.chains.values():
                 idxs = sorted(_head_word_index(m, offsets) for m in chain.mentions)
                 distances.extend(b - a for a, b in zip(idxs, idxs[1:]))

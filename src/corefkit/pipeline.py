@@ -29,7 +29,7 @@ from .align import clean
 from .conllu import Chain, Corpus, Document, Mention
 from .diag import Diagnostic
 from .formats import (OPEN, CLOSE, AnnotatedText, AtomCounts, Format, TagEvent,
-                      _pair_events, build_events, decode, events_to_mentions)
+                      _pair_events, build_events, events_to_mentions)
 from .reindex import IdAllocator, IdMap, globalize, localize
 
 if TYPE_CHECKING:
@@ -44,7 +44,6 @@ class PipelineConfig:
     sentences_per_batch: int = 4
     context_budget: int = 250        # max words of the prompt's previous context
     fuzzy_threshold: float = 0.5
-    on_the_fly_clean: bool = True    # False: trust model tokens positionally
     reindex: bool = True             # False: one id numbering per document
     retries: int = 2
 
@@ -236,8 +235,8 @@ class ReplayBackend(ModelBackend):
 
     def __init__(self, path):
         self.by_ref: dict[tuple[str, int], str] = {
-            (rec["doc_id"], rec["window_index"]): rec["completion"]
-            for rec in _read_jsonl(path)}
+            (doc_id, w_index): completion for doc_id, w_index, completion
+            in _read_jsonl(path, ("doc_id", "window_index", "completion"))}
 
     def generate(self, prompt, ref=None):
         if ref not in self.by_ref:
@@ -325,16 +324,6 @@ class HttpBackend(ModelBackend):
 
 # -- annotation loop -------------------------------------------------------------
 
-def _batch_view(doc: Document, lo: int, hi: int, fmt: Format) -> AnnotatedText:
-    tokens: list[str] = []
-    breaks: list[int] = []
-    for si in range(lo, hi):
-        if si > lo:
-            breaks.append(len(tokens))
-        tokens.extend(t.form for t in doc.sentences[si].tokens)
-    return AnnotatedText(tokens, [], fmt, tuple(breaks))
-
-
 def _append(acc: AnnotatedText, counts: AtomCounts, piece: AnnotatedText) -> None:
     """Append ``piece`` to ``acc`` in place and add it to ``acc``'s counts.
 
@@ -348,24 +337,6 @@ def _append(acc: AnnotatedText, counts: AtomCounts, piece: AnnotatedText) -> Non
     acc.tokens += piece.tokens
     acc.events += [TagEvent(ev.kind, ev.chain, ev.anchor + offset) for ev in piece.events]
     acc.breaks += ((offset,) if offset else ()) + tuple(b + offset for b in piece.breaks)
-
-
-def _clip_to_tokens(annotated: AnnotatedText, n: int) -> AnnotatedText:
-    """Positionally trust the first ``n`` model tokens; balance the events."""
-    clipped = AnnotatedText(list(annotated.tokens[:n]),
-                            [ev for ev in annotated.events
-                             if -1 <= ev.anchor < n and not (ev.kind == OPEN and ev.anchor < 0)],
-                            annotated.fmt, tuple(b for b in annotated.breaks if b < n))
-    # opens whose close fell off get an auto-close at the last token
-    depth = 0
-    for ev in clipped.events:
-        if ev.kind == OPEN:
-            depth += 1
-        elif ev.kind == CLOSE:
-            depth = max(depth - 1, 0)
-    if n:
-        clipped.events.extend(TagEvent(CLOSE, None, n - 1) for _ in range(depth))
-    return clipped
 
 
 def mentions_to_document(doc: Document, mentions: list[Mention]) -> Document:
@@ -403,7 +374,7 @@ def _walk_windows(doc: Document, cfg: PipelineConfig, take) -> None:
     doc_map = IdMap() if not cfg.reindex else None
     for w_index, (lo, hi) in enumerate(iter_windows(len(doc.sentences),
                                                     cfg.sentences_per_batch)):
-        batch = _batch_view(doc, lo, hi, cfg.fmt)
+        batch = build_events(doc.sentences[lo:hi], (), cfg.fmt)
         context = truncate_context(acc, cfg.context_budget, counts)
         local_ctx, idmap = localize(context, doc_map)
         prompt = build_prompt(local_ctx.render(), batch.render(), cfg.fmt)
@@ -441,13 +412,7 @@ def annotate_document(doc: Document, backend: ModelBackend,
                 Diagnostic("pipeline", "window left unannotated", w_index))
             return []
 
-        if cfg.on_the_fly_clean:
-            local, diags = clean(batch.render(), completion, cfg.fmt,
-                                 cfg.fuzzy_threshold)
-        else:
-            local, diags = decode(completion, cfg.fmt)
-            local = _clip_to_tokens(local, len(batch.tokens))
-            local.breaks = batch.breaks
+        local, diags = clean(batch.render(), completion, cfg.fmt, cfg.fuzzy_threshold)
         report.diagnostics.extend(diags)
 
         global_ann, gdiags = globalize(local, idmap, allocator)
@@ -505,13 +470,6 @@ class TrainingPair:
                           ensure_ascii=False, sort_keys=True)
 
 
-def _sentence_starts(doc: Document) -> list[int]:
-    starts = [0]
-    for s in doc.sentences:
-        starts.append(starts[-1] + len(s.tokens))
-    return starts
-
-
 def export_training_pairs(source: Document | Corpus,
                           cfg: PipelineConfig) -> list[TrainingPair]:
     """Gold prompt/completion pairs, one per window, walked by the same loop
@@ -522,7 +480,7 @@ def export_training_pairs(source: Document | Corpus,
                 for p in export_training_pairs(d, cfg)]
     doc = source
     full = build_events(doc.sentences, doc.mentions(), cfg.fmt)
-    starts = _sentence_starts(doc)
+    starts = doc.sentence_starts()
     pairs: list[TrainingPair] = []
 
     def take(w_index, lo, hi, batch, prompt, idmap):
@@ -541,15 +499,32 @@ def write_pairs(path: str, pairs: list[TrainingPair]) -> None:
             fh.write(p.to_json() + "\n")
 
 
-def _read_jsonl(path: str) -> Iterator[dict]:
-    """The records of a JSONL file (replayed completions or training pairs);
-    blank lines are skipped."""
+_RECORD_TYPES = {"doc_id": str, "window_index": int, "prompt": str, "completion": str}
+
+
+def _read_jsonl(path: str, keys: tuple[str, ...]) -> Iterator[tuple]:
+    """The values under ``keys`` of each record of a JSONL file (replayed
+    completions or training pairs); blank lines are skipped. A record that
+    is not a JSON object, or whose value is missing or of the wrong JSON
+    type (a bool is no ``window_index``), raises ValueError naming its line."""
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            if line.strip():
-                yield json.loads(line)
+        for line_no, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            try:
+                rec = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise ValueError(f"record on line {line_no}: invalid JSON ({exc.msg})") from exc
+            if not isinstance(rec, dict):
+                raise ValueError(f"record on line {line_no} is not a JSON object")
+            for key in keys:
+                if type(rec.get(key)) is not _RECORD_TYPES[key]:
+                    raise ValueError(f"record on line {line_no}: {key} must be "
+                                     f"{_RECORD_TYPES[key].__name__}, not "
+                                     f"{json.dumps(rec.get(key))}")
+            yield tuple(rec[key] for key in keys)
 
 
 def load_pairs(path: str) -> list[TrainingPair]:
-    return [TrainingPair(rec["doc_id"], rec["window_index"], rec["prompt"], rec["completion"])
-            for rec in _read_jsonl(path)]
+    return [TrainingPair(*values) for values in
+            _read_jsonl(path, ("doc_id", "window_index", "prompt", "completion"))]

@@ -15,7 +15,6 @@ def test_identity_alignment():
     toks = "the quick brown fox".split()
     al = align_tokens(toks, toks)
     assert al.out_to_in() == {0: 0, 1: 1, 2: 2, 3: 3}
-    assert al.unmatched_output == set() and al.unmatched_input == set()
 
 
 def test_duplicate_token_recovered_in_gap():

@@ -182,6 +182,16 @@ def test_unknown_config_key_is_a_usage_error(gold_path, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command", ["annotate", "export-train"])
+def test_removed_clean_key_is_unknown(gold_path, tmp_path, capsys, command):
+    cfg = tmp_path / "job.json"
+    cfg.write_text(json.dumps({"clean": False}), encoding="utf-8")
+    assert run(command, gold_path, "--config", str(cfg)) == 1
+    assert "unknown keys clean " in capsys.readouterr().err
+    assert run(command, gold_path, "--no-clean") == 1
+    assert "unrecognized arguments: --no-clean" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["annotate", "export-train"])
 @pytest.mark.parametrize("flags, config", [
     (["--sentences-per-batch", "0"], None),
     (["--context-budget", "-1"], None),
@@ -221,6 +231,37 @@ def test_missing_backend_file_names_its_option(gold_path, tmp_path, capsys, back
     assert run("annotate", gold_path, "--backend", backend, f"--{backend}", missing) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: --{backend} {missing}: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("completion", [5, None], ids=["number", "null"])
+@pytest.mark.parametrize("backend", ["replay", "oracle"])
+def test_malformed_backend_record_exits_2(gold_path, tmp_path, capsys, backend, completion):
+    path = tmp_path / "records.jsonl"
+    record = {"doc_id": "demo", "window_index": 0, "prompt": "p", "completion": "ok"}
+    path.write_text(json.dumps(record) + "\n\n"
+                    + json.dumps({**record, "completion": completion}) + "\n", encoding="utf-8")
+    assert run("annotate", gold_path, "--backend", backend, f"--{backend}", str(path)) == 2
+    assert capsys.readouterr().err == (
+        f"error: --{backend} {path}: record on line 3: completion must be str, "
+        f"not {json.dumps(completion)}\n")
+
+
+@pytest.mark.parametrize("load, record, complaint", [
+    (ReplayBackend, {"doc_id": "d", "window_index": True, "completion": "c"},
+     "window_index must be int, not true"),
+    (ReplayBackend, {"doc_id": 7, "window_index": 0, "completion": "c"}, "doc_id must be str, not 7"),
+    (ReplayBackend, {"doc_id": "d", "completion": "c"}, "window_index must be int, not null"),
+    (ReplayBackend, ["d", 0, "c"], "is not a JSON object"),
+    (ReplayBackend, '{"doc_id": "d"', "invalid JSON"),
+    (load_pairs, {"doc_id": "d", "window_index": 0, "prompt": None, "completion": "c"},
+     "prompt must be str, not null"),
+])
+def test_backend_record_fields_are_type_checked(tmp_path, load, record, complaint):
+    path = tmp_path / "records.jsonl"
+    path.write_text((record if isinstance(record, str) else json.dumps(record)) + "\n",
+                    encoding="utf-8")
+    with pytest.raises(ValueError, match=f"record on line 1.*{complaint}"):
+        load(str(path))
 
 
 def test_parse_warnings_go_to_stderr(tmp_path, capsys):
@@ -324,7 +365,7 @@ def test_crossing_mentions_exit_2(tmp_path, capsys, command):
     assert run(command[0], str(path), *command[1:]) == 2
     assert capsys.readouterr().err.splitlines() == [
         f"error: {path}: document 'x': crossing mentions of chains 'e1' and 'e2' "
-        "in sentence 0; normalize before encoding"]
+        "in sentence 's1'; normalize before encoding"]
 
 
 def test_missing_file_exits_2(capsys):

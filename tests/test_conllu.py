@@ -64,6 +64,26 @@ def test_unknown_dash_fields_survive_round_trip():
     assert serialize_conllu(doc) == DISC
 
 
+MISC_ORDER = """\
+# newdoc id = m
+# sent_id = s1
+1\tAnna\t_\t_\t_\t_\t0\t_\t_\tSpaceAfter=No|Entity=(e1-person-1)
+2\t,\t_\t_\t_\t_\t1\t_\t_\tGloss=comma
+
+"""
+
+
+def test_entity_is_written_back_where_it_was_read():
+    doc = parse_conllu(MISC_ORDER)[0]
+    assert serialize_conllu(doc) == MISC_ORDER
+    # a token that loses its mention drops Entity=; one that gains it puts it first
+    [m] = doc.chains["e1"].mentions
+    doc.chains["e1"].mentions = [Mention("e1", 0, ((2, 2),), (2, 0), raw_fields=m.raw_fields)]
+    assert serialize_conllu(doc).splitlines()[2:4] == [
+        "1\tAnna\t_\t_\t_\t_\t0\t_\t_\tSpaceAfter=No",
+        "2\t,\t_\t_\t_\t_\t1\t_\t_\tEntity=(e1-person-1)|Gloss=comma"]
+
+
 def test_mwt_ranges_pass_through():
     assert "5-6\tat'em" in serialize_conllu(parse_conllu(DISC)[0])
 

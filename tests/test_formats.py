@@ -69,6 +69,11 @@ def test_crossing_spans_refused():
                 Mention("e2", 0, ((2, 4),), (2, 0))]
     with pytest.raises(FormatError, match="cross"):
         build_events([sent], crossing, Format.MINIMAL)
+    # a sentence without a sent_id is named by its 1-based place
+    unnamed = dataclasses.replace(sent, sent_id="")
+    with pytest.raises(FormatError, match="in sentence 2;"):
+        build_events([sent, unnamed], [dataclasses.replace(m, sent_index=1)
+                                       for m in crossing], Format.MINIMAL)
 
 
 def test_missing_idmap_entry_refused(sister_doc):

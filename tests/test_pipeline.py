@@ -207,7 +207,7 @@ def test_truncate_context_renders_nothing(monkeypatch, fmt):
     """Trimming a long walker accumulator takes its cut from the counts alone."""
     doc = random_document("d", SynthConfig(sentences=(400, 400), seed=7))
     full = build_events(doc.sentences, doc.mentions(), fmt)
-    starts = pipeline._sentence_starts(doc)
+    starts = doc.sentence_starts()
     acc, counts = AnnotatedText([], [], fmt, ()), AtomCounts(fmt)
     for lo, hi in iter_windows(len(doc.sentences), 6):
         pipeline._append(acc, counts, slice_annotated(full, starts[lo], starts[hi]))
@@ -462,18 +462,10 @@ def test_oracle_closure_with_doc_lifetime_ids(sister_doc):
     assert conll_f1(gold, Corpus([("x", [pred])])).macro_average == 100.0
 
 
-def test_positional_trust_mode_recovers_exact_output(sister_doc):
-    cfg = PipelineConfig(on_the_fly_clean=False)
-    pairs = export_training_pairs(sister_doc, cfg)
-    pred, _ = annotate_document(sister_doc, OracleBackend(pairs), cfg)
-    gold = Corpus([("x", [sister_doc])])
-    assert conll_f1(gold, Corpus([("x", [pred])])).macro_average == 100.0
-
-
 @pytest.mark.parametrize("fmt", list(Format))
 @pytest.mark.parametrize("opts", [dict(reindex=False, context_budget=60),
-                                  dict(on_the_fly_clean=False, context_budget=3072)],
-                         ids=["doc-lifetime-ids", "positional-trust"])
+                                  dict(context_budget=3072)],
+                         ids=["doc-lifetime-ids", "cleaned"])
 def test_multi_window_oracle_closure(fmt, opts):
     # many windows per document, so the id numbering carried from window to
     # window (one IdMap for the whole document without reindex) is exercised
