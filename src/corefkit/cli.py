@@ -313,6 +313,13 @@ def cmd_annotate(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
+    if len(args.gold) + len(args.pred) > 2:
+        # past one file a side, gold and prediction files pair by stem
+        stems = {_dataset_id(p) for p in args.pred}
+        unpaired = [_shown(g) for g in args.gold if _dataset_id(g) not in stems]
+        if unpaired:
+            raise UsageError("no --pred file shares the stem of --gold "
+                             + ", ".join(unpaired))
     gold = _read_corpus(args.gold)
     pred = _read_corpus(args.pred)
     if len(args.gold) == 1 and len(args.pred) == 1:

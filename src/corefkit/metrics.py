@@ -5,7 +5,11 @@ entity-based CEAF over clusters, with mentions compared by head token only
 and singleton chains removed from both sides before matching. The CoNLL F1
 is 100 times the mean of the three F1s; dataset scores aggregate numerators
 and denominators over documents, and the corpus score is the macro average
-over datasets.
+over datasets. CEAF-e builds no gold x predicted matrix: only clusters
+that share a mention can score, so its assignment is solved over those
+pairs alone by shortest augmenting paths with potentials (the Hungarian
+method; Kuhn 1955), and each gold cluster may instead take a zero-cost
+"unmatched" column of its own.
 
 Diagnostics: mention density per 100 surface tokens, and the distribution
 of distances (in surface words) between consecutive same-chain mention
@@ -14,12 +18,10 @@ heads, as a CDF with a coverage(budget) helper.
 from __future__ import annotations
 
 import csv
+import heapq
 import io
 import json
 from dataclasses import dataclass, field
-
-import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .conllu import Corpus, Document, Mention
 
@@ -103,14 +105,51 @@ def phi4(a: set, b: set) -> float:
 
 
 def ceaf_e(gold: list[set], pred: list[set]) -> PRF:
-    if not gold or not pred:
-        return PRF(0.0, float(len(gold)), 0.0, float(len(pred)))
-    scores = np.zeros((len(gold), len(pred)))
+    """Entity CEAF (Luo 2005): the one-to-one alignment of gold to
+    predicted clusters with the largest phi4 sum; costs are -phi4."""
+    holders: dict = {}  # mention -> every predicted cluster holding it
+    for j, p in enumerate(pred):
+        for m in p:
+            holders.setdefault(m, []).append(j)
+    edges = []  # per gold cluster i: (column, cost), ending in its own column
     for i, g in enumerate(gold):
-        for j, p in enumerate(pred):
-            scores[i, j] = phi4(g, p)
-    rows, cols = linear_sum_assignment(-scores)
-    total = float(scores[rows, cols].sum())
+        shared: dict[int, int] = {}
+        for m in g:
+            for j in holders.get(m, ()):
+                shared[j] = shared.get(j, 0) + 1
+        edges.append([(j, -2 * n / (len(g) + len(pred[j]))) for j, n in shared.items()]
+                     + [(len(pred) + i, 0.0)])
+    # reduced costs c - u[row] - v[column] stay >= 0, and 0 on matched pairs
+    u = [min(c for _, c in row) for row in edges]
+    v = [0.0] * (len(pred) + len(gold))
+    owner, taken = {}, {}  # column -> its gold row, and back
+    for s in range(len(gold)):
+        dist, via = {}, {}
+        # a free column pops first among equals, so ties never walk a chain
+        heap = [(c - u[s] - v[j], j in owner, j, s) for j, c in edges[s]]
+        heapq.heapify(heap)
+        while True:  # Dijkstra over columns until one is free
+            d, _, j, r = heapq.heappop(heap)
+            if j in dist:
+                continue
+            dist[j], via[j] = d, r
+            if j not in owner:
+                break
+            r = owner[j]
+            for k, c in edges[r]:
+                if k not in dist:
+                    heapq.heappush(heap, (d + c - u[r] - v[k], k in owner, k, r))
+        u[s] += d
+        for k, dk in dist.items():
+            if k in owner:
+                u[owner[k]] += d - dk
+            v[k] -= d - dk
+        while j is not None:  # flip the path back to s, which has no column yet
+            r = via[j]
+            owner[j], taken[r], j = r, j, taken.get(r)
+    total = 0.0
+    for i, j in sorted(taken.items()):
+        total += phi4(gold[i], pred[j]) if j < len(pred) else 0.0
     return PRF(total, float(len(gold)), total, float(len(pred)))
 
 

@@ -152,6 +152,38 @@ def test_evaluate_json_output(gold_path, capsys):
     assert payload["macro_average"] == pytest.approx(100.0)
 
 
+def test_evaluate_pairs_files_by_stem(tmp_path, capsys):
+    gold = [tmp_path / "en_gum.conllu", tmp_path / "cs_pcedt.conllu"]
+    (tmp_path / "pred").mkdir()
+    for p in gold:
+        p.write_text(SISTER_CONLLU, encoding="utf-8")
+        (tmp_path / "pred" / p.name).write_text(SISTER_CONLLU, encoding="utf-8")
+    # predictions of the same stems, listed in the other order
+    paired = [str(tmp_path / "pred" / p.name) for p in reversed(gold)]
+    assert run("evaluate", "--gold", *map(str, gold), "--pred", *paired, "--table") == 0
+    table = capsys.readouterr().out
+    assert [r.split()[0] for r in table.splitlines()] == [
+        "dataset", "en_gum", "cs_pcedt", "macro"]
+    assert table.count("100.00") == 9
+
+    both = tmp_path / "pred.conllu"  # the two gold files in one prediction file
+    both.write_text(SISTER_CONLLU * 2, encoding="utf-8")
+    assert run("evaluate", "--gold", *map(str, gold), "--pred", str(both)) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == (
+        f"error: no --pred file shares the stem of --gold {gold[0]}, {gold[1]}\n")
+    assert run("evaluate", "--gold", *map(str, gold), "--pred", paired[0]) == 1
+    assert capsys.readouterr().err.endswith(f"--gold {gold[0]}\n")
+    assert run("evaluate", "--gold", str(gold[0]), "--pred", str(both), paired[0]) == 1
+    assert capsys.readouterr().err.endswith(f"--gold {gold[0]}\n")
+    assert run("evaluate", "--gold", str(gold[1]), "--pred", str(both), paired[0]) == 0
+    assert json.loads(capsys.readouterr().out)["macro_average"] == pytest.approx(100.0)
+
+    # one gold file and one prediction pair whatever their names
+    assert run("evaluate", "--gold", str(gold[0]), "--pred", str(both), "--table") == 0
+    assert capsys.readouterr().out.splitlines()[1].split() == ["en_gum"] + ["100.00"] * 4
+
+
 def test_stats_reports_density_and_coverage(gold_path, tmp_path, capsys):
     csv_path = tmp_path / "cdf.csv"
     assert run("stats", gold_path, "--budget", "2", "250",
@@ -311,15 +343,18 @@ def test_annotate_closes_its_backend(gold_path, monkeypatch):
     assert closed == [True]
 
 
-def test_cli_import_leaves_requests_unloaded():
-    # requests is imported only when an http backend is built
+def test_cli_import_loads_no_third_party_module():
+    # requests is imported only when an http backend is built, and scoring
+    # needs nothing beyond the standard library
     src = str(Path(corefkit.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run(
-        [sys.executable, "-c", "import sys, corefkit.cli; print('requests' in sys.modules)"],
-        capture_output=True, text=True, timeout=60, env=env)
-    assert (proc.returncode, proc.stdout) == (0, "False\n")
+    probe = ("import sys; before = set(sys.modules); import corefkit.cli; "
+             "print(sorted({m.partition('.')[0] for m in set(sys.modules) - before}"
+             " - set(sys.stdlib_module_names)))")
+    proc = subprocess.run([sys.executable, "-c", probe],
+                          capture_output=True, text=True, timeout=60, env=env)
+    assert (proc.returncode, proc.stdout) == (0, "['corefkit']\n")
 
 
 def test_public_api_names_resolve():

@@ -87,6 +87,34 @@ def test_ceaf_e_matches_brute_force(pair):
     assert prf.recall_den == len(gold) and prf.precision_den == len(pred)
 
 
+def test_ceaf_e_long_chain_matches_every_cluster():
+    # one overlap component of 2,000 clusters: gold {2k,2k+1}, pred {2k+1,2k+2};
+    # pairing each gold cluster with the pred one it starts gives 1,000 x 1/2
+    gold = [{2 * k, 2 * k + 1} for k in range(1000)]
+    pred = [{2 * k + 1, 2 * k + 2} for k in range(1000)]
+    assert ceaf_e(gold, pred).recall_num == 500.0
+
+
+def test_ceaf_e_over_separate_components():
+    # component one: 3 gold clusters against 2 pred ones, {a,b,c} and {e,f}
+    # share nothing; component two: 2 gold against 3 pred; {q,r} meets no gold
+    gold = [set("abc"), set("de"), {"f"}, set("uv"), set("wxy")]
+    pred = [set("abd"), set("ef"), set("uw"), set("vx"), set("yz"), set("qr")]
+    prf = ceaf_e(gold, pred)
+    assert prf.recall_num == pytest.approx(_brute_force_ceaf(gold, pred), abs=1e-9)
+    assert (prf.recall_den, prf.precision_den) == (5, 6)
+
+
+def test_ceaf_e_with_overlapping_predicted_clusters():
+    # a and b sit in both pred clusters: the best alignment needs the second
+    # one, {a,b} <-> {a,b} (1) plus {c,d} <-> {a,b,c} (2/5)
+    gold = [set("ab"), set("cd")]
+    pred = [set("abc"), set("ab")]
+    assert ceaf_e(gold, pred).recall_num == pytest.approx(
+        _brute_force_ceaf(gold, pred), abs=1e-9)
+    assert _brute_force_ceaf(gold, pred) == pytest.approx(1.4)
+
+
 # -- document-level scoring ---------------------------------------------------
 
 
