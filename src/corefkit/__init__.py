@@ -17,7 +17,7 @@ from .metrics import (DensityStats, DistanceCdf, ScoreReport, antecedent_cdf,
                       conll_f1, density, score)
 from .pipeline import (BackendError, EmptyBackend, HttpBackend, ModelBackend,
                        OracleBackend, PermanentBackendError, PipelineConfig,
-                       PRESETS, ReplayBackend, TrainingPair, annotate_corpus, annotate_document,
+                       PRESETS, TrainingPair, annotate_corpus, annotate_document,
                        build_prompt, export_training_pairs)
 from .reindex import IdAllocator, IdMap, globalize, localize
 from .synth import SynthConfig, perturb, random_corpus, random_document
@@ -29,7 +29,7 @@ __all__ = [
     "Corpus", "DensityStats", "Diagnostic", "DistanceCdf", "Document",
     "EmptyBackend", "Format", "FormatError", "HttpBackend", "IdAllocator",
     "IdMap", "Mention", "ModelBackend", "OracleBackend", "PRESETS",
-    "PermanentBackendError", "PipelineConfig", "ReplayBackend", "ScoreReport", "Sentence",
+    "PermanentBackendError", "PipelineConfig", "ScoreReport", "Sentence",
     "SynthConfig", "TagEvent", "Token", "TrainingPair", "align_tokens",
     "annotate_corpus", "annotate_document", "antecedent_cdf", "build_events",
     "build_prompt", "clean", "conll_f1", "decode", "density",

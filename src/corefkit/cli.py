@@ -34,9 +34,8 @@ from .diag import Diagnostic
 from .formats import (Format, FormatError, apply_idmap, build_events, decode,
                       events_to_mentions)
 from .pipeline import (BackendError, EmptyBackend, HttpBackend, ModelBackend,
-                       OracleBackend, PRESETS, PipelineConfig, ReplayBackend,
-                       annotate_corpus, export_training_pairs, load_pairs,
-                       mentions_to_document)
+                       OracleBackend, PRESETS, PipelineConfig, _read_jsonl,
+                       annotate_corpus, export_training_pairs, mentions_to_document)
 from .reindex import localize
 
 
@@ -132,10 +131,9 @@ def build_backend(job: JobConfig) -> ModelBackend:
         path = getattr(job, job.backend)  # job.replay or job.oracle
         if not path:
             raise UsageError(f"--{job.backend} PATH is required for the {job.backend} backend")
+        replay = job.backend == "replay"
         try:
-            if job.backend == "replay":
-                return ReplayBackend(path)
-            return OracleBackend(load_pairs(path))
+            return OracleBackend(dict(_read_jsonl(path, prompts=not replay)), replay=replay)
         except (OSError, ValueError) as exc:
             raise ConlluError(f"--{job.backend} {path}: {exc}") from exc
     if job.backend == "http":
@@ -189,6 +187,10 @@ def _parse_file(path: str) -> list[Document]:
         docs = parse_conllu(_read_text(path))
     except ConlluError as exc:
         raise ConlluError(f"{name}: {exc}") from exc
+    ids = [doc.doc_id for doc in docs]
+    if len(set(ids)) < len(ids):
+        repeated = next(i for n, i in enumerate(ids) if i in ids[:n])
+        raise ConlluError(f"{name}: document id {repeated!r} appears more than once")
     for doc in docs:
         for w in doc.warnings:
             print(f"warning: {name}: {w}", file=sys.stderr)

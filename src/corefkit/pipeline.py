@@ -10,10 +10,10 @@ and the recovered mentions are merged into the prediction.
 Annotation and training export share one window walker. Export feeds it
 the gold annotation of each batch where annotation feeds it the cleaned
 model output, so a model fine-tuned on exported pairs and an inference run
-over the same corpus see byte-identical prompts. ``OracleBackend`` exploits
-that to close the loop in tests; ``ReplayBackend`` re-serves captured
-completions; ``HttpBackend`` talks to an OpenAI-style completions endpoint;
-``EmptyBackend`` returns the batch unannotated.
+over the same corpus see byte-identical prompts. ``OracleBackend`` serves
+recorded completions by window, exported pairs to close the loop in tests or
+captured ones to replay; ``HttpBackend`` talks to an OpenAI-style
+completions endpoint; ``EmptyBackend`` returns the batch unannotated.
 """
 from __future__ import annotations
 
@@ -209,39 +209,36 @@ class EmptyBackend(ModelBackend):
 
 
 class OracleBackend(ModelBackend):
-    """Serves gold completions produced by :func:`export_training_pairs`.
+    """Serves recorded completions, one :class:`TrainingPair` per window
+    ``(doc_id, window_index)``. Exported pairs (``--oracle``) keep their
+    prompts, and a window asked with another prompt is refused, so any
+    train/inference skew in windowing, context trimming or id rewriting fails
+    loudly. ``replay`` records (``--replay``) are served as they are.
+    ``pairs`` is a list, or a dict by the line each record was read on (a
+    list counts from 1, as :func:`write_pairs` writes it); a second record
+    for a window raises ValueError naming both lines."""
 
-    Refuses a prompt that differs from the exported one for the same window,
-    which makes any train/inference skew in windowing, context trimming or id
-    rewriting fail loudly instead of silently degrading scores.
-    """
-
-    def __init__(self, pairs):
-        self.by_ref = {(p.doc_id, p.window_index): p for p in pairs}
+    def __init__(self, pairs, replay: bool = False):
+        self.replay = replay
+        self.by_ref: dict[tuple[str, int], TrainingPair] = {}
+        line_of: dict[tuple[str, int], int] = {}
+        for line, pair in pairs.items() if isinstance(pairs, dict) else enumerate(pairs, 1):
+            ref = (pair.doc_id, pair.window_index)
+            if ref in line_of:
+                raise ValueError(f"record on line {line}: window {ref!r} is already "
+                                 f"recorded on line {line_of[ref]}")
+            line_of[ref] = line
+            self.by_ref[ref] = pair
 
     def generate(self, prompt, ref=None):
-        if ref is None or ref not in self.by_ref:
-            raise PermanentBackendError(f"no oracle completion for window {ref!r}")
-        pair = self.by_ref[ref]
-        if pair.prompt != prompt:
+        pair = self.by_ref.get(ref)
+        if pair is None:
+            kind = "replayed" if self.replay else "oracle"
+            raise PermanentBackendError(f"no {kind} completion for window {ref!r}")
+        if not self.replay and pair.prompt != prompt:
             raise PermanentBackendError(
                 f"prompt for window {ref!r} does not match the exported one")
         return pair.completion
-
-
-class ReplayBackend(ModelBackend):
-    """Serves completions captured earlier as JSONL
-    ({"doc_id", "window_index", "completion"} per line)."""
-
-    def __init__(self, path):
-        self.by_ref: dict[tuple[str, int], str] = {
-            (doc_id, w_index): completion for doc_id, w_index, completion
-            in _read_jsonl(path, ("doc_id", "window_index", "completion"))}
-
-    def generate(self, prompt, ref=None):
-        if ref not in self.by_ref:
-            raise PermanentBackendError(f"no replayed completion for window {ref!r}")
-        return self.by_ref[ref]
 
 
 def _retry_after(value: str | None) -> float | None:
@@ -461,7 +458,7 @@ def annotate_corpus(corpus: Corpus, backend: ModelBackend, cfg: PipelineConfig,
 class TrainingPair:
     doc_id: str
     window_index: int
-    prompt: str
+    prompt: str | None   # None in a replayed record
     completion: str
 
     def to_json(self) -> str:
@@ -502,11 +499,12 @@ def write_pairs(path: str, pairs: list[TrainingPair]) -> None:
 _RECORD_TYPES = {"doc_id": str, "window_index": int, "prompt": str, "completion": str}
 
 
-def _read_jsonl(path: str, keys: tuple[str, ...]) -> Iterator[tuple]:
-    """The values under ``keys`` of each record of a JSONL file (replayed
-    completions or training pairs); blank lines are skipped. A record that
-    is not a JSON object, or whose value is missing or of the wrong JSON
-    type (a bool is no ``window_index``), raises ValueError naming its line."""
+def _read_jsonl(path: str, prompts: bool = True) -> Iterator[tuple[int, TrainingPair]]:
+    """(line number, record) for each record of a JSONL file of training
+    pairs or, without ``prompts``, of replayed completions, whose prompt is
+    not read and stays None. Blank lines are skipped. A record that is not a
+    JSON object, or whose value is missing or of the wrong JSON type (a bool
+    is no ``window_index``), raises ValueError naming its line."""
     with open(path, encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
             if not line.strip():
@@ -517,14 +515,13 @@ def _read_jsonl(path: str, keys: tuple[str, ...]) -> Iterator[tuple]:
                 raise ValueError(f"record on line {line_no}: invalid JSON ({exc.msg})") from exc
             if not isinstance(rec, dict):
                 raise ValueError(f"record on line {line_no} is not a JSON object")
-            for key in keys:
-                if type(rec.get(key)) is not _RECORD_TYPES[key]:
+            for key, kind in _RECORD_TYPES.items():
+                if (prompts or key != "prompt") and type(rec.get(key)) is not kind:
                     raise ValueError(f"record on line {line_no}: {key} must be "
-                                     f"{_RECORD_TYPES[key].__name__}, not "
-                                     f"{json.dumps(rec.get(key))}")
-            yield tuple(rec[key] for key in keys)
+                                     f"{kind.__name__}, not {json.dumps(rec.get(key))}")
+            yield line_no, TrainingPair(rec["doc_id"], rec["window_index"],
+                                        rec["prompt"] if prompts else None, rec["completion"])
 
 
 def load_pairs(path: str) -> list[TrainingPair]:
-    return [TrainingPair(*values) for values in
-            _read_jsonl(path, ("doc_id", "window_index", "prompt", "completion"))]
+    return [pair for _, pair in _read_jsonl(path)]

@@ -12,8 +12,8 @@ import corefkit
 from corefkit import cli
 from corefkit.cli import JobConfig, UsageError, build_backend, main
 from corefkit.conllu import parse_conllu, serialize_conllu
-from corefkit.pipeline import (EmptyBackend, HttpBackend, OracleBackend,
-                               ReplayBackend, load_pairs)
+from corefkit.pipeline import (EmptyBackend, HttpBackend, OracleBackend, _read_jsonl,
+                               load_pairs)
 
 from conftest import GOLDEN, SISTER_CONLLU, make_sister_doc
 
@@ -166,8 +166,8 @@ def test_evaluate_pairs_files_by_stem(tmp_path, capsys):
         "dataset", "en_gum", "cs_pcedt", "macro"]
     assert table.count("100.00") == 9
 
-    both = tmp_path / "pred.conllu"  # the two gold files in one prediction file
-    both.write_text(SISTER_CONLLU * 2, encoding="utf-8")
+    both = tmp_path / "pred.conllu"  # two gold documents in one prediction file
+    both.write_text(SISTER_CONLLU + SISTER_CONLLU.replace("demo", "demo2"), encoding="utf-8")
     assert run("evaluate", "--gold", *map(str, gold), "--pred", str(both)) == 1
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err == (
@@ -278,13 +278,65 @@ def test_malformed_backend_record_exits_2(gold_path, tmp_path, capsys, backend, 
         f"not {json.dumps(completion)}\n")
 
 
+@pytest.mark.parametrize("backend", ["replay", "oracle"])
+def test_repeated_window_record_exits_2(gold_path, tmp_path, capsys, backend):
+    path = tmp_path / "records.jsonl"
+    record = {"doc_id": "demo", "window_index": 0, "prompt": "p", "completion": "ok"}
+    path.write_text(json.dumps(record) + "\n\n" + json.dumps(record) + "\n", encoding="utf-8")
+    assert run("annotate", gold_path, "--backend", backend, f"--{backend}", str(path)) == 2
+    assert capsys.readouterr().err == (
+        f"error: --{backend} {path}: record on line 3: window ('demo', 0) is already "
+        "recorded on line 1\n")
+
+
+def test_replay_ignores_prompts_that_oracle_checks(gold_path, tmp_path, capsys):
+    pairs_path = tmp_path / "pairs.jsonl"
+    assert run("export-train", gold_path, "-o", str(pairs_path)) == 0
+    wrong = tmp_path / "wrong.jsonl"
+    wrong.write_text("".join(json.dumps({**json.loads(line), "prompt": "wrong"}) + "\n"
+                             for line in pairs_path.read_text(encoding="utf-8").splitlines()),
+                     encoding="utf-8")
+    pred = tmp_path / "pred.conllu"
+    assert run("annotate", gold_path, "--backend", "replay", "--replay", str(wrong),
+               "-o", str(pred)) == 0
+    assert run("evaluate", "--gold", gold_path, "--pred", str(pred), "--table") == 0
+    assert "100.00" in capsys.readouterr().out
+    assert run("annotate", gold_path, "--backend", "oracle", "--oracle", str(wrong),
+               "-o", str(pred), "--diagnostics", str(tmp_path / "diag.jsonl")) == 3
+    assert capsys.readouterr().err == "error: 1 of 1 windows left unannotated\n"
+    assert "does not match the exported one" in (tmp_path / "diag.jsonl").read_text()
+
+
+@pytest.mark.parametrize("second", ["same", "renamed"])
+@pytest.mark.parametrize("command", [
+    ("evaluate", "--gold", "{path}", "--pred", "{path}"),
+    ("annotate", "{path}", "--backend", "empty"),
+    ("export-train", "{path}"),
+    ("convert", "{path}"),
+    ("stats", "{path}"),
+], ids=lambda c: c[0])
+def test_repeated_doc_id_exits_2(tmp_path, capsys, command, second):
+    # a second document under the same id, written again or with other text
+    other = SISTER_CONLLU if second == "same" else SISTER_CONLLU.replace("Lison", "Marie")
+    path = tmp_path / "dup.conllu"
+    path.write_text(SISTER_CONLLU + other, encoding="utf-8")
+    assert run(*(arg.format(path=path) for arg in command)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {path}: document id 'demo' appears more than once\n"
+
+
+def replay_backend(path):
+    return OracleBackend(dict(_read_jsonl(path, prompts=False)), replay=True)
+
+
 @pytest.mark.parametrize("load, record, complaint", [
-    (ReplayBackend, {"doc_id": "d", "window_index": True, "completion": "c"},
+    (replay_backend, {"doc_id": "d", "window_index": True, "completion": "c"},
      "window_index must be int, not true"),
-    (ReplayBackend, {"doc_id": 7, "window_index": 0, "completion": "c"}, "doc_id must be str, not 7"),
-    (ReplayBackend, {"doc_id": "d", "completion": "c"}, "window_index must be int, not null"),
-    (ReplayBackend, ["d", 0, "c"], "is not a JSON object"),
-    (ReplayBackend, '{"doc_id": "d"', "invalid JSON"),
+    (replay_backend, {"doc_id": 7, "window_index": 0, "completion": "c"}, "doc_id must be str, not 7"),
+    (replay_backend, {"doc_id": "d", "completion": "c"}, "window_index must be int, not null"),
+    (replay_backend, ["d", 0, "c"], "is not a JSON object"),
+    (replay_backend, '{"doc_id": "d"', "invalid JSON"),
     (load_pairs, {"doc_id": "d", "window_index": 0, "prompt": None, "completion": "c"},
      "prompt must be str, not null"),
 ])
@@ -313,10 +365,10 @@ def test_build_backend_kinds(tmp_path):
     p = tmp_path / "x.jsonl"
     p.write_text("")
     assert isinstance(build_backend(JobConfig(backend="empty")), EmptyBackend)
-    assert isinstance(build_backend(JobConfig(backend="replay", replay=str(p))),
-                      ReplayBackend)
-    assert isinstance(build_backend(JobConfig(backend="oracle", oracle=str(p))),
-                      OracleBackend)
+    replay = build_backend(JobConfig(backend="replay", replay=str(p)))
+    assert isinstance(replay, OracleBackend) and replay.replay
+    oracle = build_backend(JobConfig(backend="oracle", oracle=str(p)))
+    assert isinstance(oracle, OracleBackend) and not oracle.replay
     http = build_backend(JobConfig(backend="http", url="u", model="m",
                                    max_tokens=1))
     assert isinstance(http, HttpBackend)

@@ -13,8 +13,7 @@ from corefkit.formats import AnnotatedText, AtomCounts, Format, TagEvent, build_
 from corefkit.metrics import conll_f1
 from corefkit.pipeline import (PRESETS, BackendError, EmptyBackend,
                                HttpBackend, ModelBackend, OracleBackend,
-                               PermanentBackendError, PipelineConfig,
-                               ReplayBackend, TrainingPair,
+                               PermanentBackendError, PipelineConfig, TrainingPair,
                                annotate_corpus, annotate_document,
                                build_prompt, completion_of,
                                export_training_pairs, iter_windows, load_pairs,
@@ -266,12 +265,22 @@ def test_replay_backend_serves_by_window(tmp_path, sister_doc):
     path = tmp_path / "replay.jsonl"
     path.write_text(json.dumps({"doc_id": "demo", "window_index": 0,
                                 "completion": FIXTURE_COMPLETION}) + "\n")
-    backend = ReplayBackend(path)
+    backend = OracleBackend(dict(pipeline._read_jsonl(path, prompts=False)), replay=True)
     assert backend.generate("ignored", ref=("demo", 0)) == FIXTURE_COMPLETION
-    with pytest.raises(PermanentBackendError):
+    with pytest.raises(PermanentBackendError, match="no replayed completion"):
         backend.generate("ignored", ref=("demo", 1))
     pred, _ = annotate_document(sister_doc, backend, PipelineConfig())
     assert len(pred.chains) == 2
+
+
+def test_oracle_backend_refuses_a_second_record_for_a_window(sister_doc):
+    [pair] = export_training_pairs(sister_doc, PipelineConfig())
+    other = TrainingPair("other", 0, "p", "c")
+    with pytest.raises(ValueError, match=r"record on line 3: window \('demo', 0\) "
+                                         r"is already recorded on line 1"):
+        OracleBackend([pair, other, pair])
+    with pytest.raises(ValueError, match="line 9: .* already recorded on line 4"):
+        OracleBackend({4: pair, 9: pair}, replay=True)
 
 
 class FlakyBackend(ModelBackend):
