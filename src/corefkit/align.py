@@ -167,7 +167,8 @@ def clean(input_text: str, model_output: str, fmt: Format | str,
     line structure follows the input. Tags whose token disappeared are
     re-anchored to the preceding aligned token when adjacent, unless that
     re-anchor merely duplicates an event already carried over (looped
-    output); otherwise they are dropped. Closes are re-paired by stack.
+    output); otherwise they are dropped. A zero ahead of the first token
+    stays ahead of it. Closes are re-paired by stack.
     """
     fmt = Format(fmt)
     input_tokens = input_text.split()
@@ -201,6 +202,8 @@ def clean(input_text: str, model_output: str, fmt: Format | str,
             elif o - 1 >= 0 and o - 1 in mapping:
                 slot = (mapping[o - 1], 1)
                 rescued = True
+            elif o == -1:  # a zero ahead of the first token stays there
+                slot = (-1, 1)
             else:
                 diags.append(Diagnostic("project", f"{ev.kind} tag lost its token", o))
                 continue

@@ -180,6 +180,14 @@ def _shown(path: str) -> str:
     return "<stdin>" if path == "-" else path
 
 
+def _check_ids(name: str, docs: list[Document]) -> None:
+    """Refuses documents, read or decoded from ``name``, that repeat an id."""
+    ids = [doc.doc_id for doc in docs]
+    if len(set(ids)) < len(ids):
+        repeated = next(i for n, i in enumerate(ids) if i in ids[:n])
+        raise ConlluError(f"{name}: document id {repeated!r} appears more than once")
+
+
 def _parse_file(path: str) -> list[Document]:
     """The documents of one CoNLL-U file; each parse warning goes to stderr."""
     name = _shown(path)
@@ -187,10 +195,7 @@ def _parse_file(path: str) -> list[Document]:
         docs = parse_conllu(_read_text(path))
     except ConlluError as exc:
         raise ConlluError(f"{name}: {exc}") from exc
-    ids = [doc.doc_id for doc in docs]
-    if len(set(ids)) < len(ids):
-        repeated = next(i for n, i in enumerate(ids) if i in ids[:n])
-        raise ConlluError(f"{name}: document id {repeated!r} appears more than once")
+    _check_ids(name, docs)
     for doc in docs:
         for w in doc.warnings:
             print(f"warning: {name}: {w}", file=sys.stderr)
@@ -262,19 +267,13 @@ def cmd_decode(args) -> int:
         diags.extend(d)
         li = len(doc.sentences)
         tokens = [Token(p + 1, form) for p, form in enumerate(annotated.tokens)]
-        sent = Sentence(f"s{li + 1}", tokens)
-        doc.sentences.append(sent)
+        doc.sentences.append(Sentence(f"s{li + 1}", tokens))
         token_map = [(li, t.position) for t in tokens]
         ms, d2 = events_to_mentions(annotated, token_map, doc.sentences)
         diags.extend(d2)
-        for m in ms:
-            if m.is_zero and not any(
-                    t.position == m.head[0] and t.sub_index == m.head[1]
-                    for t in sent.empty_nodes):
-                sent.empty_nodes.append(Token(m.head[0], "_", 0, True, m.head[1]))
-        sent.empty_nodes.sort(key=lambda t: (t.position, t.sub_index))
         mentions.extend(ms)
     flush()
+    _check_ids(_shown(args.input), finished)
     _write_text(args.output, "".join(serialize_conllu(d) for d in finished))
     _write_diags(args.diagnostics, diags)
     return 0

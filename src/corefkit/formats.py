@@ -479,51 +479,40 @@ def decode(text: str, fmt: Format) -> tuple[AnnotatedText, list[Diagnostic]]:
 
 def events_to_mentions(
     annotated: AnnotatedText,
-    token_map: Sequence[tuple[int, int] | None],
+    token_map: Sequence[tuple[int, int]],
     sentences: Sequence[Sentence],
 ) -> tuple[list[Mention], list[Diagnostic]]:
     """Turn an event stream over output tokens into document mentions.
 
-    ``token_map[i]`` is the (sentence index, token position) of output token i,
-    or None when it has no counterpart. Spans clip to the sentence of their
-    first mapped token; unclosed opens auto-close at the last mapped token;
-    events with no mapped anchor are dropped. Zero events become empty nodes
-    (anchor, k) numbered in tag order per anchor.
+    ``token_map[i]`` is the (sentence index, token position) of output token
+    i, given for every token. A span clips to the sentence of its first
+    token; an open never closed closes at the last token. Zero events become empty
+    nodes (anchor, k) numbered in tag order per anchor; a zero ahead of the
+    first token (anchor -1) is the node at position 0 of its sentence.
     """
     diags: list[Diagnostic] = []
     mentions: list[Mention] = []
     stack: list[TagEvent] = []
     zero_counts: dict[tuple[int, int], int] = {}
-    n = len(annotated.tokens)
 
-    def mapped(i: int) -> tuple[int, int] | None:
-        if 0 <= i < n and i < len(token_map):
-            return token_map[i]
-        return None
-
-    def close_span(open_ev: TagEvent, end_anchor: int, auto: bool) -> None:
-        lo, hi = open_ev.anchor, end_anchor
+    def close_span(open_ev: TagEvent, hi: int, auto: bool) -> None:
+        lo = open_ev.anchor
         if hi < lo:
             diags.append(Diagnostic("project", "span closed before it opened", hi))
             return
-        start = next((mapped(i) for i in range(lo, hi + 1) if mapped(i)), None)
-        if start is None:
-            diags.append(Diagnostic("project", "span has no aligned tokens", lo))
-            return
-        si, p1 = start
-        p2 = p1
-        for i in range(lo, hi + 1):
-            here = mapped(i)
-            if here and here[0] == si:
-                p2 = max(p2, here[1])
-            elif here and here[0] != si:
+        si, start = token_map[lo]
+        end = start
+        for i in range(lo + 1, hi + 1):
+            if token_map[i][0] == si:
+                end = max(end, token_map[i][1])
+            else:
                 diags.append(Diagnostic(
                     "project", "span crosses a sentence boundary; clipped", i))
         if auto:
             diags.append(Diagnostic("project", "open tag auto-closed at last aligned token", lo))
-        frag = ((min(p1, p2), max(p1, p2)),)
-        head = mention_head(frag, sentences[si])
-        mentions.append(Mention(str(open_ev.chain), si, frag, head))
+        frag = ((start, end),)
+        mentions.append(Mention(str(open_ev.chain), si, frag,
+                                mention_head(frag, sentences[si])))
 
     for ev in annotated.events:
         if ev.kind == OPEN:
@@ -534,33 +523,20 @@ def events_to_mentions(
                 continue
             close_span(stack.pop(), ev.anchor, auto=False)
         elif ev.kind == HEAD:
-            here = mapped(ev.anchor)
-            if here is None:
-                diags.append(Diagnostic("project", "head tag on unaligned token", ev.anchor))
-                continue
-            si, p = here
+            si, p = token_map[ev.anchor]
             mentions.append(Mention(str(ev.chain), si, ((p, p),), (p, 0)))
         elif ev.kind == ZERO:
-            here = mapped(ev.anchor)
-            if here is None and ev.anchor == -1:
-                # leading zero: an empty node before the slice's first token
-                first = next((token_map[i] for i in range(min(n, len(token_map)))
-                              if token_map[i]), None)
-                if first is not None:
-                    here = (first[0], 0)
-            if here is None:
-                diags.append(Diagnostic("project", "zero tag on unaligned token", ev.anchor))
+            if ev.anchor >= 0:
+                si, p = token_map[ev.anchor]
+            elif token_map:
+                si, p = token_map[0][0], 0
+            else:
+                diags.append(Diagnostic("project", "zero tag in a text without tokens", -1))
                 continue
-            si, p = here
             k = zero_counts.get((si, p), 0) + 1
             zero_counts[(si, p)] = k
             mentions.append(Mention(str(ev.chain), si, (), (p, k), True))
 
-    last_mapped = next((i for i in range(n - 1, -1, -1) if mapped(i)), None)
     while stack:
-        ev = stack.pop()
-        if last_mapped is None or last_mapped < ev.anchor:
-            diags.append(Diagnostic("project", "open tag spans no aligned tokens", ev.anchor))
-            continue
-        close_span(ev, last_mapped, auto=True)
+        close_span(stack.pop(), len(annotated.tokens) - 1, auto=True)
     return mentions, diags

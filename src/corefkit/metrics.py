@@ -153,39 +153,21 @@ def ceaf_e(gold: list[set], pred: list[set]) -> PRF:
     return PRF(total, float(len(gold)), total, float(len(pred)))
 
 
-def _mention_key(m: Mention) -> tuple[int, int, int]:
-    return (m.sent_index, m.head[0], m.head[1])
-
-
-def head_match(gold_mentions: list[Mention], pred_mentions: list[Mention]
-               ) -> list[tuple[int, int]]:
-    """Pair mentions whose heads coincide, greedily in document order on
-    both sides. When several mentions share a head, span boundaries break
-    the tie, so ordering never depends on chain iteration order. Returns
-    (gold_idx, pred_idx) pairs."""
-    def order_key(ms: list[Mention], idx: int) -> tuple:
-        return (_mention_key(ms[idx]), ms[idx].fragments)
-
-    by_key: dict[tuple, list[int]] = {}
-    for j in sorted(range(len(pred_mentions)), key=lambda j: order_key(pred_mentions, j)):
-        by_key.setdefault(_mention_key(pred_mentions[j]), []).append(j)
-    pairs = []
-    for i in sorted(range(len(gold_mentions)), key=lambda i: order_key(gold_mentions, i)):
-        bucket = by_key.get(_mention_key(gold_mentions[i]))
-        if bucket:
-            pairs.append((i, bucket.pop(0)))
-    pairs.sort()
-    return pairs
-
-
-def _clusters(doc: Document, drop_singletons: bool = True) -> list[list[Mention]]:
-    out = []
-    for chain in doc.chains.values():
-        if drop_singletons and chain.is_singleton:
-            continue
-        if chain.mentions:
-            out.append(list(chain.mentions))
-    return out
+def _named_clusters(doc: Document) -> list[set]:
+    """The document's chains of two or more mentions, each mention named by
+    its (sentence, head) key and its rank among that key's mentions in span
+    order, so gold and predicted mentions of one name are matched."""
+    chains = [c.mentions for c in doc.chains.values() if len(c.mentions) > 1]
+    by_key: dict[tuple, list[tuple[tuple, int]]] = {}
+    for ci, mentions in enumerate(chains):
+        for m in mentions:
+            by_key.setdefault((m.sent_index, m.head), []).append((m.fragments, ci))
+    clusters: list[set] = [set() for _ in chains]
+    for key, found in by_key.items():
+        found.sort(key=lambda f: f[0])
+        for rank, (_, ci) in enumerate(found):
+            clusters[ci].add((key, rank))
+    return clusters
 
 
 def score_clusters(gold: list[set], pred: list[set]) -> dict[str, PRF]:
@@ -194,35 +176,9 @@ def score_clusters(gold: list[set], pred: list[set]) -> dict[str, PRF]:
 
 
 def score(gold_doc: Document, pred_doc: Document) -> dict[str, PRF]:
-    """Head-project both sides, drop singleton chains, match mentions by
-    head, then score the induced clusters."""
-    gold_chains = _clusters(gold_doc)
-    pred_chains = _clusters(pred_doc)
-    gold_mentions = [m for c in gold_chains for m in c]
-    pred_mentions = [m for c in pred_chains for m in c]
-    matched = dict((j, i) for i, j in head_match(gold_mentions, pred_mentions))
-
-    gold_ids: dict[int, int] = {i: i for i in range(len(gold_mentions))}
-    pred_ids: dict[int, int] = {}
-    nxt = len(gold_mentions)
-    for j in range(len(pred_mentions)):
-        if j in matched:
-            pred_ids[j] = matched[j]
-        else:
-            pred_ids[j] = nxt
-            nxt += 1
-
-    gold_sets = []
-    pos = 0
-    for c in gold_chains:
-        gold_sets.append({gold_ids[pos + k] for k in range(len(c))})
-        pos += len(c)
-    pred_sets = []
-    pos = 0
-    for c in pred_chains:
-        pred_sets.append({pred_ids[pos + k] for k in range(len(c))})
-        pos += len(c)
-    return score_clusters(gold_sets, pred_sets)
+    """Drop singleton chains, name mentions by head on both sides, then
+    score the induced clusters."""
+    return score_clusters(_named_clusters(gold_doc), _named_clusters(pred_doc))
 
 
 @dataclass

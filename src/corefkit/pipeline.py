@@ -26,7 +26,7 @@ from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING
 
 from .align import clean
-from .conllu import Chain, Corpus, Document, Mention
+from .conllu import Chain, Corpus, Document, Mention, Token
 from .diag import Diagnostic
 from .formats import (OPEN, CLOSE, AnnotatedText, AtomCounts, Format, TagEvent,
                       _pair_events, build_events, events_to_mentions)
@@ -337,13 +337,21 @@ def _append(acc: AnnotatedText, counts: AtomCounts, piece: AnnotatedText) -> Non
 
 
 def mentions_to_document(doc: Document, mentions: list[Mention]) -> Document:
-    """A prediction document over ``doc``'s sentences; duplicates are kept."""
+    """A prediction document over ``doc``'s sentences; duplicates are kept.
+    Each zero mention gets its empty node: a sentence that lacks one is
+    copied with the node added, so ``doc``'s own sentences never change."""
     chains: dict[str, Chain] = {}
+    sentences = list(doc.sentences)
     for m in mentions:
         chains.setdefault(m.chain_id, Chain(m.chain_id)).mentions.append(m)
+        sent = sentences[m.sent_index]
+        if m.is_zero and all((t.position, t.sub_index) != m.head for t in sent.empty_nodes):
+            nodes = [*sent.empty_nodes, Token(m.head[0], "_", 0, True, m.head[1])]
+            sentences[m.sent_index] = replace(
+                sent, empty_nodes=sorted(nodes, key=lambda t: (t.position, t.sub_index)))
     for c in chains.values():
         c.sort()
-    return Document(doc.doc_id, doc.sentences, chains, list(doc.meta))
+    return Document(doc.doc_id, sentences, chains, list(doc.meta))
 
 
 @dataclass
@@ -415,9 +423,7 @@ def annotate_document(doc: Document, backend: ModelBackend,
         global_ann, gdiags = globalize(local, idmap, allocator)
         report.diagnostics.extend(gdiags)
 
-        token_map: list[tuple[int, int] | None] = []
-        for si in range(lo, hi):
-            token_map.extend((si, t.position) for t in doc.sentences[si].tokens)
+        token_map = [(si, t.position) for si in range(lo, hi) for t in doc.sentences[si].tokens]
         mentions, mdiags = events_to_mentions(global_ann, token_map, doc.sentences)
         report.diagnostics.extend(mdiags)
         predicted.extend(mentions)

@@ -71,6 +71,16 @@ def test_decode_splits_on_doc_headers(tmp_path):
     assert [d.doc_id for d in docs] == ["a", "b"]
 
 
+def test_decode_repeated_doc_id_exits_2(tmp_path, capsys):
+    src = tmp_path / "annotated.txt"
+    src.write_text(f"# doc = a\n{GOLDEN['minimal']}\n"
+                   f"# doc = a\n{GOLDEN['minimal']}\n", encoding="utf-8")
+    out = tmp_path / "out.conllu"
+    assert run("decode", str(src), "--format", "minimal", "-o", str(out)) == 2
+    assert capsys.readouterr().err == f"error: {src}: document id 'a' appears more than once\n"
+    assert not out.exists()
+
+
 def test_clean_writes_diagnostics(tmp_path, capsys):
     src = tmp_path / "input.txt"
     src.write_text("When Lison visits\n", encoding="utf-8")
@@ -305,6 +315,65 @@ def test_replay_ignores_prompts_that_oracle_checks(gold_path, tmp_path, capsys):
                "-o", str(pred), "--diagnostics", str(tmp_path / "diag.jsonl")) == 3
     assert capsys.readouterr().err == "error: 1 of 1 windows left unannotated\n"
     assert "does not match the exported one" in (tmp_path / "diag.jsonl").read_text()
+
+
+def test_replay_writes_the_empty_node_of_a_new_zero(gold_path, tmp_path):
+    # the completion adds a zero after "visits", where the input has no empty node
+    replay = tmp_path / "replay.jsonl"
+    replay.write_text(json.dumps({"doc_id": "demo", "window_index": 0, "completion": (
+        "When Lison <ent0> visits <zero0> her <ent0> sister <ent1> , brings <zero0> flowers.")})
+        + "\n", encoding="utf-8")
+    pred = tmp_path / "pred.conllu"
+    assert run("annotate", gold_path, "--backend", "replay", "--replay", str(replay),
+               "-o", str(pred)) == 0
+    written = pred.read_text(encoding="utf-8")
+    assert "\n3.1\t_\t_\t_\t_\t_\t_\t_\t_\tEntity=(e1)\n4\ther\t" in written
+    assert "\n7.1\t_\t_\t_\t_\t_\t_\t_\t7:nsubj\tEntity=(e1)\n" in written
+    [doc] = parse_conllu(written)
+    assert sorted(m.head for m in doc.chains["e1"].mentions if m.is_zero) == [(3, 1), (7, 1)]
+    # apart from the new node and the Entity values, the input comes back as it was
+    kept = [line.rpartition("\t")[0] for line in written.splitlines()
+            if not line.startswith("3.1\t")]
+    assert kept == [line.rpartition("\t")[0] for line in SISTER_CONLLU.splitlines()]
+
+
+# a zero subject (0.1) ahead of the first word of the document, coreferent
+# with a mention two sentences later
+LEADING_ZERO_CONLLU = """\
+# newdoc id = lead
+# sent_id = s1
+0.1\t_\t_\t_\t_\t_\t_\t_\t1:nsubj\tEntity=(e1)
+1\tCame\t_\t_\t_\t_\t0\t_\t_\t_
+2\thome\t_\t_\t_\t_\t1\t_\t_\t_
+3\tlate\t_\t_\t_\t_\t1\t_\t_\t_
+
+# sent_id = s2
+1\tThe\t_\t_\t_\t_\t2\t_\t_\tEntity=(e2-2
+2\tdog\t_\t_\t_\t_\t3\t_\t_\tEntity=e2)
+3\tbarked\t_\t_\t_\t_\t0\t_\t_\t_
+
+# sent_id = s3
+1\tAnna\t_\t_\t_\t_\t2\t_\t_\tEntity=(e1-1)
+2\tfed\t_\t_\t_\t_\t0\t_\t_\t_
+3\tit\t_\t_\t_\t_\t2\t_\t_\tEntity=(e2-1)
+
+"""
+
+
+@pytest.mark.parametrize("per_batch", ["1", "2"])
+@pytest.mark.parametrize("fmt", ["crac", "explicit", "minimal", "headword"])
+def test_oracle_keeps_a_zero_ahead_of_the_first_word(tmp_path, capsys, fmt, per_batch):
+    gold = tmp_path / "gold.conllu"
+    gold.write_text(LEADING_ZERO_CONLLU, encoding="utf-8")
+    pairs, pred = tmp_path / "pairs.jsonl", tmp_path / "pred.conllu"
+    flags = ("--format", fmt, "--sentences-per-batch", per_batch)
+    assert run("export-train", str(gold), "-o", str(pairs), *flags) == 0
+    assert run("annotate", str(gold), "--backend", "oracle", "--oracle", str(pairs),
+               "-o", str(pred), *flags) == 0
+    assert run("evaluate", "--gold", str(gold), "--pred", str(pred), "--table") == 0
+    assert capsys.readouterr().out.splitlines()[-1].split() == ["macro", "100.00"]
+    assert "\n0.1\t_\t_\t_\t_\t_\t_\t_\t1:nsubj\tEntity=(e1)\n" in pred.read_text(
+        encoding="utf-8")
 
 
 @pytest.mark.parametrize("second", ["same", "renamed"])

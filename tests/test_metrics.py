@@ -6,8 +6,7 @@ from hypothesis import given, strategies as st
 
 from corefkit.conllu import Chain, Corpus, Document, Mention, Sentence, Token
 from corefkit.metrics import (PRF, antecedent_cdf, b_cubed, ceaf_e, conll_f1,
-                              density, head_match, muc, phi4, score,
-                              score_clusters)
+                              density, muc, phi4, score, score_clusters)
 
 from conftest import make_sister_doc
 
@@ -253,8 +252,22 @@ def test_prf_aggregation():
     assert PRF(0, 0, 0, 0).f1 == 0.0
 
 
-def test_head_match_is_stable_under_reordering():
-    gold = [Mention("a", 0, ((3, 3),), (3, 0)), Mention("b", 0, ((5, 5),), (5, 0))]
-    pred = [Mention("y", 0, ((5, 5),), (5, 0)), Mention("x", 0, ((3, 3),), (3, 0))]
-    assert head_match(gold, pred) == [(0, 1), (1, 0)]
-    assert head_match(gold, list(reversed(pred))) == [(0, 0), (1, 1)]
+def test_score_is_stable_under_reordering():
+    # two mentions share head 3; span order ranks (2, 4) before (3, 3)
+    wide = Mention("x", 0, ((2, 4),), (3, 0))
+    narrow = Mention("x", 0, ((3, 3),), (3, 0))
+    seven, nine = (Mention("x", 0, ((p, p),), (p, 0)) for p in (7, 9))
+    gold = _doc({})
+    gold.chains = {"g1": Chain("g1", [wide, seven]), "g2": Chain("g2", [narrow, nine])}
+    same = [("p1", [wide, seven]), ("p2", [narrow, nine])]
+    swapped = [("p1", [narrow, seven]), ("p2", [wide, nine])]
+    for chains, muc_f1 in ((same, 1.0), (swapped, 0.0)):
+        results = []
+        for order in permutations(chains):
+            for flip in (False, True):
+                pred = _doc({})
+                pred.chains = {cid: Chain(cid, ms[::-1] if flip else list(ms))
+                               for cid, ms in order}
+                results.append(score(gold, pred))
+        assert all(r == results[0] for r in results)
+        assert results[0]["muc"].f1 == muc_f1

@@ -491,6 +491,16 @@ def test_mentions_to_document_keeps_duplicates(sister_doc):
     assert len(doc.chains["e1"].mentions) == 2
 
 
+def test_mentions_to_document_gives_each_zero_its_empty_node(sister_doc):
+    zeros = [Mention("e1", 0, (), (3, 1), True), Mention("e1", 0, (), (7, 1), True)]
+    doc = mentions_to_document(sister_doc, zeros)
+    assert [t.tid for t in doc.sentences[0].empty_nodes] == ["3.1", "7.1"]
+    assert doc.sentences[0].empty_nodes[1] is sister_doc.sentences[0].empty_nodes[0]
+    assert sister_doc == make_sister_doc()  # the gold sentence is copied, not extended
+    # a sentence that holds every node it needs is shared, not copied
+    assert mentions_to_document(sister_doc, zeros[1:]).sentences[0] is sister_doc.sentences[0]
+
+
 def test_training_pair_json_is_sorted_and_utf8():
     pair = TrainingPair("d", 0, "p", "víla")
     assert pair.to_json() == (
