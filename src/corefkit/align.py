@@ -16,6 +16,7 @@ Three stages:
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass
 
 from .diag import Diagnostic
@@ -44,14 +45,51 @@ def edit_similarity(a: str, b: str) -> float:
     if la == 0 or lb == 0:
         return 0.0
     prev = list(range(lb + 1))
-    for i in range(1, la + 1):
-        cur = [i] + [0] * lb
-        ca = a[i - 1]
-        for j in range(1, lb + 1):
-            cost = 0 if ca == b[j - 1] else 1
-            cur[j] = min(prev[j] + 1, cur[j - 1] + 1, prev[j - 1] + cost)
+    for i, ca in enumerate(a, 1):
+        left = i
+        cur = [i]
+        for cb, diag, up in zip(b, prev, prev[1:]):
+            # neighbouring cells differ by at most 1, so a character that
+            # matches always takes the diagonal
+            if ca != cb:
+                if up < diag:
+                    diag = up
+                if left < diag:
+                    diag = left
+                diag += 1
+            left = diag
+            cur.append(left)
         prev = cur
     return 1.0 - prev[lb] / max(la, lb)
+
+
+def similarity_bound(a: str, b: str, threshold: float, counts: dict[str, Counter]) -> float:
+    """An upper bound on ``edit_similarity(a, b)``, cheaper than the distance.
+
+    The distance is at least the length gap, and at least the longer length
+    minus the characters the two share, counted with multiplicity. Each
+    bound goes through ``edit_similarity``'s own expression, so it is never
+    below the similarity, even in floating point. The length bound is
+    returned alone when it already misses ``threshold``. ``counts`` caches
+    each string's character counts.
+    """
+    if a == b:
+        return 1.0
+    la, lb = len(a), len(b)
+    if la == 0 or lb == 0:
+        return 0.0
+    longest = max(la, lb)
+    bound = 1.0 - abs(la - lb) / longest
+    if bound < threshold:
+        return bound
+    ca = counts.get(a) or counts.setdefault(a, Counter(a))
+    cb = counts.get(b) or counts.setdefault(b, Counter(b))
+    shared = 0
+    for c, n in ca.items():
+        m = cb.get(c)
+        if m:
+            shared += n if n < m else m
+    return 1.0 - (longest - shared) / longest
 
 
 def _unique_anchor_pairs(inp, out, ilo, ihi, olo, ohi):
@@ -122,7 +160,8 @@ def anchor_align(input_tokens: list[str], output_tokens: list[str]) -> Alignment
 def expand_and_fuzzy(al: Alignment, input_tokens: list[str], output_tokens: list[str],
                      fuzzy_threshold: float = 0.5) -> Alignment:
     """Grow anchor islands over equal neighbours, then pair leftover gap
-    tokens greedily in order by edit similarity."""
+    tokens greedily in order by edit similarity. A pair whose
+    ``similarity_bound`` misses the threshold is skipped unmeasured."""
     bounds = [(-1, -1)] + [(o, i) for o, i, _ in al.pairs] + [(len(output_tokens), len(input_tokens))]
 
     expanded: list[tuple[int, int, str]] = []
@@ -141,11 +180,15 @@ def expand_and_fuzzy(al: Alignment, input_tokens: list[str], output_tokens: list
         gaps.append((lo_o, hi_o, lo_i, hi_i))
 
     fuzzy: list[tuple[int, int, str]] = []
+    counts: dict[str, Counter] = {}
     for lo_o, hi_o, lo_i, hi_i in gaps:
         floor = lo_i
         for o in range(lo_o, hi_o):
+            a = output_tokens[o]
             for i in range(floor, hi_i):
-                if edit_similarity(output_tokens[o], input_tokens[i]) >= fuzzy_threshold:
+                b = input_tokens[i]
+                if similarity_bound(a, b, fuzzy_threshold, counts) >= fuzzy_threshold \
+                        and edit_similarity(a, b) >= fuzzy_threshold:
                     fuzzy.append((o, i, FUZZY))
                     floor = i + 1
                     break

@@ -36,7 +36,7 @@ class ConlluError(ValueError):
         self.line = line
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Token:
     """One surface token or empty node.
 
@@ -45,6 +45,9 @@ class Token:
     ``sub_index`` is the k of the ``position.k`` decimal ID. ``misc`` holds
     the MISC attributes in order, an ``Entity=`` value reduced to
     ``("Entity", "")``: mentions live in the document's chains.
+
+    Tokens are shared, not copied: a prediction document holds the gold
+    document's sentences and so its tokens. Treat a read token as frozen.
     """
 
     position: int
@@ -67,7 +70,7 @@ class Token:
         return str(self.position)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Mention:
     """One mention of a chain, confined to a single sentence.
 
@@ -233,22 +236,30 @@ def _canonical_fields(fields: str | None) -> str | None:
 
 # -- parsing -----------------------------------------------------------------
 
-def _parse_misc(raw: str) -> tuple[tuple[str, str | None], ...]:
-    if raw == "_":
-        return ()
-    out = []
-    for item in raw.split("|"):
-        if "=" in item:
-            k, _, v = item.partition("=")
-            out.append((k, v))
-        else:
-            out.append((item, None))
-    return tuple(out)
-
-
 # stands in a token's MISC where its Entity= value was parsed, so the value
 # written back goes there; a token without one gets it first
 _ENTITY_SLOT = ("Entity", "")
+
+
+def _parse_misc(raw: str, line: int) -> tuple[tuple[tuple[str, str | None], ...], tuple | None]:
+    """A MISC column's pairs in order, its ``Entity=`` value (the last one
+    wins) replaced by ``_ENTITY_SLOT``, and that value's bracket events
+    (None without one). Both depend on ``raw`` alone, so rows share them."""
+    if raw == "_":
+        return (), None
+    pairs = []
+    entity_raw = None
+    for item in raw.split("|"):
+        k, eq, v = item.partition("=")
+        if not eq:
+            pairs.append((item, None))
+        elif k == "Entity":
+            entity_raw = v
+            if _ENTITY_SLOT not in pairs:
+                pairs.append(_ENTITY_SLOT)
+        else:
+            pairs.append((k, v))
+    return tuple(pairs), tuple(parse_entity_value(entity_raw, line)) if entity_raw else None
 
 
 def _misc_string(pairs, entity: str | None) -> str:
@@ -266,29 +277,23 @@ class _SentenceAccumulator:
         self.sent_id = ""
         self.text: str | None = None
         self.comments: list[str] = []
-        self.rows: list[tuple[int, str, list[str]]] = []  # (line_no, id_field, columns)
+        self.rows: list[tuple[int, list[str]]] = []  # (line_no, columns)
         self.mwt_lines: dict[int, str] = {}
 
     def empty(self) -> bool:
         return not (self.rows or self.sent_id or self.comments or self.text is not None)
 
-    def build(self, doc: Document) -> None:
-        """Append the sentence to ``doc`` and its mentions to ``doc.chains``."""
+    def build(self, doc: Document, misc_memo: dict) -> None:
+        """Append the sentence to ``doc`` and its mentions to ``doc.chains``.
+        ``misc_memo`` maps a raw MISC column to its ``_parse_misc`` result;
+        a bad Entity value raises on its first row, as without the memo."""
         tokens: list[Token] = []
         empties: list[Token] = []
-        entity_events: list[tuple[tuple[int, int], list]] = []  # ((pos, sub), events)
-        for line_no, id_field, cols in self.rows:
-            entity_raw = None
-            kept = []
-            for k, v in _parse_misc(cols[9]):
-                if k == "Entity" and v is not None:
-                    entity_raw = v
-                    if _ENTITY_SLOT not in kept:
-                        kept.append(_ENTITY_SLOT)
-                else:
-                    kept.append((k, v))
-            is_zero = "." in id_field
-            if is_zero:
+        entity_events: list[tuple[tuple[int, int], tuple]] = []  # ((pos, sub), events)
+        for line_no, cols in self.rows:
+            id_field = cols[0]
+            is_zero = not id_field.isdigit()
+            if is_zero:  # empty node "pos.sub"
                 anchor, _, sub = id_field.partition(".")
                 pos, sub = int(anchor), int(sub)
                 # empty nodes keep their governor in DEPS ("head:rel"); decimal
@@ -304,11 +309,14 @@ class _SentenceAccumulator:
                 dep = int(cols[6]) if cols[6].isdigit() else 0
                 if dep == pos:
                     raise ConlluError(f"token {pos} governs itself", line_no)
-            tok = Token(pos, cols[1], dep, is_zero, sub, cols[2], cols[3],
-                        cols[4], cols[5], cols[7], cols[8], tuple(kept))
-            (empties if is_zero else tokens).append(tok)
-            if entity_raw:
-                entity_events.append(((pos, sub), parse_entity_value(entity_raw, line_no)))
+            misc = misc_memo.get(cols[9])
+            if misc is None:
+                misc = misc_memo[cols[9]] = _parse_misc(cols[9], line_no)
+            (empties if is_zero else tokens).append(
+                Token(pos, cols[1], dep, is_zero, sub, cols[2], cols[3], cols[4],
+                      cols[5], cols[7], cols[8], misc[0]))
+            if misc[1]:
+                entity_events.append(((pos, sub), misc[1]))
 
         for i, t in enumerate(tokens, start=1):
             if t.position != i:
@@ -325,8 +333,9 @@ class _SentenceAccumulator:
             seen_sub[t.position] = t.sub_index
 
         sent = Sentence(self.sent_id, tokens, empties, self.text, self.comments, self.mwt_lines)
-        for m in _assemble_mentions(entity_events, sent, len(doc.sentences), doc):
-            doc.chains.setdefault(m.chain_id, Chain(m.chain_id)).mentions.append(m)
+        if entity_events:
+            for m in _assemble_mentions(entity_events, sent, len(doc.sentences), doc):
+                doc.chains.setdefault(m.chain_id, Chain(m.chain_id)).mentions.append(m)
         doc.sentences.append(sent)
 
 
@@ -416,51 +425,56 @@ def _assemble_mentions(entity_events, sent: Sentence, sent_index: int,
 def parse_conllu(text: str) -> list[Document]:
     """Parse a CoNLL-U string (one or more ``# newdoc id`` documents)."""
     docs: list[Document] = []
-    acc: _SentenceAccumulator | None = None
+    acc = _SentenceAccumulator()
     sent_ids: set[str] = set()
+    misc_memo: dict = {}
+    # each line is a comment ("#"), a token line or a sentence break (blank);
     # the blank line appended to the text closes its last sentence
     for line_no, line in enumerate([*text.splitlines(), ""], start=1):
-        body = line[1:].strip() if line.startswith("#") else None
-        if not line.strip() or body is not None and body.startswith("newdoc id"):
-            if acc is not None and not acc.empty():
+        if line[:1] == "#":
+            body = line[1:].strip()
+            if not body.startswith("newdoc id"):
                 if not docs:
-                    raise ConlluError("sentence before any '# newdoc id' header", line_no)
-                if acc.sent_id and acc.sent_id in sent_ids:
-                    raise ConlluError(f"duplicate sent_id {acc.sent_id!r}", line_no)
-                sent_ids.add(acc.sent_id)
-                acc.build(docs[-1])
-            acc = None
-            if body is not None:
-                docs.append(Document(body.partition("=")[2].strip()))
-                sent_ids.clear()
-            continue
-        if acc is None:
-            acc = _SentenceAccumulator()
-        if body is None:  # token line
+                    continue  # file preamble, e.g. "# global.columns = ..."
+                if acc.empty() and not docs[-1].sentences \
+                        and not body.startswith(("sent_id", "text ", "text=")):
+                    # document-level header block (e.g. "# global.Entity = ...")
+                    docs[-1].meta.append(line)
+                elif body.startswith("sent_id"):
+                    acc.sent_id = body.partition("=")[2].strip()
+                elif body.startswith("text") and body.partition("=")[0].strip() == "text":
+                    acc.text = body.partition("=")[2].strip()
+                else:
+                    acc.comments.append(line)
+                continue
+        elif line and not line.isspace():
             cols = line.split("\t")
             if len(cols) != 10:
                 raise ConlluError(f"expected 10 tab-separated columns, got {len(cols)}", line_no)
-            if "-" in cols[0]:  # multiword-token range
+            if cols[0].isdigit() or all(p.isdigit() for p in cols[0].split(".", 1)):
+                acc.rows.append((line_no, cols))
+            elif "-" in cols[0]:  # multiword-token range
                 start = cols[0].partition("-")[0]
                 if not start.isdigit():
                     raise ConlluError(f"bad token id {cols[0]!r}", line_no)
                 acc.mwt_lines[int(start)] = line
-            elif cols[0].isdigit() or all(p.isdigit() for p in cols[0].split(".", 1)):
-                acc.rows.append((line_no, cols[0], cols))
             else:
                 raise ConlluError(f"bad token id {cols[0]!r}", line_no)
-        elif not docs:
-            continue  # file preamble, e.g. "# global.columns = ..."
-        elif acc.empty() and not docs[-1].sentences \
-                and not body.startswith(("sent_id", "text ", "text=")):
-            # document-level header block (e.g. "# global.Entity = ...")
-            docs[-1].meta.append(line)
-        elif body.startswith("sent_id"):
-            acc.sent_id = body.partition("=")[2].strip()
-        elif body.startswith("text") and body.partition("=")[0].strip() == "text":
-            acc.text = body.partition("=")[2].strip()
+            continue
         else:
-            acc.comments.append(line)
+            body = None
+        # a sentence break or a "# newdoc id" header
+        if not acc.empty():
+            if not docs:
+                raise ConlluError("sentence before any '# newdoc id' header", line_no)
+            if acc.sent_id and acc.sent_id in sent_ids:
+                raise ConlluError(f"duplicate sent_id {acc.sent_id!r}", line_no)
+            sent_ids.add(acc.sent_id)
+            acc.build(docs[-1], misc_memo)
+        acc = _SentenceAccumulator()
+        if body is not None:
+            docs.append(Document(body.partition("=")[2].strip()))
+            sent_ids.clear()
     for doc in docs:
         for chain in doc.chains.values():
             chain.sort()

@@ -156,8 +156,11 @@ def ceaf_e(gold: list[set], pred: list[set]) -> PRF:
 def _named_clusters(doc: Document) -> list[set]:
     """The document's chains of two or more mentions, each mention named by
     its (sentence, head) key and its rank among that key's mentions in span
-    order, so gold and predicted mentions of one name are matched."""
-    chains = [c.mentions for c in doc.chains.values() if len(c.mentions) > 1]
+    order, so gold and predicted mentions of one name are matched. Equal
+    spans on one head rank by their chains' content, so the names do not
+    depend on the order the chains are stored in."""
+    chains = sorted((c.mentions for c in doc.chains.values() if len(c.mentions) > 1),
+                    key=lambda ms: sorted((m.sent_index, m.head, m.fragments) for m in ms))
     by_key: dict[tuple, list[tuple[tuple, int]]] = {}
     for ci, mentions in enumerate(chains):
         for m in mentions:

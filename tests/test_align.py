@@ -4,7 +4,9 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from corefkit.align import align_tokens, anchor_align, clean, edit_similarity
+from corefkit import align
+from corefkit.align import (align_tokens, anchor_align, clean, edit_similarity,
+                            similarity_bound)
 from corefkit.formats import Format, encode
 from corefkit.synth import SynthConfig, perturb, random_document
 
@@ -46,6 +48,39 @@ def test_edit_similarity_examples():
     assert edit_similarity("same", "same") == 1.0
     assert edit_similarity("", "word") == 0.0
     assert edit_similarity("ab", "ba") == 0.0  # two swaps out of two chars
+
+
+def _textbook_similarity(a, b):
+    """The plain Levenshtein programme, the reference for edit_similarity."""
+    if a == b:
+        return 1.0
+    if not a or not b:
+        return 0.0
+    prev = list(range(len(b) + 1))
+    for i, ca in enumerate(a, 1):
+        cur = [i]
+        for j, cb in enumerate(b, 1):
+            cur.append(min(prev[j] + 1, cur[j - 1] + 1, prev[j - 1] + (ca != cb)))
+        prev = cur
+    return 1.0 - prev[-1] / max(len(a), len(b))
+
+
+@given(a=st.text("abcdé", max_size=10), b=st.text("abcdé", max_size=10),
+       threshold=st.floats(0.0, 1.0))
+def test_similarity_bound_is_never_below_the_similarity(a, b, threshold):
+    similarity = edit_similarity(a, b)
+    assert similarity == _textbook_similarity(a, b)
+    assert similarity_bound(a, b, threshold, {}) >= similarity
+
+
+def test_output_sharing_no_character_skips_edit_distance(monkeypatch):
+    calls = []
+    monkeypatch.setattr(align, "edit_similarity",
+                        lambda a, b: calls.append((a, b)) or edit_similarity(a, b))
+    rng = random.Random(0)
+    words = ["".join(rng.choices("abcdefgh", k=rng.randint(3, 8))) for _ in range(40)]
+    assert align_tokens(words, [w.upper() for w in words]).pairs == []
+    assert calls == []
 
 
 def test_fuzzy_pairs_misspelled_token():

@@ -170,6 +170,38 @@ def test_malformed_input_raises(line, message):
         parse_conllu(text)
 
 
+def _row(tid, form="w", head="0"):
+    return "\t".join([tid, form, "_", "_", "_", "_", head, "_", "_", "_"])
+
+
+@pytest.mark.parametrize("lines, expected", [
+    # a whitespace-only line ends a sentence
+    ([_row("1"), " \t ", _row("1")], [("s1", ["1"], [], [], []), ("", ["1"], [], [], [])]),
+    ([_row("1"), "# note = x", _row("2", head="1")], [("s1", ["1", "2"], [], ["# note = x"], [])]),
+    (["1-2\tab\t_\t_\t_\t_\t_\t_\t_\t_", _row("1"), _row("2", head="1")],
+     [("s1", ["1", "2"], [], [], [1])]),
+    ([_row("1"), "1.1\t_\t_\t_\t_\t_\t_\t_\t1:nsubj\t_", _row("2", head="1")],
+     [("s1", ["1", "2"], ["1.1"], [], [])]),
+    ([_row("1").rpartition("\t")[0]], "line 3: expected 10 tab-separated columns, got 9"),
+    ([_row("1") + "\t_"], "line 3: expected 10 tab-separated columns, got 11"),
+    ([_row("1"), _row("1a")], "line 4: bad token id '1a'"),
+    ([_row("1"), _row("1.")], "line 4: bad token id '1.'"),
+    ([" " + _row("1")], "line 3: bad token id ' 1'"),
+    # only a line that starts with "#" is a comment
+    ([_row("1"), " # note"], "line 4: expected 10 tab-separated columns, got 1"),
+])
+def test_each_line_kind_reads_as_before(lines, expected):
+    text = "\n".join(["# newdoc id = d", "# sent_id = s1", *lines, "", ""])
+    if isinstance(expected, str):
+        with pytest.raises(ConlluError) as err:
+            parse_conllu(text)
+        assert str(err.value) == expected
+        return
+    [doc] = parse_conllu(text)
+    assert [(s.sent_id, [t.tid for t in s.tokens], [t.tid for t in s.empty_nodes],
+             s.comments, sorted(s.mwt_lines)) for s in doc.sentences] == expected
+
+
 def test_sentence_before_document_header_raises():
     with pytest.raises(ConlluError, match="newdoc"):
         parse_conllu("# sent_id = s1\n1\tword\t_\t_\t_\t_\t0\t_\t_\t_\n\n")

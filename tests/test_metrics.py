@@ -257,11 +257,17 @@ def test_score_is_stable_under_reordering():
     wide = Mention("x", 0, ((2, 4),), (3, 0))
     narrow = Mention("x", 0, ((3, 3),), (3, 0))
     seven, nine = (Mention("x", 0, ((p, p),), (p, 0)) for p in (7, 9))
-    gold = _doc({})
-    gold.chains = {"g1": Chain("g1", [wide, seven]), "g2": Chain("g2", [narrow, nine])}
+    by_span = {"g1": [wide, seven], "g2": [narrow, nine]}
     same = [("p1", [wide, seven]), ("p2", [narrow, nine])]
     swapped = [("p1", [narrow, seven]), ("p2", [wide, nine])]
-    for chains, muc_f1 in ((same, 1.0), (swapped, 0.0)):
+    # two chains hold a mention of equal span on head 3: the chains' content
+    # ranks them, not the order they are stored in
+    by_content = {"g1": [narrow, seven], "g2": [narrow, nine]}
+    twins = [("p1", [narrow, seven]), ("p2", [narrow, nine])]
+    for gold_chains, chains, muc_f1 in ((by_span, same, 1.0), (by_span, swapped, 0.0),
+                                        (by_content, twins, 1.0)):
+        gold = _doc({})
+        gold.chains = {cid: Chain(cid, list(ms)) for cid, ms in gold_chains.items()}
         results = []
         for order in permutations(chains):
             for flip in (False, True):

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from corefkit import formats, pipeline
-from corefkit.conllu import Corpus, Document, Mention, serialize_corpus
+from corefkit.conllu import Corpus, Document, Mention, parse_conllu, serialize_corpus
 from corefkit.formats import AnnotatedText, AtomCounts, Format, TagEvent, build_events
 from corefkit.metrics import conll_f1
 from corefkit.pipeline import (PRESETS, BackendError, EmptyBackend,
@@ -22,7 +22,7 @@ from corefkit.pipeline import (PRESETS, BackendError, EmptyBackend,
 from corefkit.reindex import localize
 from corefkit.synth import SynthConfig, random_corpus, random_document
 
-from conftest import make_sister_doc
+from conftest import SISTER_CONLLU, make_sister_doc
 
 FIXTURE_PROMPT = (
     "TASK: COREFERENCE ANNOTATION\n"
@@ -271,6 +271,21 @@ def test_replay_backend_serves_by_window(tmp_path, sister_doc):
         backend.generate("ignored", ref=("demo", 1))
     pred, _ = annotate_document(sister_doc, backend, PipelineConfig())
     assert len(pred.chains) == 2
+
+
+def test_annotating_leaves_its_input_unchanged():
+    # prediction documents share the input's sentences and tokens; a replayed
+    # zero after "visits", where the input has no empty node, must go into a
+    # copy of its sentence
+    gold = Corpus([("x", parse_conllu(SISTER_CONLLU))])
+    before = serialize_corpus(gold.datasets[0][1])
+    completion = ("When Lison <ent0> visits <zero0> her <ent0> sister <ent1> , "
+                  "brings <zero0> flowers.")
+    backend = OracleBackend([TrainingPair("demo", 0, None, completion)], replay=True)
+    pred, _ = annotate_corpus(gold, backend, PipelineConfig())
+    [[pred_doc]] = [docs for _, docs in pred.datasets]
+    assert [t.tid for t in pred_doc.sentences[0].empty_nodes] == ["3.1", "7.1"]
+    assert serialize_corpus(gold.datasets[0][1]) == before
 
 
 def test_oracle_backend_refuses_a_second_record_for_a_window(sister_doc):
