@@ -160,8 +160,9 @@ def anchor_align(input_tokens: list[str], output_tokens: list[str]) -> Alignment
 def expand_and_fuzzy(al: Alignment, input_tokens: list[str], output_tokens: list[str],
                      fuzzy_threshold: float = 0.5) -> Alignment:
     """Grow anchor islands over equal neighbours, then pair leftover gap
-    tokens greedily in order by edit similarity. A pair whose
-    ``similarity_bound`` misses the threshold is skipped unmeasured."""
+    tokens greedily in order by edit similarity. The first candidate of
+    an output token, usually its match, is measured at once; a later one
+    whose ``similarity_bound`` misses the threshold is skipped unmeasured."""
     bounds = [(-1, -1)] + [(o, i) for o, i, _ in al.pairs] + [(len(output_tokens), len(input_tokens))]
 
     expanded: list[tuple[int, int, str]] = []
@@ -187,7 +188,7 @@ def expand_and_fuzzy(al: Alignment, input_tokens: list[str], output_tokens: list
             a = output_tokens[o]
             for i in range(floor, hi_i):
                 b = input_tokens[i]
-                if similarity_bound(a, b, fuzzy_threshold, counts) >= fuzzy_threshold \
+                if (i == floor or similarity_bound(a, b, fuzzy_threshold, counts) >= fuzzy_threshold) \
                         and edit_similarity(a, b) >= fuzzy_threshold:
                     fuzzy.append((o, i, FUZZY))
                     floor = i + 1

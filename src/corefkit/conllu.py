@@ -241,10 +241,10 @@ def _canonical_fields(fields: str | None) -> str | None:
 _ENTITY_SLOT = ("Entity", "")
 
 
-def _parse_misc(raw: str, line: int) -> tuple[tuple[tuple[str, str | None], ...], tuple | None]:
+def _parse_misc(raw: str, line: int) -> tuple[tuple[tuple[str, str | None], ...], list | None]:
     """A MISC column's pairs in order, its ``Entity=`` value (the last one
     wins) replaced by ``_ENTITY_SLOT``, and that value's bracket events
-    (None without one). Both depend on ``raw`` alone, so rows share them."""
+    (None without one)."""
     if raw == "_":
         return (), None
     pairs = []
@@ -259,7 +259,7 @@ def _parse_misc(raw: str, line: int) -> tuple[tuple[tuple[str, str | None], ...]
                 pairs.append(_ENTITY_SLOT)
         else:
             pairs.append((k, v))
-    return tuple(pairs), tuple(parse_entity_value(entity_raw, line)) if entity_raw else None
+    return tuple(pairs), parse_entity_value(entity_raw, line) if entity_raw else None
 
 
 def _misc_string(pairs, entity: str | None) -> str:
@@ -283,13 +283,11 @@ class _SentenceAccumulator:
     def empty(self) -> bool:
         return not (self.rows or self.sent_id or self.comments or self.text is not None)
 
-    def build(self, doc: Document, misc_memo: dict) -> None:
-        """Append the sentence to ``doc`` and its mentions to ``doc.chains``.
-        ``misc_memo`` maps a raw MISC column to its ``_parse_misc`` result;
-        a bad Entity value raises on its first row, as without the memo."""
+    def build(self, doc: Document) -> None:
+        """Append the sentence to ``doc`` and its mentions to ``doc.chains``."""
         tokens: list[Token] = []
         empties: list[Token] = []
-        entity_events: list[tuple[tuple[int, int], tuple]] = []  # ((pos, sub), events)
+        entity_events: list[tuple[tuple[int, int], list]] = []  # ((pos, sub), events)
         for line_no, cols in self.rows:
             id_field = cols[0]
             is_zero = not id_field.isdigit()
@@ -309,14 +307,12 @@ class _SentenceAccumulator:
                 dep = int(cols[6]) if cols[6].isdigit() else 0
                 if dep == pos:
                     raise ConlluError(f"token {pos} governs itself", line_no)
-            misc = misc_memo.get(cols[9])
-            if misc is None:
-                misc = misc_memo[cols[9]] = _parse_misc(cols[9], line_no)
+            misc, events = _parse_misc(cols[9], line_no)
             (empties if is_zero else tokens).append(
                 Token(pos, cols[1], dep, is_zero, sub, cols[2], cols[3], cols[4],
-                      cols[5], cols[7], cols[8], misc[0]))
-            if misc[1]:
-                entity_events.append(((pos, sub), misc[1]))
+                      cols[5], cols[7], cols[8], misc))
+            if events:
+                entity_events.append(((pos, sub), events))
 
         for i, t in enumerate(tokens, start=1):
             if t.position != i:
@@ -427,7 +423,6 @@ def parse_conllu(text: str) -> list[Document]:
     docs: list[Document] = []
     acc = _SentenceAccumulator()
     sent_ids: set[str] = set()
-    misc_memo: dict = {}
     # each line is a comment ("#"), a token line or a sentence break (blank);
     # the blank line appended to the text closes its last sentence
     for line_no, line in enumerate([*text.splitlines(), ""], start=1):
@@ -470,7 +465,7 @@ def parse_conllu(text: str) -> list[Document]:
             if acc.sent_id and acc.sent_id in sent_ids:
                 raise ConlluError(f"duplicate sent_id {acc.sent_id!r}", line_no)
             sent_ids.add(acc.sent_id)
-            acc.build(docs[-1], misc_memo)
+            acc.build(docs[-1])
         acc = _SentenceAccumulator()
         if body is not None:
             docs.append(Document(body.partition("=")[2].strip()))

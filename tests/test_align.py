@@ -73,14 +73,16 @@ def test_similarity_bound_is_never_below_the_similarity(a, b, threshold):
     assert similarity_bound(a, b, threshold, {}) >= similarity
 
 
-def test_output_sharing_no_character_skips_edit_distance(monkeypatch):
+def test_output_sharing_no_character_measures_only_first_candidates(monkeypatch):
     calls = []
     monkeypatch.setattr(align, "edit_similarity",
                         lambda a, b: calls.append((a, b)) or edit_similarity(a, b))
     rng = random.Random(0)
     words = ["".join(rng.choices("abcdefgh", k=rng.randint(3, 8))) for _ in range(40)]
-    assert align_tokens(words, [w.upper() for w in words]).pairs == []
-    assert calls == []
+    upper = [w.upper() for w in words]
+    assert align_tokens(words, upper).pairs == []
+    # each output word is measured against its first candidate only, not all 40
+    assert calls == [(w, words[0]) for w in upper]
 
 
 def test_fuzzy_pairs_misspelled_token():

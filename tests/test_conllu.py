@@ -1,9 +1,12 @@
 """CoNLL-U reader/writer: bracket grammar, empty nodes, round trips."""
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
 from corefkit.conllu import (Chain, ConlluError, Document, Mention, Sentence,
-                             Token, mention_head, parse_conllu, serialize_conllu)
+                             Token, mention_head, parse_conllu, serialize_conllu,
+                             serialize_corpus)
 from corefkit.synth import SynthConfig, random_document
 
 from conftest import SISTER_CONLLU, make_sister_doc
@@ -241,3 +244,14 @@ def test_random_documents_round_trip(seed, disc):
     back = parse_conllu(text)[0]
     assert chain_table(back) == chain_table(doc)
     assert serialize_conllu(back) == text
+
+
+@pytest.mark.parametrize("docs, cfg", [
+    (1, SynthConfig(sentences=(400, 400), chains=(60, 60), mentions_per_chain=(4, 4))),
+    (60, SynthConfig(sentences=(3, 12))),
+], ids=["long-document", "many-documents"])
+def test_large_corpora_round_trip(docs, cfg):
+    # the document shapes of the benchmark corpora, read back byte for byte
+    rng = random.Random(1)
+    text = serialize_corpus([random_document(f"d{i + 1}", cfg, rng) for i in range(docs)])
+    assert serialize_corpus(parse_conllu(text)) == text
