@@ -9,9 +9,9 @@ Three stages:
      then leftover gap tokens are paired greedily in order when their
      normalized character edit similarity clears a threshold.
   3. clean: decode the model output, align its tokens against the input,
-     and project the tag events across. The returned token sequence is the
-     input's, exactly; events that cannot be carried over are dropped with
-     diagnostics.
+     and project the tag events across, each span whole. The returned token
+     sequence is the input's, exactly; events that cannot be carried over
+     are dropped with diagnostics.
 """
 from __future__ import annotations
 
@@ -20,7 +20,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .diag import Diagnostic
-from .formats import CLOSE, OPEN, AnnotatedText, Format, TagEvent, decode
+from .formats import OPEN, SPAN, AnnotatedText, Format, TagEvent, decode
 
 ANCHOR = "anchor"
 EXPANDED = "expanded"
@@ -212,7 +212,9 @@ def clean(input_text: str, model_output: str, fmt: Format | str,
     re-anchored to the preceding aligned token when adjacent, unless that
     re-anchor merely duplicates an event already carried over (looped
     output); otherwise they are dropped. A zero ahead of the first token
-    stays ahead of it. Closes are re-paired by stack.
+    stays ahead of it. A span crosses whole, its first token placed as an
+    open tag and its last as a close tag, or is dropped with one diagnostic;
+    the alignment is monotonic, so the spans kept still nest.
     """
     fmt = Format(fmt)
     input_tokens = input_text.split()
@@ -226,52 +228,42 @@ def clean(input_text: str, model_output: str, fmt: Format | str,
     decoded, diags = decode(model_output, fmt)
     mapping = align_tokens(input_tokens, decoded.tokens, fuzzy_threshold).out_to_in()
 
-    placed: list[tuple[tuple[int, int], int, TagEvent]] = []
-    seen: set[tuple[str, int | str | None]] = set()
-    for seq, ev in enumerate(decoded.events):
-        o = ev.anchor
-        rescued = False
-        if ev.kind == OPEN:
-            if o in mapping:
-                slot = (mapping[o], 0)
-            elif o - 1 in mapping and mapping[o - 1] + 1 < len(input_tokens):
-                slot = (mapping[o - 1] + 1, 0)
-                rescued = True
-            else:
-                diags.append(Diagnostic("project", "open tag lost its token", o))
+    n = len(input_tokens)
+    events: list[TagEvent] = []
+    seen: set[tuple[str, int | str]] = set()
+    for ev in decoded.events:
+        o, end, tag = ev.anchor, None, ev.kind
+        rescued = o not in mapping and o - 1 in mapping
+        if ev.kind == SPAN:
+            # its open tag goes ahead of its token, or else of the one after
+            # the token before; its close tag behind its token, or else
+            # behind the token before
+            tag = OPEN
+            start = mapping[o - 1] + 1 if rescued else mapping.get(o, n)
+            end = mapping.get(ev.end, mapping.get(ev.end - 1, -1))
+            lost = ("open tag lost its token" if start == n else
+                    "close tag lost its token" if end < 0 else
+                    "span ends cross after alignment" if end < start else None)
+            if lost:
+                diags.append(Diagnostic("project", f"{lost}; span dropped", o))
                 continue
         else:
-            if o in mapping:
-                slot = (mapping[o], 1)
-            elif o - 1 >= 0 and o - 1 in mapping:
-                slot = (mapping[o - 1], 1)
-                rescued = True
-            elif o == -1:  # a zero ahead of the first token stays there
-                slot = (-1, 1)
-            else:
-                diags.append(Diagnostic("project", f"{ev.kind} tag lost its token", o))
+            # behind its token, or else the token before; a zero ahead of
+            # the first token stays there
+            start = mapping[o - 1] if rescued else mapping.get(o, -1 if o == -1 else None)
+            if start is None:
+                diags.append(Diagnostic("project", f"{tag} tag lost its token", o))
                 continue
-        if rescued and ev.kind != CLOSE:
+        if rescued:
             if (ev.kind, ev.chain) in seen:
                 diags.append(Diagnostic(
-                    "project", f"duplicate {ev.kind} tag for chain {ev.chain} dropped", o))
+                    "project", f"duplicate {tag} tag for chain {ev.chain} dropped", o))
                 continue
-            diags.append(Diagnostic("project", f"{ev.kind} tag re-anchored", o))
-        if ev.kind != CLOSE:
-            seen.add((ev.kind, ev.chain))
-        placed.append((slot, seq, ev))
+            diags.append(Diagnostic("project", f"{tag} tag re-anchored", o))
+        seen.add((ev.kind, ev.chain))
+        events.append(TagEvent(ev.kind, ev.chain, start, end))
 
-    placed.sort(key=lambda p: (p[0], p[1]))
-    events: list[TagEvent] = []
-    depth = 0
-    for slot, _, ev in placed:
-        if ev.kind == CLOSE:
-            if depth == 0:
-                diags.append(Diagnostic("project", "unmatched close event dropped", slot[0]))
-                continue
-            depth -= 1
-        elif ev.kind == OPEN:
-            depth += 1
-        events.append(TagEvent(ev.kind, ev.chain, slot[0]))
-
+    # an open re-anchors ahead of the next token and other tags behind the
+    # previous one, so a span can fall behind a tag that followed it
+    events.sort(key=TagEvent.slot)
     return AnnotatedText(input_tokens, events, fmt, tuple(breaks)), diags

@@ -279,9 +279,11 @@ class _SentenceAccumulator:
         self.comments: list[str] = []
         self.rows: list[tuple[int, list[str]]] = []  # (line_no, columns)
         self.mwt_lines: dict[int, str] = {}
+        self.mwt_ranges: list[tuple[int, int, int]] = []  # (line_no, first, last)
 
     def empty(self) -> bool:
-        return not (self.rows or self.sent_id or self.comments or self.text is not None)
+        return not (self.rows or self.mwt_ranges or self.sent_id or self.comments
+                    or self.text is not None)
 
     def build(self, doc: Document) -> None:
         """Append the sentence to ``doc`` and its mentions to ``doc.chains``."""
@@ -318,6 +320,11 @@ class _SentenceAccumulator:
             if t.position != i:
                 raise ConlluError(
                     f"sentence {self.sent_id!r}: token positions not contiguous at {t.position}")
+        # a range is written before its first word, so both ends must be words
+        for line_no, first, last in self.mwt_ranges:
+            if not (0 < first <= len(tokens) and 0 < last <= len(tokens)):
+                raise ConlluError(f"multiword token {first}-{last} covers words "
+                                  f"its sentence does not have", line_no)
         seen_sub: dict[int, int] = {}
         for t in empties:
             if not (0 <= t.position <= len(tokens)):
@@ -449,10 +456,11 @@ def parse_conllu(text: str) -> list[Document]:
             if cols[0].isdigit() or all(p.isdigit() for p in cols[0].split(".", 1)):
                 acc.rows.append((line_no, cols))
             elif "-" in cols[0]:  # multiword-token range
-                start = cols[0].partition("-")[0]
-                if not start.isdigit():
+                first, _, last = cols[0].partition("-")
+                if not (first.isdigit() and last.isdigit()):
                     raise ConlluError(f"bad token id {cols[0]!r}", line_no)
-                acc.mwt_lines[int(start)] = line
+                acc.mwt_lines[int(first)] = line
+                acc.mwt_ranges.append((line_no, int(first), int(last)))
             else:
                 raise ConlluError(f"bad token id {cols[0]!r}", line_no)
             continue

@@ -13,10 +13,13 @@ render fills the templates in, decode compiles them into one atom pattern
 per format, and ``AtomCounts`` counts the atoms a rendering would have, so
 context trimming can size a cut without rendering it.
 
-Open tags anchor before their token, everything else after. Close tags carry
-no chain id in the event model; pairing is recovered by stack ("last open,
-first closed"). Zero tags never close. Rendered text is single-space joined
-atoms with one sentence per line.
+From the wire reader on, a mention span is one event, ``SPAN`` with its
+first and last token: ``_Decoder`` is the one place that pairs an open tag
+with its close ("last open, first closed"), so ``OPEN`` and ``CLOSE`` name
+wire tags only. A span's open tag renders before its first token and its
+close tag after its last; head and zero tags render after their token.
+Zero tags never close. Rendered text is single-space joined atoms with one
+sentence per line.
 """
 from __future__ import annotations
 
@@ -29,8 +32,9 @@ from typing import Mapping, Sequence
 from .conllu import Mention, Sentence, mention_head
 from .diag import Diagnostic
 
-OPEN = "open"
+OPEN = "open"    # wire tags only
 CLOSE = "close"
+SPAN = "span"
 HEAD = "head"
 ZERO = "zero"
 
@@ -57,22 +61,36 @@ TAGS: dict[Format, dict[str, str]] = {
 
 @dataclass(frozen=True)
 class TagEvent:
-    """One annotation event. ``anchor`` is an output-token index; open events
-    sit before their token, all others after. ``chain`` is a display index
-    (int), a global chain id (str), or None for closes."""
+    """One annotation event over output-token indices. A ``SPAN`` covers
+    tokens ``anchor`` to ``end``, both included, and takes the slot before
+    ``anchor``; a head or zero event has no ``end`` and sits after token
+    ``anchor`` (a zero at -1: ahead of the first token). ``chain`` is a
+    display index (int) or a global chain id (str)."""
 
     kind: str
-    chain: int | str | None
+    chain: int | str
     anchor: int
+    end: int | None = None
 
     def slot(self) -> tuple[int, int]:
-        return (self.anchor, 0) if self.kind == OPEN else (self.anchor, 1)
+        return (self.anchor, 0) if self.kind == SPAN else (self.anchor, 1)
+
+    def shifted(self, by: int) -> TagEvent:
+        """The same event ``by`` tokens later."""
+        return TagEvent(self.kind, self.chain, self.anchor + by,
+                        None if self.end is None else self.end + by)
 
 
 @dataclass
 class AnnotatedText:
     """A token sequence plus tag events; ``breaks`` are token indices that
-    start a new rendered line (sentence boundaries)."""
+    start a new rendered line (sentence boundaries).
+
+    Its producers (``build_events``, ``decode``, ``clean``) keep one
+    invariant that its consumers rely on: ``events`` are in slot order, of
+    two spans that start together the outer first, and every span lies
+    inside the text and nests with every other one.
+    """
 
     tokens: list[str]
     events: list[TagEvent]
@@ -142,8 +160,7 @@ def build_events(sentences: Sequence[Sentence], mentions: Sequence[Mention],
     else:
         for si, s, e, chain, head, seq in spans:
             io, ic = index_of[(si, s)], index_of[(si, e)]
-            events.append(((io, 0, 0, -ic, 0, seq), TagEvent(OPEN, chain, io)))
-            events.append(((ic, 1, 1, -io, 0, -seq), TagEvent(CLOSE, None, ic)))
+            events.append(((io, 0, 0, -ic, 0, seq), TagEvent(SPAN, chain, io, ic)))
     for si, anchor, sub, chain in sorted(zeros):
         if anchor >= 1:
             i = index_of[(si, anchor)]
@@ -159,7 +176,7 @@ def apply_idmap(annotated: AnnotatedText, idmap: Mapping[str, int]) -> Annotated
     """Replace global chain ids with display indices; total over visible chains."""
     out = []
     for ev in annotated.events:
-        if ev.chain is None or isinstance(ev.chain, int):
+        if isinstance(ev.chain, int):
             out.append(ev)
             continue
         if ev.chain not in idmap:
@@ -176,48 +193,33 @@ def encode(sentences: Sequence[Sentence], mentions: Sequence[Mention],
 
 # -- rendering ---------------------------------------------------------------
 
-def _pair_events(events: Sequence[TagEvent]) -> dict[int, int]:
-    """Stack-pair opens with closes ("last open, first closed") in events
-    sorted by slot; maps the index of each paired event to its mate's."""
-    stack: list[int] = []
-    mate: dict[int, int] = {}
-    for i, ev in enumerate(events):
-        if ev.kind == OPEN:
-            stack.append(i)
-        elif ev.kind == CLOSE and stack:
-            j = stack.pop()
-            mate[i], mate[j] = j, i
-    return mate
-
-
 def render(annotated: AnnotatedText) -> str:
-    events = sorted(annotated.events, key=TagEvent.slot)
     breaks = set(annotated.breaks)
     before: dict[int, list[str]] = {}   # atoms ahead of token i
     suffix: dict[int, list[str]] = {}   # crac items joined onto token i
     after: dict[int, list[str]] = {}    # atoms behind token i (-1: leading)
 
     if annotated.fmt is Format.CRAC:
-        mate = _pair_events(events)
         ranked: dict[int, tuple[list[str], list[str], list[str]]] = {}
-        for i, ev in enumerate(events):
+        for ev in annotated.events:
             if ev.kind == ZERO:
                 after.setdefault(ev.anchor, []).append(f"##|[e{ev.chain}]")
-                continue
-            if ev.kind == OPEN:
-                single = i in mate and events[mate[i]].anchor == ev.anchor
-                item, rank = (f"[e{ev.chain}]", 0) if single else (f"[e{ev.chain}", 1)
-            elif ev.kind == CLOSE and i in mate and events[mate[i]].anchor != ev.anchor:
-                item, rank = f"e{events[mate[i]].chain}]", 2
-            else:
-                continue  # heads, unpaired closes, and closes of singletons
-            ranked.setdefault(ev.anchor, ([], [], []))[rank].append(item)
-        suffix = {i: s + o + c for i, (s, o, c) in ranked.items()}
+            elif ev.kind == SPAN and ev.end == ev.anchor:
+                ranked.setdefault(ev.anchor, ([], [], []))[0].append(f"[e{ev.chain}]")
+            elif ev.kind == SPAN:
+                ranked.setdefault(ev.anchor, ([], [], []))[1].append(f"[e{ev.chain}")
+                ranked.setdefault(ev.end, ([], [], []))[2].append(f"e{ev.chain}]")
+        # a token closes its innermost span first: the one visited last
+        suffix = {i: s + o + c[::-1] for i, (s, o, c) in ranked.items()}
     else:
         tags = {kind: template.format for kind, template in TAGS[annotated.fmt].items()}
-        for ev in events:
-            target = before if ev.kind == OPEN else after
-            target.setdefault(ev.anchor, []).append(tags[ev.kind](k=ev.chain))
+        for ev in annotated.events:
+            if ev.kind == SPAN:
+                before.setdefault(ev.anchor, []).append(tags[OPEN](k=ev.chain))
+                # spans ending at token i come before the events after it
+                after.setdefault(ev.end, []).append(tags[CLOSE]())
+            else:
+                after.setdefault(ev.anchor, []).append(tags[ev.kind](k=ev.chain))
 
     lines = [list(after.get(-1, ()))]
     for i, form in enumerate(annotated.tokens):
@@ -231,31 +233,31 @@ def render(annotated: AnnotatedText) -> str:
     return "\n".join(" ".join(line) for line in lines)
 
 
-# rendered atoms per event kind: one or two per tag template, one per crac
-# zero (``##|[eK]``); crac open, close and head items join onto their token
+# rendered atoms per event kind: one or two per tag template, a span's open
+# and close together; one per crac zero (``##|[eK]``), while crac span and
+# head items join onto their token
 _ATOM_COUNTS: dict[Format, dict[str, int]] = {
     fmt: {kind: len(template.split()) for kind, template in tags.items()}
     for fmt, tags in TAGS.items()}
-_ATOM_COUNTS[Format.CRAC] = {OPEN: 0, CLOSE: 0, HEAD: 0, ZERO: 1}
+for _atoms in _ATOM_COUNTS.values():
+    _atoms[SPAN] = _atoms.pop(OPEN, 0) + _atoms.pop(CLOSE, 0)
+_ATOM_COUNTS[Format.CRAC] = {SPAN: 0, HEAD: 0, ZERO: 1}
 
 
 class AtomCounts:
     """Rendered atoms of a growing :class:`AnnotatedText`, charged to tokens.
 
     A token is charged its own atoms, those of the zero and head events
-    after it, and those of each open/close pair that opens on it. Pairs are
-    found by :func:`_pair_events`, as ``render`` finds them; an unpaired
-    event renders nothing. A crac form that is empty or ends in whitespace
-    renders its ``|items`` as an atom of their own when it carries any; that
-    atom is charged to the latest open whose item the form carries. Events
-    anchored at -1 render ahead of the first token and are counted apart in
-    ``lead``. So a suffix cut at token ``c`` renders the atoms charged from
-    ``c`` on, which ``prefix`` gives as a difference.
+    after it, and those of each span that opens on it. A crac form that is
+    empty or ends in whitespace renders its ``|items`` as an atom of their
+    own when it carries any; that atom is charged to the latest span whose
+    item the form carries. Events anchored at -1 render ahead of the first
+    token and are counted apart in ``lead``. So a suffix cut at token ``c``
+    renders the atoms charged from ``c`` on, which ``prefix`` gives as a
+    difference.
 
-    The counts are exact for every suffix ``slice_annotated`` cuts from a
-    text made of pieces that each pair up within themselves (as
-    ``pipeline._append`` makes them), rendered with display chain indices
-    as ``localize`` gives them.
+    The counts are exact for every suffix ``slice_annotated`` cuts, rendered
+    with display chain indices as ``localize`` gives them.
     """
 
     def __init__(self, fmt: Format):
@@ -265,31 +267,19 @@ class AtomCounts:
         self.prefix = [0]  # prefix[i]: atoms charged to tokens [0, i)
 
     def extend(self, piece: AnnotatedText) -> None:
-        """Count ``piece`` as appended after the tokens counted so far; its
-        pairs are found within the piece. Its events at -1 are charged to
-        the last token before it."""
-        n = len(piece.tokens)
+        """Count ``piece`` as appended after the tokens counted so far. Its
+        events at -1 are charged to the last token before it."""
         charged = [len(form.split()) for form in piece.tokens]
-        carried: dict[int, int] = {}  # crac: token -> latest open whose item it carries
+        carried: dict[int, int] = {}  # crac: token -> latest span whose item it carries
         lead = 0
-        events = sorted(piece.events, key=TagEvent.slot)
-        mate = _pair_events(events)
-        for i, ev in enumerate(events):
-            if ev.kind == OPEN or ev.kind == CLOSE and i not in mate:
-                continue
-            anchor, atoms = ev.anchor, self.atoms[ev.kind]
-            if ev.kind == CLOSE:
-                anchor = events[mate[i]].anchor
-                if anchor < 0 or ev.anchor >= n:
-                    continue  # a pair not inside the text never renders
-                atoms += self.atoms[OPEN]
-                if self.fmt is Format.CRAC:
-                    for token in (anchor, ev.anchor):
-                        carried[token] = max(carried.get(token, anchor), anchor)
-            if 0 <= anchor < n:
-                charged[anchor] += atoms
-            elif anchor == -1:
-                lead += atoms
+        for ev in piece.events:
+            if ev.kind == SPAN and self.fmt is Format.CRAC:
+                # in slot order, the span visited last opened last
+                carried[ev.anchor] = carried[ev.end] = ev.anchor
+            if ev.anchor < 0:
+                lead += self.atoms[ev.kind]
+            else:
+                charged[ev.anchor] += self.atoms[ev.kind]
         for token, opened in carried.items():
             form = piece.tokens[token]
             if not form or form[-1].isspace():
@@ -330,36 +320,54 @@ _CRAC_ITEM = re.compile(r"\[e(\d+)\]\Z|\[e(\d+)\Z|e(\d+)\]\Z")
 
 
 class _Decoder:
+    """Tokens and events of one wire text; the one place that pairs an open
+    tag with its close ("last open, first closed").
+
+    A span takes its place in ``events`` when it opens, so events come out
+    in slot order, the outer of two spans that open together first. A close
+    before any token closes nothing, yet it uses up one open: the closes
+    after it may close one open fewer. A close right after its open drops
+    the span, which holds no token. A span still open at the end closes at
+    the last token.
+    """
+
     def __init__(self, fmt: Format):
         self.fmt = fmt
         self.tokens: list[str] = []
-        self.events: list[TagEvent] = []
+        self.lead: list[TagEvent] = []  # zeros ahead of the first token
+        self.events: list[TagEvent | None] = []  # None: the place of an open span
         self.diags: list[Diagnostic] = []
-        self.stack: list[int | str] = []
+        self.stack: list[tuple[int, int, int]] = []  # (place, chain, anchor) per open span
+        self.closable = 0  # how many spans of the stack a close may still close
 
     def open(self, chain: int):
-        self.events.append(TagEvent(OPEN, chain, len(self.tokens)))
-        self.stack.append(chain)
+        self.stack.append((len(self.events), chain, len(self.tokens)))
+        self.events.append(None)
+        self.closable += 1
 
     def close(self, wire_chain: int | None = None):
-        if not self.stack:
-            self.diags.append(Diagnostic("decode", "unmatched close tag", len(self.tokens)))
+        n = len(self.tokens)
+        if not self.closable:
+            self.diags.append(Diagnostic("decode", "unmatched close tag", n))
             return
-        opened = self.stack.pop()
-        if not self.tokens:
+        self.closable -= 1
+        if not n:
             self.diags.append(Diagnostic("decode", "close tag before any token", 0))
             return
-        if wire_chain is not None and wire_chain != opened:
+        place, chain, anchor = self.stack.pop()
+        if wire_chain is not None and wire_chain != chain:
             self.diags.append(Diagnostic(
-                "decode", f"close tag id {wire_chain} does not match open id {opened}",
-                len(self.tokens)))
-        self.events.append(TagEvent(CLOSE, None, len(self.tokens) - 1))
+                "decode", f"close tag id {wire_chain} does not match open id {chain}", n))
+        if anchor == n:
+            self.diags.append(Diagnostic("decode", "span without a token dropped", n))
+        else:
+            self.events[place] = TagEvent(SPAN, chain, anchor, n - 1)
 
     def after_tag(self, kind: str, chain: int):
         if not self.tokens:
             if kind == ZERO:
                 # a zero may precede the whole text (anchor -1 renders leading)
-                self.events.append(TagEvent(ZERO, chain, -1))
+                self.lead.append(TagEvent(ZERO, chain, -1))
             else:
                 self.diags.append(Diagnostic("decode", f"{kind} tag before any token", 0))
             return
@@ -369,28 +377,16 @@ class _Decoder:
         self.tokens.append(form)
 
     def finish(self) -> tuple[AnnotatedText, list[Diagnostic]]:
-        for _ in self.stack:
-            self.diags.append(Diagnostic(
-                "decode", "unclosed open tag at end of input", len(self.tokens)))
-        kept = []
-        for ev in self.events:
-            if ev.kind == OPEN and ev.anchor >= len(self.tokens):
-                self.diags.append(Diagnostic("decode", "open tag after last token", ev.anchor))
-                continue
-            kept.append(ev)
-        # drop closes whose open was discarded (keep stack depth consistent)
-        depth = 0
-        final = []
-        for ev in kept:
-            if ev.kind == OPEN:
-                depth += 1
-            elif ev.kind == CLOSE:
-                if depth == 0:
-                    self.diags.append(Diagnostic("decode", "unmatched close tag", ev.anchor))
-                    continue
-                depth -= 1
-            final.append(ev)
-        return AnnotatedText(self.tokens, final, self.fmt), self.diags
+        last = len(self.tokens) - 1
+        for place, chain, anchor in self.stack:
+            if anchor > last:
+                self.diags.append(Diagnostic("decode", "open tag after last token", anchor))
+            else:
+                self.diags.append(Diagnostic(
+                    "decode", "unclosed open tag closed at last token", anchor))
+                self.events[place] = TagEvent(SPAN, chain, anchor, last)
+        events = self.lead + [ev for ev in self.events if ev is not None]
+        return AnnotatedText(self.tokens, events, self.fmt), self.diags
 
 
 def _decode_crac_atom(dec: _Decoder, atom: str) -> None:
@@ -442,8 +438,10 @@ def _decode_crac_atom(dec: _Decoder, atom: str) -> None:
 
 def decode(text: str, fmt: Format) -> tuple[AnnotatedText, list[Diagnostic]]:
     """Parse wire text tolerantly; never fails. Unparseable tag-like atoms
-    become ordinary tokens; unmatched closes are dropped with diagnostics.
-    Line boundaries come back as token breaks."""
+    become ordinary tokens; a close with no open and a pair around no token
+    are dropped with diagnostics, and an open never closed closes at the
+    last token (see ``_Decoder``). Line boundaries come back as token
+    breaks."""
     fmt = Format(fmt)
     dec = _Decoder(fmt)
     raw_breaks: list[int] = []
@@ -486,42 +484,25 @@ def events_to_mentions(
 
     ``token_map[i]`` is the (sentence index, token position) of output token
     i, given for every token. A span clips to the sentence of its first
-    token; an open never closed closes at the last token. Zero events become empty
-    nodes (anchor, k) numbered in tag order per anchor; a zero ahead of the
-    first token (anchor -1) is the node at position 0 of its sentence.
+    token. Zero events become empty nodes (anchor, k) numbered in tag order
+    per anchor; a zero ahead of the first token (anchor -1) is the node at
+    position 0 of its sentence.
     """
     diags: list[Diagnostic] = []
     mentions: list[Mention] = []
-    stack: list[TagEvent] = []
     zero_counts: dict[tuple[int, int], int] = {}
-
-    def close_span(open_ev: TagEvent, hi: int, auto: bool) -> None:
-        lo = open_ev.anchor
-        if hi < lo:
-            diags.append(Diagnostic("project", "span closed before it opened", hi))
-            return
-        si, start = token_map[lo]
-        end = start
-        for i in range(lo + 1, hi + 1):
-            if token_map[i][0] == si:
-                end = max(end, token_map[i][1])
-            else:
-                diags.append(Diagnostic(
-                    "project", "span crosses a sentence boundary; clipped", i))
-        if auto:
-            diags.append(Diagnostic("project", "open tag auto-closed at last aligned token", lo))
-        frag = ((start, end),)
-        mentions.append(Mention(str(open_ev.chain), si, frag,
-                                mention_head(frag, sentences[si])))
-
     for ev in annotated.events:
-        if ev.kind == OPEN:
-            stack.append(ev)
-        elif ev.kind == CLOSE:
-            if not stack:
-                diags.append(Diagnostic("project", "unmatched close event", ev.anchor))
-                continue
-            close_span(stack.pop(), ev.anchor, auto=False)
+        if ev.kind == SPAN:
+            si, start = token_map[ev.anchor]
+            end = start
+            for i in range(ev.anchor + 1, ev.end + 1):
+                if token_map[i][0] == si:
+                    end = max(end, token_map[i][1])
+                else:
+                    diags.append(Diagnostic(
+                        "project", "span crosses a sentence boundary; clipped", i))
+            frag = ((start, end),)
+            mentions.append(Mention(str(ev.chain), si, frag, mention_head(frag, sentences[si])))
         elif ev.kind == HEAD:
             si, p = token_map[ev.anchor]
             mentions.append(Mention(str(ev.chain), si, ((p, p),), (p, 0)))
@@ -536,7 +517,4 @@ def events_to_mentions(
             k = zero_counts.get((si, p), 0) + 1
             zero_counts[(si, p)] = k
             mentions.append(Mention(str(ev.chain), si, (), (p, k), True))
-
-    while stack:
-        close_span(stack.pop(), len(annotated.tokens) - 1, auto=True)
     return mentions, diags

@@ -28,8 +28,7 @@ from typing import TYPE_CHECKING
 from .align import clean
 from .conllu import Chain, Corpus, Document, Mention, Token
 from .diag import Diagnostic
-from .formats import (OPEN, CLOSE, AnnotatedText, AtomCounts, Format, TagEvent,
-                      _pair_events, build_events, events_to_mentions)
+from .formats import AnnotatedText, AtomCounts, Format, build_events, events_to_mentions
 from .reindex import IdAllocator, IdMap, globalize, localize
 
 if TYPE_CHECKING:
@@ -113,28 +112,19 @@ def iter_windows(n_sentences: int, per_batch: int) -> list[tuple[int, int]]:
 def slice_annotated(annotated: AnnotatedText, lo: int, hi: int) -> AnnotatedText:
     """Tokens [lo, hi) with their events, re-anchored to the slice.
 
-    Open/close pairs that straddle a boundary lose the half outside; the
-    surviving half is dropped too, so the slice stays balanced. At a sentence
-    boundary nothing straddles. A cut between tokens, as
-    :func:`truncate_context` makes, can fall inside a mention: its words
-    stay in the slice untagged. A zero or head tag after token ``lo - 1``
-    is dropped with that token; a zero ahead of the first token stays only
-    when ``lo`` is 0.
+    A span that straddles a boundary is dropped; at a sentence boundary
+    nothing straddles. A cut between tokens, as :func:`truncate_context`
+    makes, can fall inside a mention: its words stay in the slice untagged.
+    A zero or head tag after token ``lo - 1`` is dropped with that token; a
+    zero ahead of the first token stays only when ``lo`` is 0.
     """
-    events = sorted(annotated.events, key=TagEvent.slot)
-    mate = _pair_events(events)
-
-    def inside(ev: TagEvent) -> bool:
-        if ev.kind == OPEN:
-            return lo <= ev.anchor < hi
-        return lo <= ev.anchor < hi or (ev.anchor == lo - 1 == -1)
-
-    kept = [ev for i, ev in enumerate(events) if inside(ev) and (
-        ev.kind not in (OPEN, CLOSE) or i in mate and inside(events[mate[i]]))]
+    kept = [ev for ev in annotated.events
+            if lo <= ev.anchor < hi and (ev.end is None or ev.end < hi)
+            or ev.anchor == lo - 1 == -1]
     return AnnotatedText(
         list(annotated.tokens[lo:hi]),
         # events are frozen, so one that keeps its anchor is shared
-        [TagEvent(ev.kind, ev.chain, max(ev.anchor - lo, -1)) for ev in kept] if lo else kept,
+        [ev.shifted(-lo) for ev in kept] if lo else kept,
         annotated.fmt,
         tuple(b - lo for b in annotated.breaks if lo < b < hi),
     )
@@ -322,17 +312,11 @@ class HttpBackend(ModelBackend):
 # -- annotation loop -------------------------------------------------------------
 
 def _append(acc: AnnotatedText, counts: AtomCounts, piece: AnnotatedText) -> None:
-    """Append ``piece`` to ``acc`` in place and add it to ``acc``'s counts.
-
-    The piece keeps what :func:`slice_annotated` keeps of it: events
-    anchored inside it, opens and closes only in pairs. So no pair spans two
-    pieces and the counts stay exact; the rest never renders in a context.
-    """
-    piece = slice_annotated(piece, 0, len(piece.tokens))
+    """Append ``piece`` to ``acc`` in place and add it to ``acc``'s counts."""
     counts.extend(piece)
     offset = len(acc.tokens)
     acc.tokens += piece.tokens
-    acc.events += [TagEvent(ev.kind, ev.chain, ev.anchor + offset) for ev in piece.events]
+    acc.events += [ev.shifted(offset) for ev in piece.events]
     acc.breaks += ((offset,) if offset else ()) + tuple(b + offset for b in piece.breaks)
 
 
@@ -369,10 +353,10 @@ def _walk_windows(doc: Document, cfg: PipelineConfig, take) -> None:
     training export so both build the same prompts.
 
     Each window's prompt holds the annotation accumulated so far, trimmed to
-    the budget and localized, plus the raw batch of sentences [lo, hi).
-    ``take(w_index, lo, hi, batch, prompt, idmap)`` handles the window and
-    returns its events, with global chain ids and anchored to the batch; they
-    become context for the windows after it.
+    the budget and localized, plus the raw batch of sentences [lo, hi),
+    rendered as ``text``. ``take(w_index, lo, hi, text, prompt, idmap)``
+    handles the window and returns its events, with global chain ids and
+    anchored to the batch; they become context for the windows after it.
     """
     acc = AnnotatedText([], [], cfg.fmt, ())
     counts = AtomCounts(cfg.fmt)
@@ -382,8 +366,9 @@ def _walk_windows(doc: Document, cfg: PipelineConfig, take) -> None:
         batch = build_events(doc.sentences[lo:hi], (), cfg.fmt)
         context = truncate_context(acc, cfg.context_budget, counts)
         local_ctx, idmap = localize(context, doc_map)
-        prompt = build_prompt(local_ctx.render(), batch.render(), cfg.fmt)
-        events = take(w_index, lo, hi, batch, prompt, idmap)
+        text = batch.render()
+        prompt = build_prompt(local_ctx.render(), text, cfg.fmt)
+        events = take(w_index, lo, hi, text, prompt, idmap)
         _append(acc, counts, replace(batch, events=events))
 
 
@@ -396,7 +381,7 @@ def annotate_document(doc: Document, backend: ModelBackend,
     allocator = IdAllocator()
     predicted: list[Mention] = []
 
-    def take(w_index, lo, hi, batch, prompt, idmap):
+    def take(w_index, lo, hi, text, prompt, idmap):
         report = WindowReport(w_index, (lo, hi))
         reports.append(report)
         completion = None
@@ -417,7 +402,7 @@ def annotate_document(doc: Document, backend: ModelBackend,
                 Diagnostic("pipeline", "window left unannotated", w_index))
             return []
 
-        local, diags = clean(batch.render(), completion, cfg.fmt, cfg.fuzzy_threshold)
+        local, diags = clean(text, completion, cfg.fmt, cfg.fuzzy_threshold)
         report.diagnostics.extend(diags)
 
         global_ann, gdiags = globalize(local, idmap, allocator)
@@ -486,7 +471,7 @@ def export_training_pairs(source: Document | Corpus,
     starts = doc.sentence_starts()
     pairs: list[TrainingPair] = []
 
-    def take(w_index, lo, hi, batch, prompt, idmap):
+    def take(w_index, lo, hi, text, prompt, idmap):
         gold = slice_annotated(full, starts[lo], starts[hi])
         local_gold, _ = localize(gold, idmap)
         pairs.append(TrainingPair(doc.doc_id, w_index, prompt, local_gold.render()))

@@ -74,9 +74,6 @@ def globalize(predicted: AnnotatedText, idmap: IdMap,
     diags: list[Diagnostic] = []
     events: list[TagEvent] = []
     for ev in predicted.events:
-        if ev.chain is None:
-            events.append(ev)
-            continue
         if not isinstance(ev.chain, int) or ev.chain < 0:
             diags.append(Diagnostic(
                 "reindex", f"event with unusable chain index {ev.chain!r} dropped", ev.anchor))

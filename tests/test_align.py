@@ -144,17 +144,31 @@ def test_line_structure_follows_input():
 
 
 def test_spans_never_cross_after_cleaning():
-    # shuffled opens/closes still come back depth-consistent
+    # shuffled opens/closes still come back as nested spans in slot order
     out, _ = clean("a b c d", "</ent> a <ent1> b <ent2> c </ent> d",
                    Format.MINIMAL)
-    depth = 0
-    for ev in out.events:
-        if ev.kind == "open":
-            depth += 1
-        elif ev.kind == "close":
-            depth -= 1
-            assert depth >= 0
-    assert depth >= 0
+    spans = [(ev.anchor, ev.end) for ev in out.events]
+    assert spans == sorted(spans, key=lambda s: (s[0], -s[1]))
+    for i, (s1, e1) in enumerate(spans):
+        assert all(e2 <= e1 or s2 > e1 for s2, e2 in spans[i + 1:])
+
+
+def test_span_crosses_cleaning_whole_or_not_at_all():
+    # "man" is gone: the empty span of chain 2 is dropped in decoding, and
+    # chain 1 keeps both its ends instead of taking the empty span's close
+    out, diags = clean("the old man saw a dog near the red barn",
+                       "<ent1> the old <ent2> </ent> saw </ent> a dog near the red barn",
+                       "minimal")
+    assert [(ev.kind, ev.chain, ev.anchor, ev.end) for ev in out.events] == [
+        ("span", 1, 0, 3)]   # words 1 to 4
+    assert [d.message for d in diags] == ["span without a token dropped"]
+
+
+def test_span_that_loses_an_end_is_dropped():
+    # the close follows two words that align with nothing
+    out, diags = clean("a b c", "<ent1> a b c x y </ent>", "minimal")
+    assert out.events == []
+    assert [d.message for d in diags] == ["close tag lost its token; span dropped"]
 
 
 @given(seed=st.integers(0, 5_000), fmt=st.sampled_from(list(Format)),

@@ -497,6 +497,16 @@ def test_malformed_input_exits_2_with_location(tmp_path, capsys):
     assert "bad.conllu" in err and "line 3" in err
 
 
+def test_multiword_token_without_its_words_exits_2(tmp_path, capsys):
+    bad = tmp_path / "mwt.conllu"
+    bad.write_text("# newdoc id = x\n# sent_id = s1\n1\ta\t_\t_\t_\t_\t0\t_\t_\t_\n"
+                   "2-3\tbc\t_\t_\t_\t_\t_\t_\t_\t_\n\n", encoding="utf-8")
+    assert run("convert", str(bad)) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: {bad}: line 4: multiword token 2-3 covers words its sentence "
+        "does not have"]
+
+
 def test_mention_with_empty_span_exits_2(tmp_path, capsys):
     bad = tmp_path / "empty.conllu"
     bad.write_text("# newdoc id = x\n# sent_id = s1\n"

@@ -166,6 +166,11 @@ def test_crossing_mentions_of_one_chain_are_refused():
     # closes on an earlier token, so its surface span is empty
     ("2.1\t_\t_\t_\t_\t_\t_\t_\t_\tEntity=(e1\n1\tw\t_\t_\t_\t_\t0\t_\t_\tEntity=e1)\n"
      "2\tx\t_\t_\t_\t_\t1\t_\t_\t_", r"chain 'e1' covers no token in sentence 's1'"),
+    # a multiword token is written before its first word, which must exist
+    ("1\ta\t_\t_\t_\t_\t0\t_\t_\t_\n2-3\tbc\t_\t_\t_\t_\t_\t_\t_\t_",
+     "line 4: multiword token 2-3 covers words its sentence does not have"),
+    ("1-2\txy\t_\t_\t_\t_\t_\t_\t_\t_",
+     "line 3: multiword token 1-2 covers words its sentence does not have"),
 ])
 def test_malformed_input_raises(line, message):
     text = f"# newdoc id = d\n# sent_id = s1\n{line}\n\n"

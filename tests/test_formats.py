@@ -45,7 +45,7 @@ def test_explicit_tag_may_span_a_line_break():
     annotated, diags = decode("a <ent\nid=COREF_1> b </ent>\nc", Format.EXPLICIT)
     assert diags == []
     assert annotated.tokens == ["a", "b", "c"]
-    assert annotated.events == [TagEvent("open", 1, 1), TagEvent("close", None, 1)]
+    assert annotated.events == [TagEvent("span", 1, 1, 1)]
 
 
 def test_decoded_mentions_match_gold(sister_doc):
@@ -96,6 +96,24 @@ def test_zero_before_first_token_anchors_at_minus_one():
     [zero] = annotated.events
     assert (zero.kind, zero.chain, zero.anchor) == ("zero", 3, -1)
     assert annotated.render() == "##|[e3] word"
+
+
+@pytest.mark.parametrize("text, spans", [
+    # the later close ends the inner span; the outer one closes at the last token
+    ("<ent1> <ent2> </ent> river before river </ent> flows",
+     [("1", ((1, 4),)), ("2", ((1, 3),))]),
+    # the early close leaves no open for the close after "doctor", so chain 2
+    # closes at the last token
+    ("<ent2> </ent> doctor </ent> <ent3> with with <ent2> </ent> </ent>",
+     [("2", ((1, 3),)), ("3", ((2, 3),))]),
+])
+def test_close_before_any_token_closes_nothing(text, spans):
+    annotated, diags = decode(text, Format.MINIMAL)
+    assert "close tag before any token" in [d.message for d in diags]
+    tokens = [Token(p, form) for p, form in enumerate(annotated.tokens, start=1)]
+    mentions, _ = events_to_mentions(annotated, [(0, t.position) for t in tokens],
+                                     [Sentence("s1", tokens)])
+    assert sorted((m.chain_id, m.fragments) for m in mentions) == spans
 
 
 def test_unclosed_tag_tolerated_with_diagnostic():

@@ -87,18 +87,17 @@ def _annotated(tokens, events, breaks=()):
 
 
 def test_slice_reanchors_and_drops_straddlers():
-    events = [TagEvent("open", 1, 0), TagEvent("close", None, 3),   # straddles
-              TagEvent("open", 2, 2), TagEvent("close", None, 2)]
+    events = [TagEvent("span", 1, 0, 3),   # straddles
+              TagEvent("span", 2, 2, 2)]
     sliced = slice_annotated(_annotated(list("abcd"), events, (2,)), 2, 4)
     assert sliced.tokens == ["c", "d"]
-    assert [(ev.kind, ev.anchor) for ev in sliced.events] == [
-        ("open", 0), ("close", 0)]
+    assert [(ev.kind, ev.anchor, ev.end) for ev in sliced.events] == [("span", 0, 0)]
     assert sliced.breaks == ()
 
 
 def test_truncate_respects_budget_in_rendered_atoms():
-    # each open/close pair adds two rendered atoms
-    events = [TagEvent("open", 1, 0), TagEvent("close", None, 5)]
+    # each span adds two rendered atoms, its open and close tags
+    events = [TagEvent("span", 1, 0, 5)]
     ann = _annotated([f"w{i}" for i in range(6)], events)
     assert len(ann.render().split()) == 8
 
@@ -139,28 +138,41 @@ def _bisected_context(annotated, budget):
     return slice_annotated(annotated, hi, n)
 
 
-_KINDS = {Format.CRAC: ("open", "close", "zero"),
-          Format.EXPLICIT: ("open", "close", "zero"),
-          Format.MINIMAL: ("open", "close", "zero"),
+_KINDS = {Format.CRAC: ("span", "zero"),
+          Format.EXPLICIT: ("span", "zero"),
+          Format.MINIMAL: ("span", "zero"),
           Format.HEADWORD: ("head", "zero")}
+
+
+def _crosses(a, b):
+    return a.anchor < b.anchor <= a.end < b.end or b.anchor < a.anchor <= b.end < a.end
 
 
 @st.composite
 def _pieces(draw):
     """A format and a few annotated pieces: forms empty, blank, multi-word or
-    plain; events of the format's kinds, unbalanced and unsorted, anchored
-    from -1 to n, one chain id with a space; breaks anywhere."""
+    plain; events of the format's kinds in slot order, spans nested, zeros
+    anchored from -1 and other tags from 0, one chain id with a space;
+    breaks anywhere."""
     fmt = draw(st.sampled_from(list(Format)))
+    chains = st.sampled_from(["e1", "e2", "e10", "e 3"])
     pieces = []
     for _ in range(draw(st.integers(1, 3))):
         tokens = draw(st.lists(st.sampled_from(
             ["w", "word", "", " ", "New York", "end ", "\xa0", "a|b"]), max_size=8))
         n = len(tokens)
-        events = draw(st.lists(st.builds(
-            lambda kind, chain, anchor: TagEvent(
-                kind, None if kind == "close" else chain, anchor),
-            st.sampled_from(_KINDS[fmt]), st.sampled_from(["e1", "e2", "e10", "e 3"]),
-            st.integers(-1, n)), max_size=8))
+        events = []
+        for kind in draw(st.lists(st.sampled_from(_KINDS[fmt]), max_size=8)):
+            if n == 0 and kind != "zero":
+                continue
+            anchor = draw(st.integers(-1 if kind == "zero" else 0, n - 1))
+            ev = TagEvent(kind, draw(chains), anchor,
+                          draw(st.integers(anchor, n - 1)) if kind == "span" else None)
+            if kind != "span" or not any(_crosses(ev, other) for other in events
+                                         if other.kind == "span"):
+                events.append(ev)
+        # slot order, the outer of two spans that open together first
+        events.sort(key=lambda ev: (ev.slot(), -(ev.end or 0)))
         breaks = draw(st.lists(st.integers(0, n), unique=True))
         pieces.append(AnnotatedText(tokens, events, fmt, tuple(sorted(breaks))))
     return fmt, pieces

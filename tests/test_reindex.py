@@ -21,10 +21,9 @@ def test_localize_numbers_by_first_appearance():
 
 
 def test_localize_leaves_ints_and_closes_alone():
-    events = [TagEvent("open", "e5", 0), TagEvent("close", None, 1),
-              TagEvent("head", 7, 2)]
+    events = [TagEvent("span", "e5", 0, 1), TagEvent("head", 7, 2)]
     local, idmap = localize(ann(events, fmt=Format.MINIMAL))
-    assert [ev.chain for ev in local.events] == [0, None, 7]
+    assert [(ev.chain, ev.end) for ev in local.events] == [(0, 1), (7, None)]
 
 
 def test_globalize_maps_known_and_mints_fresh():
