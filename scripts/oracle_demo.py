@@ -19,6 +19,8 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--docs", type=int, default=20)
     ap.add_argument("--seed", type=int, default=0)
+    ap.add_argument("--sentences", type=int, default=None,
+                    help="sentences per document (default: 3 to 8 at random)")
     ap.add_argument("--format", default="headword",
                     choices=["crac", "explicit", "minimal", "headword"])
     ap.add_argument("--sentences-per-batch", type=int, default=4)
@@ -29,9 +31,10 @@ def main(argv=None) -> int:
     cfg = PipelineConfig(fmt=args.format,
                          sentences_per_batch=args.sentences_per_batch,
                          context_budget=args.context_budget)
-    gold = random_corpus(args.docs,
-                         SynthConfig(p_zero=0.2, p_discontinuous=0.1,
-                                     seed=args.seed))
+    synth = SynthConfig(p_zero=0.2, p_discontinuous=0.1, seed=args.seed)
+    if args.sentences is not None:
+        synth.sentences = (args.sentences, args.sentences)
+    gold = random_corpus(args.docs, synth)
     pairs = export_training_pairs(gold, cfg)
     print(f"{len(pairs)} training pairs exported "
           f"(format={args.format}, batch={cfg.sentences_per_batch}, "

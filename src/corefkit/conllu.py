@@ -459,8 +459,17 @@ def parse_conllu(text: str) -> list[Document]:
                 first, _, last = cols[0].partition("-")
                 if not (first.isdigit() and last.isdigit()):
                     raise ConlluError(f"bad token id {cols[0]!r}", line_no)
-                acc.mwt_lines[int(first)] = line
-                acc.mwt_ranges.append((line_no, int(first), int(last)))
+                first, last = int(first), int(last)
+                if last < first:
+                    raise ConlluError(f"multiword token {first}-{last} ends before it starts",
+                                      line_no)
+                # one range per word: the line kept for its first word is all that is written
+                for earlier, a, b in acc.mwt_ranges:
+                    if a <= last and first <= b:
+                        raise ConlluError(f"multiword token {first}-{last} shares words "
+                                          f"with {a}-{b} on line {earlier}", line_no)
+                acc.mwt_lines[first] = line
+                acc.mwt_ranges.append((line_no, first, last))
             else:
                 raise ConlluError(f"bad token id {cols[0]!r}", line_no)
             continue

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_left
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from typing import Mapping, Sequence
 
@@ -89,13 +89,14 @@ class AnnotatedText:
     Its producers (``build_events``, ``decode``, ``clean``) keep one
     invariant that its consumers rely on: ``events`` are in slot order, of
     two spans that start together the outer first, and every span lies
-    inside the text and nests with every other one.
+    inside the text and nests with every other one. So event anchors never
+    decrease, and ``breaks`` ascend; ``slice_annotated`` bisects on both.
     """
 
     tokens: list[str]
     events: list[TagEvent]
     fmt: Format
-    breaks: tuple[int, ...] = ()
+    breaks: Sequence[int] = ()  # a tuple, or a list the window walker extends
 
     def render(self) -> str:
         return render(self)
@@ -181,7 +182,7 @@ def apply_idmap(annotated: AnnotatedText, idmap: Mapping[str, int]) -> Annotated
             continue
         if ev.chain not in idmap:
             raise FormatError(f"chain {ev.chain!r} missing from idmap")
-        out.append(replace(ev, chain=idmap[ev.chain]))
+        out.append(TagEvent(ev.kind, idmap[ev.chain], ev.anchor, ev.end))
     return AnnotatedText(list(annotated.tokens), out, annotated.fmt, annotated.breaks)
 
 
@@ -194,9 +195,13 @@ def encode(sentences: Sequence[Sentence], mentions: Sequence[Mention],
 # -- rendering ---------------------------------------------------------------
 
 def render(annotated: AnnotatedText) -> str:
-    breaks = set(annotated.breaks)
+    """Single-space joined atoms, a new line at each of ``breaks``; events
+    anchored outside the text, but for leading ones at -1, render nothing.
+    Python work follows events and lines: only tokens that carry atoms are
+    rewritten, and each line's words are joined in one call."""
+    words = list(annotated.tokens)  # each token with its atoms
+    n = len(words)
     before: dict[int, list[str]] = {}   # atoms ahead of token i
-    suffix: dict[int, list[str]] = {}   # crac items joined onto token i
     after: dict[int, list[str]] = {}    # atoms behind token i (-1: leading)
 
     if annotated.fmt is Format.CRAC:
@@ -210,7 +215,9 @@ def render(annotated: AnnotatedText) -> str:
                 ranked.setdefault(ev.anchor, ([], [], []))[1].append(f"[e{ev.chain}")
                 ranked.setdefault(ev.end, ([], [], []))[2].append(f"e{ev.chain}]")
         # a token closes its innermost span first: the one visited last
-        suffix = {i: s + o + c[::-1] for i, (s, o, c) in ranked.items()}
+        for i, (s, o, c) in ranked.items():
+            if 0 <= i < n:
+                words[i] += "|" + ",".join(s + o + c[::-1])
     else:
         tags = {kind: template.format for kind, template in TAGS[annotated.fmt].items()}
         for ev in annotated.events:
@@ -221,16 +228,17 @@ def render(annotated: AnnotatedText) -> str:
             else:
                 after.setdefault(ev.anchor, []).append(tags[ev.kind](k=ev.chain))
 
-    lines = [list(after.get(-1, ()))]
-    for i, form in enumerate(annotated.tokens):
-        if i in breaks:
-            lines.append([])
-        line = lines[-1]
-        line.extend(before.get(i, ()))
-        items = suffix.get(i)
-        line.append(form + "|" + ",".join(items) if items else form)
-        line.extend(after.get(i, ()))
-    return "\n".join(" ".join(line) for line in lines)
+    for i, atoms in before.items():
+        if 0 <= i < n:
+            words[i] = " ".join(atoms) + " " + words[i]
+    for i, atoms in after.items():
+        if 0 <= i < n:
+            words[i] += " " + " ".join(atoms)
+    # the leading atoms open the first line; a break at 0 ends it before token 0
+    starts = sorted({b for b in annotated.breaks if 0 <= b < n})
+    ends = starts + [n]
+    lines = [" ".join(after.get(-1, []) + words[:ends[0]])]
+    return "\n".join(lines + [" ".join(words[a:b]) for a, b in zip(starts, ends[1:])])
 
 
 # rendered atoms per event kind: one or two per tag template, a span's open

@@ -20,9 +20,11 @@ from __future__ import annotations
 import json
 import os
 import time
+from bisect import bisect_left, bisect_right
 from collections.abc import Iterator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
+from operator import attrgetter
 from typing import TYPE_CHECKING
 
 from .align import clean
@@ -109,6 +111,9 @@ def iter_windows(n_sentences: int, per_batch: int) -> list[tuple[int, int]]:
             for lo in range(0, n_sentences, per_batch)]
 
 
+_anchor = attrgetter("anchor")
+
+
 def slice_annotated(annotated: AnnotatedText, lo: int, hi: int) -> AnnotatedText:
     """Tokens [lo, hi) with their events, re-anchored to the slice.
 
@@ -118,15 +123,18 @@ def slice_annotated(annotated: AnnotatedText, lo: int, hi: int) -> AnnotatedText
     A zero or head tag after token ``lo - 1`` is dropped with that token; a
     zero ahead of the first token stays only when ``lo`` is 0.
     """
-    kept = [ev for ev in annotated.events
-            if lo <= ev.anchor < hi and (ev.end is None or ev.end < hi)
-            or ev.anchor == lo - 1 == -1]
+    # anchors never decrease and breaks ascend, so both ends are bisected;
+    # an anchor of -1 is kept only when lo is 0
+    events, breaks = annotated.events, annotated.breaks
+    first = bisect_left(events, lo or -1, key=_anchor)
+    last = bisect_left(events, hi, first, key=_anchor)
+    kept = [ev for ev in events[first:last] if ev.end is None or ev.end < hi]
     return AnnotatedText(
         list(annotated.tokens[lo:hi]),
         # events are frozen, so one that keeps its anchor is shared
         [ev.shifted(-lo) for ev in kept] if lo else kept,
         annotated.fmt,
-        tuple(b - lo for b in annotated.breaks if lo < b < hi),
+        tuple(b - lo for b in breaks[bisect_right(breaks, lo):bisect_left(breaks, hi)]),
     )
 
 
@@ -317,7 +325,9 @@ def _append(acc: AnnotatedText, counts: AtomCounts, piece: AnnotatedText) -> Non
     offset = len(acc.tokens)
     acc.tokens += piece.tokens
     acc.events += [ev.shifted(offset) for ev in piece.events]
-    acc.breaks += ((offset,) if offset else ()) + tuple(b + offset for b in piece.breaks)
+    if offset:
+        acc.breaks.append(offset)
+    acc.breaks += [b + offset for b in piece.breaks]
 
 
 def mentions_to_document(doc: Document, mentions: list[Mention]) -> Document:
@@ -358,7 +368,7 @@ def _walk_windows(doc: Document, cfg: PipelineConfig, take) -> None:
     handles the window and returns its events, with global chain ids and
     anchored to the batch; they become context for the windows after it.
     """
-    acc = AnnotatedText([], [], cfg.fmt, ())
+    acc = AnnotatedText([], [], cfg.fmt, [])
     counts = AtomCounts(cfg.fmt)
     doc_map = IdMap() if not cfg.reindex else None
     for w_index, (lo, hi) in enumerate(iter_windows(len(doc.sentences),

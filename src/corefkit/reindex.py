@@ -9,7 +9,7 @@ appearance, so repeats of a new index corefer within the window.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from .diag import Diagnostic
 from .formats import AnnotatedText, TagEvent, apply_idmap
@@ -83,5 +83,5 @@ def globalize(predicted: AnnotatedText, idmap: IdMap,
             cid = allocator.fresh()
             idmap.local_to_global[ev.chain] = cid
             idmap.global_to_local[cid] = ev.chain
-        events.append(replace(ev, chain=cid))
+        events.append(TagEvent(ev.kind, cid, ev.anchor, ev.end))
     return AnnotatedText(list(predicted.tokens), events, predicted.fmt, predicted.breaks), diags

@@ -507,6 +507,18 @@ def test_multiword_token_without_its_words_exits_2(tmp_path, capsys):
         "does not have"]
 
 
+def test_overlapping_multiword_tokens_exit_2(tmp_path, capsys):
+    """Of ranges 1-2 and 1-3 only one line could be written back."""
+    bad = tmp_path / "mwt.conllu"
+    bad.write_text("# newdoc id = x\n# sent_id = s1\n"
+                   "1-2\tab\t_\t_\t_\t_\t_\t_\t_\t_\n1-3\tabc\t_\t_\t_\t_\t_\t_\t_\t_\n"
+                   "1\ta\t_\t_\t_\t_\t0\t_\t_\t_\n2\tb\t_\t_\t_\t_\t1\t_\t_\t_\n"
+                   "3\tc\t_\t_\t_\t_\t1\t_\t_\t_\n\n", encoding="utf-8")
+    assert run("convert", str(bad)) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: {bad}: line 4: multiword token 1-3 shares words with 1-2 on line 3"]
+
+
 def test_mention_with_empty_span_exits_2(tmp_path, capsys):
     bad = tmp_path / "empty.conllu"
     bad.write_text("# newdoc id = x\n# sent_id = s1\n"

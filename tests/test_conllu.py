@@ -171,6 +171,18 @@ def test_crossing_mentions_of_one_chain_are_refused():
      "line 4: multiword token 2-3 covers words its sentence does not have"),
     ("1-2\txy\t_\t_\t_\t_\t_\t_\t_\t_",
      "line 3: multiword token 1-2 covers words its sentence does not have"),
+    # ranges may not share a word: one line per first word is all that is written
+    ("1-2\txy\t_\t_\t_\t_\t_\t_\t_\t_\n1-3\txyz\t_\t_\t_\t_\t_\t_\t_\t_\n"
+     "1\ta\t_\t_\t_\t_\t0\t_\t_\t_\n2\tb\t_\t_\t_\t_\t1\t_\t_\t_\n"
+     "3\tc\t_\t_\t_\t_\t1\t_\t_\t_",
+     "line 4: multiword token 1-3 shares words with 1-2 on line 3"),
+    ("1-2\txy\t_\t_\t_\t_\t_\t_\t_\t_\n1\ta\t_\t_\t_\t_\t0\t_\t_\t_\n"
+     "2-3\tyz\t_\t_\t_\t_\t_\t_\t_\t_\n2\tb\t_\t_\t_\t_\t1\t_\t_\t_\n"
+     "3\tc\t_\t_\t_\t_\t1\t_\t_\t_",
+     "line 5: multiword token 2-3 shares words with 1-2 on line 3"),
+    ("1\ta\t_\t_\t_\t_\t0\t_\t_\t_\n2-1\tba\t_\t_\t_\t_\t_\t_\t_\t_\n"
+     "2\tb\t_\t_\t_\t_\t1\t_\t_\t_",
+     "line 4: multiword token 2-1 ends before it starts"),
 ])
 def test_malformed_input_raises(line, message):
     text = f"# newdoc id = d\n# sent_id = s1\n{line}\n\n"

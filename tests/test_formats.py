@@ -1,14 +1,15 @@
 """Inline annotation formats: renderings, decoding, event geometry."""
 import dataclasses
+import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from corefkit.conllu import Sentence, Token
-from corefkit.formats import (AnnotatedText, Format, FormatError, TagEvent,
-                              apply_idmap, build_events, decode, encode,
-                              events_to_mentions)
-from corefkit.synth import SynthConfig, random_document
+from corefkit.formats import (CLOSE, OPEN, SPAN, TAGS, ZERO, AnnotatedText, Format,
+                              FormatError, TagEvent, apply_idmap, build_events,
+                              decode, encode, events_to_mentions, render)
+from corefkit.synth import SynthConfig, perturb, random_document
 
 from conftest import GOLDEN, SISTER_IDMAP, make_sister_doc
 
@@ -162,3 +163,86 @@ def test_random_round_trip_is_byte_stable(seed, fmt, disc):
     back, diags = decode(wire, fmt)
     assert diags == []
     assert back.render() == wire
+
+
+def _render_per_token(annotated):
+    """Reference for ``render``: one token at a time, each line a list of
+    atoms joined at the end."""
+    breaks = set(annotated.breaks)
+    before, suffix, after = {}, {}, {}
+    if annotated.fmt is Format.CRAC:
+        ranked = {}
+        for ev in annotated.events:
+            if ev.kind == ZERO:
+                after.setdefault(ev.anchor, []).append(f"##|[e{ev.chain}]")
+            elif ev.kind == SPAN and ev.end == ev.anchor:
+                ranked.setdefault(ev.anchor, ([], [], []))[0].append(f"[e{ev.chain}]")
+            elif ev.kind == SPAN:
+                ranked.setdefault(ev.anchor, ([], [], []))[1].append(f"[e{ev.chain}")
+                ranked.setdefault(ev.end, ([], [], []))[2].append(f"e{ev.chain}]")
+        suffix = {i: s + o + c[::-1] for i, (s, o, c) in ranked.items()}
+    else:
+        tags = {kind: template.format for kind, template in TAGS[annotated.fmt].items()}
+        for ev in annotated.events:
+            if ev.kind == SPAN:
+                before.setdefault(ev.anchor, []).append(tags[OPEN](k=ev.chain))
+                after.setdefault(ev.end, []).append(tags[CLOSE]())
+            else:
+                after.setdefault(ev.anchor, []).append(tags[ev.kind](k=ev.chain))
+    lines = [list(after.get(-1, ()))]
+    for i, form in enumerate(annotated.tokens):
+        if i in breaks:
+            lines.append([])
+        line = lines[-1]
+        line.extend(before.get(i, ()))
+        items = suffix.get(i)
+        line.append(form + "|" + ",".join(items) if items else form)
+        line.extend(after.get(i, ()))
+    return "\n".join(" ".join(line) for line in lines)
+
+
+@st.composite
+def _annotated(draw):
+    """Valid annotated text of any format: forms empty, blank, ending in
+    whitespace or multi-word; nested spans in slot order; zeros from -1;
+    breaks unsorted, repeated, at 0 and past the last token."""
+    fmt = draw(st.sampled_from(ALL_FORMATS))
+    tokens = draw(st.lists(st.sampled_from(
+        ["w", "word", "", " ", "end ", "New York", "\xa0", "a|b", "##"]), max_size=10))
+    n = len(tokens)
+    events = []
+    kinds = ("head", "zero") if fmt is Format.HEADWORD else ("span", "zero")
+    for kind in draw(st.lists(st.sampled_from(kinds), max_size=10)):
+        if n == 0 and kind != "zero":
+            continue
+        anchor = draw(st.integers(-1 if kind == "zero" else 0, n - 1))
+        ev = TagEvent(kind, draw(st.integers(0, 12)), anchor,
+                      draw(st.integers(anchor, n - 1)) if kind == "span" else None)
+        if kind != "span" or not any(
+                a.anchor < b.anchor <= a.end < b.end
+                for other in events if other.kind == "span"
+                for a, b in ((ev, other), (other, ev))):
+            events.append(ev)
+    events.sort(key=lambda ev: (ev.slot(), -(ev.end or 0)))
+    breaks = draw(st.lists(st.integers(0, n + 2), max_size=6))
+    return AnnotatedText(tokens, events, fmt, tuple(breaks))
+
+
+@settings(max_examples=500)
+@given(_annotated())
+@example(AnnotatedText([], [TagEvent("zero", 1, -1)], Format.MINIMAL, (0,)))
+@example(AnnotatedText(["a"], [TagEvent("zero", 1, -1)], Format.CRAC, (0, 0, 1, 5)))
+@example(AnnotatedText(["end ", ""], [TagEvent("span", 2, 0, 1)], Format.CRAC, (1,)))
+def test_render_matches_per_token_reference(annotated):
+    assert render(annotated) == _render_per_token(annotated)
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 20_000), fmt=st.sampled_from(ALL_FORMATS))
+def test_render_matches_per_token_reference_on_perturbed_output(seed, fmt):
+    doc = random_document(f"doc{seed}", SynthConfig(seed=seed, p_zero=0.3))
+    idmap = {cid: i for i, cid in enumerate(sorted(doc.chains))}
+    wire = encode(doc.sentences, doc.mentions(), fmt, idmap).render()
+    noisy = perturb(wire, random.Random(seed), p_drop=0.2, p_dup=0.2, p_typo=0.2)
+    decoded, _ = decode(noisy, fmt)
+    assert render(decoded) == _render_per_token(decoded)

@@ -182,7 +182,7 @@ def _pieces(draw):
 @given(data=st.data(), drawn=_pieces())
 def test_truncate_matches_bisection_on_rendered_size(data, drawn):
     fmt, pieces = drawn
-    acc, counts = AnnotatedText([], [], fmt, ()), AtomCounts(fmt)
+    acc, counts = AnnotatedText([], [], fmt, []), AtomCounts(fmt)  # as the walker makes it
     for piece in pieces:
         pipeline._append(acc, counts, piece)
     size = len(acc.render().split())
@@ -191,6 +191,51 @@ def test_truncate_matches_bisection_on_rendered_size(data, drawn):
     assert truncate_context(acc, budget) == expected
     # the counts kept piece by piece, as the window walker keeps them
     assert truncate_context(acc, budget, counts) == expected
+
+
+def _sliced_by_filter(annotated, lo, hi):
+    """Reference for ``slice_annotated``: one pass over every event and
+    every break."""
+    kept = [ev for ev in annotated.events
+            if lo <= ev.anchor < hi and (ev.end is None or ev.end < hi)
+            or ev.anchor == lo - 1 == -1]
+    return AnnotatedText(list(annotated.tokens[lo:hi]), [ev.shifted(-lo) for ev in kept],
+                         annotated.fmt, tuple(b - lo for b in annotated.breaks if lo < b < hi))
+
+
+def _bounds(data, annotated):
+    """A slice [lo, hi) of the text: lo often 0, hi often the last token of
+    a span, which then straddles it."""
+    n = len(annotated.tokens)
+    lo = data.draw(st.one_of(st.just(0), st.integers(0, n)))
+    ends = [ev.end for ev in annotated.events if ev.end is not None and ev.end >= lo]
+    his = st.one_of(st.integers(lo, n), st.sampled_from(ends)) if ends else st.integers(lo, n)
+    return lo, data.draw(his)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), seed=st.integers(0, 10_000), fmt=st.sampled_from(list(Format)),
+       lead=st.booleans())
+def test_slice_matches_linear_filter_on_built_events(data, seed, fmt, lead):
+    doc = random_document("d", SynthConfig(seed=seed, p_zero=0.3))
+    mentions = doc.mentions()
+    if lead:  # a zero ahead of the first token, anchored at -1
+        mentions.insert(0, Mention("e1", 0, (), (0, 1), True))
+    full = build_events(doc.sentences, mentions, fmt)
+    assert (full.events[0].anchor == -1) is lead
+    lo, hi = _bounds(data, full)
+    assert slice_annotated(full, lo, hi) == _sliced_by_filter(full, lo, hi)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), drawn=_pieces())
+def test_slice_matches_linear_filter_on_walker_accumulators(data, drawn):
+    fmt, pieces = drawn
+    acc, counts = AnnotatedText([], [], fmt, []), AtomCounts(fmt)  # as the walker makes it
+    for piece in pieces:
+        pipeline._append(acc, counts, piece)
+    lo, hi = _bounds(data, acc)
+    assert slice_annotated(acc, lo, hi) == _sliced_by_filter(acc, lo, hi)
 
 
 def test_trimming_renders_per_window_do_not_grow_with_the_document(monkeypatch):
@@ -219,7 +264,7 @@ def test_truncate_context_renders_nothing(monkeypatch, fmt):
     doc = random_document("d", SynthConfig(sentences=(400, 400), seed=7))
     full = build_events(doc.sentences, doc.mentions(), fmt)
     starts = doc.sentence_starts()
-    acc, counts = AnnotatedText([], [], fmt, ()), AtomCounts(fmt)
+    acc, counts = AnnotatedText([], [], fmt, []), AtomCounts(fmt)  # as the walker makes it
     for lo, hi in iter_windows(len(doc.sentences), 6):
         pipeline._append(acc, counts, slice_annotated(full, starts[lo], starts[hi]))
     calls = []
