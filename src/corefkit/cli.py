@@ -139,9 +139,11 @@ def build_backend(job: JobConfig) -> ModelBackend:
     if job.backend == "http":
         if not job.url or not job.model:
             raise UsageError("--url and --model are required for the http backend")
-        return HttpBackend(job.url, job.model, max_tokens=job.max_tokens,
-                           timeout=job.timeout, token_env=job.token_env,
-                           connections=job.jobs)
+        try:
+            return HttpBackend(job.url, job.model, max_tokens=job.max_tokens,
+                               timeout=job.timeout, token_env=job.token_env)
+        except ValueError as exc:
+            raise UsageError(str(exc)) from exc
     raise UsageError(f"unknown backend {job.backend!r}")
 
 
@@ -294,12 +296,13 @@ def cmd_annotate(args) -> int:
     cfg = pipeline_config(job)
     if job.jobs < 1:
         raise UsageError("jobs must be >= 1")
+    if job.max_tokens < 1:
+        raise UsageError("max_tokens must be >= 1")
+    if not job.timeout > 0:  # NaN included
+        raise UsageError("timeout must be > 0")
     backend = build_backend(job)
-    try:
-        predicted, reports = annotate_corpus(_read_corpus(args.input), backend, cfg,
-                                             jobs=job.jobs)
-    finally:
-        backend.close()
+    predicted, reports = annotate_corpus(_read_corpus(args.input), backend, cfg,
+                                         jobs=job.jobs)
     out = "".join(serialize_conllu(d) for _, docs in predicted.datasets for d in docs)
     _write_text(args.output, out)
     diags = [d for r in reports for d in r.diagnostics]
@@ -422,7 +425,7 @@ def build_parser() -> _Parser:
     p.add_argument("--replay", default=None, help="JSONL of captured completions")
     p.add_argument("--oracle", default=None, help="JSONL of exported training pairs")
     p.add_argument("--jobs", type=int, default=None,
-                   help="documents annotated at once (http: one connection each)")
+                   help="documents annotated at once (http: one request in flight each)")
     p.add_argument("--diagnostics", help="write JSONL diagnostics here")
     p.set_defaults(func=cmd_annotate)
 

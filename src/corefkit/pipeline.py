@@ -25,16 +25,13 @@ from collections.abc import Iterator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from operator import attrgetter
-from typing import TYPE_CHECKING
+from urllib.parse import urlsplit
 
 from .align import clean
 from .conllu import Chain, Corpus, Document, Mention, Token
 from .diag import Diagnostic
 from .formats import AnnotatedText, AtomCounts, Format, build_events, events_to_mentions
 from .reindex import IdAllocator, IdMap, globalize, localize
-
-if TYPE_CHECKING:
-    import requests
 
 
 @dataclass
@@ -183,20 +180,12 @@ class ModelBackend:
     ``ref`` identifies the window as (doc_id, window_index); offline
     backends key on it, live ones may ignore it. ``generate`` must be
     thread-safe: with ``jobs > 1`` the pool calls it from several threads at
-    once. It is the only side-effecting call the pipeline makes.
-
-    ``close`` releases what the backend holds once the run is over. The CLI
-    exits soon after, but ``cli.main`` and ``annotate_corpus`` also run
-    inside long-lived processes that build a backend per run; without it each
-    http run would keep up to ``jobs`` idle sockets open until the session
-    is collected.
+    once. It is the only side-effecting call the pipeline makes, and a
+    backend holds nothing that outlives it.
     """
 
     def generate(self, prompt: str, ref: tuple[str, int] | None = None) -> str:
         raise NotImplementedError
-
-    def close(self) -> None:
-        pass
 
 
 class EmptyBackend(ModelBackend):
@@ -250,71 +239,59 @@ def _retry_after(value: str | None) -> float | None:
 
 class HttpBackend(ModelBackend):
     """OpenAI-style completions endpoint. The bearer token is read from the
-    environment (never from config files or flags).
+    environment (never from config files or flags) and is never sent on to
+    a redirect's target.
 
-    One session serves every thread; its connection pool holds
-    ``connections`` keep-alive connections, one per concurrent caller.
-    ``requests`` does not promise that a ``Session`` is thread-safe. Sharing
-    one relies on each call being a plain POST with per-call headers and no
-    redirect to follow: the only session state a call writes is the cookie
-    jar, which ``http.cookiejar`` locks, and urllib3's connection pool is
-    thread-safe. ``tests/test_http.py`` checks that ``--jobs 4`` against a
-    loopback server gives the ``--jobs 1`` output byte for byte.
+    Each call makes one request on a connection of its own, so the backend
+    holds no state between calls and is thread-safe by construction.
     A 408, 429, 5xx, timeout, connection error or malformed response is
-    transient; any other 4xx is permanent.
+    transient; any other status, an unfollowed redirect included, is
+    permanent. A URL whose scheme is not http or https raises ValueError.
     """
 
     def __init__(self, url: str, model: str, max_tokens: int = 2048,
-                 timeout: float = 120.0, token_env: str = "COREFKIT_API_TOKEN",
-                 session: requests.Session | None = None, connections: int = 1):
+                 timeout: float = 120.0, token_env: str = "COREFKIT_API_TOKEN"):
+        parts = urlsplit(url)  # file:// and the like would be read as completions
+        if parts.scheme not in ("http", "https") or not parts.hostname:
+            raise ValueError(f"url {url!r} is not an http:// or https:// URL")
         self.url = url
         self.model = model
         self.max_tokens = max_tokens
         self.timeout = timeout
         self.token_env = token_env
-        self._owns_session = session is None
-        if session is None:
-            import requests  # deferred: most runs never talk to an endpoint
-            from requests.adapters import HTTPAdapter
-            session = requests.Session()
-            adapter = HTTPAdapter(pool_maxsize=connections)
-            session.mount("http://", adapter)
-            session.mount("https://", adapter)
-        self.session = session
 
     def generate(self, prompt, ref=None):
-        import requests
-        headers = {}
-        token = os.environ.get(self.token_env)
-        if token:
-            headers["Authorization"] = f"Bearer {token}"
+        import http.client  # deferred: most runs never talk to an endpoint
+        import urllib.error
+        import urllib.request
         payload = {"model": self.model, "prompt": prompt,
                    "max_tokens": self.max_tokens, "temperature": 0}
+        request = urllib.request.Request(self.url, data=json.dumps(payload).encode(),
+                                         headers={"Content-Type": "application/json"})
+        token = os.environ.get(self.token_env)
+        if token:
+            # urllib copies ordinary headers onto a redirect, to any host
+            request.add_unredirected_header("Authorization", f"Bearer {token}")
         try:
-            resp = self.session.post(self.url, json=payload, headers=headers,
-                                     timeout=self.timeout)
-        except requests.RequestException as exc:
-            raise BackendError(f"completion request failed: {exc}") from exc
-        status = resp.status_code
-        if status >= 400:
+            with urllib.request.urlopen(request, timeout=self.timeout) as resp:
+                body = resp.read()
+        except urllib.error.HTTPError as exc:
+            exc.close()
+            status = exc.code
             message = f"completion request failed: HTTP {status} from {self.url}"
             if status < 500 and status not in (408, 429):
-                raise PermanentBackendError(message)
-            raise BackendError(message, _retry_after(resp.headers.get("Retry-After"))
-                               if status in (429, 503) else None)
+                raise PermanentBackendError(message) from None
+            raise BackendError(message, _retry_after(exc.headers.get("Retry-After"))
+                               if status in (429, 503) else None) from None
+        except (OSError, http.client.HTTPException) as exc:
+            raise BackendError(f"completion request failed: {exc}") from exc
         try:
-            text = resp.json()["choices"][0]["text"]
+            text = json.loads(body)["choices"][0]["text"]
         except (KeyError, IndexError, TypeError, ValueError) as exc:
             raise BackendError(f"malformed completion response: {exc!r}") from exc
         if not isinstance(text, str):
             raise BackendError(f"completion text is not a string: {text!r}")
         return text
-
-    def close(self) -> None:
-        """Closes the session this backend made; one passed in stays open
-        for its owner."""
-        if self._owns_session:
-            self.session.close()
 
 
 # -- annotation loop -------------------------------------------------------------

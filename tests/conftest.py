@@ -1,9 +1,15 @@
-"""Shared fixtures: the worked single-sentence document and its renderings.
+"""Shared fixtures: the worked single-sentence document and its renderings,
+and an in-process loopback completions server for ``HttpBackend``.
 
 The sentence exercises every construct at once — a nested mention pair, a
 pronoun inside the outer span, and a zero subject realized as an empty node
 after "brings" — so most format and round-trip tests start from it.
 """
+import json
+import threading
+from contextlib import contextmanager
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+
 import pytest
 from hypothesis import settings
 
@@ -65,3 +71,95 @@ SISTER_IDMAP = {"e1": 1, "e2": 2}
 @pytest.fixture
 def sister_doc() -> Document:
     return make_sister_doc()
+
+
+class Loopback(ThreadingHTTPServer):
+    """Answers each prompt with its gold completion (404 when it has none).
+
+    ``script`` holds (status, headers, body) replies served first, one per
+    request. When ``gate`` is set, the first two requests wait on it, so they
+    are answered only if both are in flight at once. When ``stall`` is set,
+    each request waits for it and is then dropped unanswered. ``seen`` holds
+    each request's (method, headers, JSON body or None).
+    """
+
+    daemon_threads = True
+
+    def __init__(self):
+        super().__init__(("127.0.0.1", 0), _Handler)
+        self.gold: dict[str, str] = {}
+        self.script: list[tuple[int, dict, bytes]] = []
+        self.gate: threading.Barrier | None = None
+        self.stall: threading.Event | None = None
+        self.calls = 0
+        self.seen: list[tuple[str, dict, dict | None]] = []
+        self.lock = threading.Lock()
+
+    @property
+    def url(self) -> str:
+        return f"http://127.0.0.1:{self.server_address[1]}/v1/completions"
+
+
+class _Handler(BaseHTTPRequestHandler):
+    protocol_version = "HTTP/1.1"
+
+    def log_message(self, format, *args):
+        pass
+
+    def _reply(self, status: int, headers: dict, body: bytes) -> None:
+        self.send_response(status)
+        for key, value in headers.items():
+            self.send_header(key, value)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(body)))
+        self.end_headers()
+        self.wfile.write(body)
+
+    def do_GET(self):
+        with self.server.lock:
+            self.server.seen.append(("GET", dict(self.headers), None))
+        self._reply(405, {}, b'{"error": "POST only"}')
+
+    def do_POST(self):
+        server = self.server
+        payload = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
+        with server.lock:
+            server.calls += 1
+            server.seen.append(("POST", dict(self.headers), payload))
+            held = server.gate is not None and server.calls <= 2
+            scripted = server.script.pop(0) if server.script else None
+        if server.stall is not None:
+            server.stall.wait(timeout=5)
+            return
+        if held:
+            try:
+                server.gate.wait()
+            except threading.BrokenBarrierError:
+                return self._reply(400, {}, b'{"error": "requests ran one at a time"}')
+        if scripted:
+            return self._reply(*scripted)
+        if payload["prompt"] not in server.gold:
+            return self._reply(404, {}, b'{"error": "unknown prompt"}')
+        body = {"choices": [{"text": server.gold[payload["prompt"]], "index": 0}]}
+        self._reply(200, {}, json.dumps(body).encode())
+
+
+@contextmanager
+def serving():
+    """A :class:`Loopback` answering on a thread until the block ends."""
+    server = Loopback()
+    thread = threading.Thread(target=server.serve_forever, args=(0.01,), daemon=True)
+    thread.start()
+    try:
+        yield server
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=5)
+    assert not thread.is_alive()
+
+
+@pytest.fixture
+def loopback():
+    with serving() as server:
+        yield server

@@ -2,6 +2,7 @@
 import io
 import json
 import os
+import socket
 import subprocess
 import sys
 from pathlib import Path
@@ -9,7 +10,6 @@ from pathlib import Path
 import pytest
 
 import corefkit
-from corefkit import cli
 from corefkit.cli import JobConfig, UsageError, build_backend, main
 from corefkit.conllu import parse_conllu, serialize_conllu
 from corefkit.pipeline import (EmptyBackend, HttpBackend, OracleBackend, _read_jsonl,
@@ -259,6 +259,34 @@ def test_annotate_needs_at_least_one_job(gold_path, capsys, jobs):
     assert capsys.readouterr().err == "error: jobs must be >= 1\n"
 
 
+@pytest.mark.parametrize("flags, config, message", [
+    (["--timeout", "0"], None, "timeout must be > 0"),
+    (["--timeout", "-1"], None, "timeout must be > 0"),
+    (["--timeout", "nan"], None, "timeout must be > 0"),
+    ([], {"timeout": 0}, "timeout must be > 0"),
+    (["--max-tokens", "0"], None, "max_tokens must be >= 1"),
+    ([], {"max_tokens": -5}, "max_tokens must be >= 1"),
+    (["--url", "localhost:8000/v1/completions"], None,
+     "url 'localhost:8000/v1/completions' is not an http:// or https:// URL"),
+    ([], {"url": "file:///etc/hostname"},
+     "url 'file:///etc/hostname' is not an http:// or https:// URL"),
+], ids=["zero-timeout", "negative-timeout", "nan-timeout", "config-zero-timeout",
+        "zero-max-tokens", "config-negative-max-tokens", "schemeless-url",
+        "config-file-url"])
+def test_bad_http_values_are_usage_errors(gold_path, tmp_path, capsys, flags, config,
+                                          message):
+    # the refused port is never reached: each run stops before a request
+    if config is None:  # a later --url wins
+        flags = ["--url", "http://127.0.0.1:9/v1/completions", *flags]
+    else:
+        path = tmp_path / "job.json"
+        path.write_text(json.dumps({"url": "http://127.0.0.1:9/v1/completions",
+                                    **config}), encoding="utf-8")
+        flags = [*flags, "--config", str(path)]
+    assert run("annotate", gold_path, "--backend", "http", "--model", "m", *flags) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_unreadable_config_exits_1(gold_path, tmp_path, capsys):
     missing = str(tmp_path / "nothere.json")
     assert run("export-train", gold_path, "--config", missing) == 1
@@ -438,39 +466,33 @@ def test_build_backend_kinds(tmp_path):
     assert isinstance(replay, OracleBackend) and replay.replay
     oracle = build_backend(JobConfig(backend="oracle", oracle=str(p)))
     assert isinstance(oracle, OracleBackend) and not oracle.replay
-    http = build_backend(JobConfig(backend="http", url="u", model="m",
+    http = build_backend(JobConfig(backend="http", url="http://u", model="m",
                                    max_tokens=1))
     assert isinstance(http, HttpBackend)
-    assert (http.url, http.model, http.max_tokens) == ("u", "m", 1)
-    http.close()
-    # one keep-alive connection per job, past urllib3's default pool of 10
-    pooled = build_backend(JobConfig(backend="http", url="http://u", model="m", jobs=12))
-    assert pooled.session.get_adapter("http://u").poolmanager.connection_pool_kw[
-        "maxsize"] == 12
-    pooled.close()
+    assert (http.url, http.model, http.max_tokens) == ("http://u", "m", 1)
     with pytest.raises(UsageError):
         build_backend(JobConfig(backend="nonsense"))
 
 
-def test_annotate_closes_its_backend(gold_path, monkeypatch):
-    closed = []
-
-    class Recording(EmptyBackend):
-        def close(self):
-            closed.append(True)
-
-    monkeypatch.setattr(cli, "build_backend", lambda job: Recording())
-    assert run("annotate", gold_path) == 0
-    assert closed == [True]
-
-
 def test_cli_import_loads_no_third_party_module():
-    # requests is imported only when an http backend is built, and scoring
-    # needs nothing beyond the standard library
+    # scoring and the http backend need nothing beyond the standard library:
+    # with requests and urllib3 blocked, an http backend is built and makes
+    # one request (to a refused port), and only corefkit is loaded from
+    # outside the standard library
     src = str(Path(corefkit.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    probe = ("import sys; before = set(sys.modules); import corefkit.cli; "
+    with socket.socket() as probe_socket:
+        probe_socket.bind(("127.0.0.1", 0))
+        port = probe_socket.getsockname()[1]
+    probe = ("import sys; sys.modules.update(requests=None, urllib3=None); "
+             "before = set(sys.modules); import corefkit.cli as cli; "
+             "from corefkit.pipeline import BackendError; "
+             "backend = cli.build_backend(cli.JobConfig(backend='http', "
+             f"url='http://127.0.0.1:{port}/v1/completions', model='m', timeout=5))\n"
+             "try: backend.generate('p')\n"
+             "except BackendError: pass\n"
+             "else: sys.exit('no BackendError')\n"
              "print(sorted({m.partition('.')[0] for m in set(sys.modules) - before}"
              " - set(sys.stdlib_module_names)))")
     proc = subprocess.run([sys.executable, "-c", probe],

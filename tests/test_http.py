@@ -1,9 +1,8 @@
-"""HttpBackend against an in-process loopback completions server: requests
-in flight at once under ``--jobs``, and which failures are retried."""
-import json
+"""HttpBackend against an in-process loopback completions server (see
+``conftest.Loopback``): requests in flight at once under ``--jobs``, which
+failures are retried, timeouts and redirects."""
 import socket
 import threading
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
@@ -15,75 +14,7 @@ from corefkit.pipeline import (BackendError, HttpBackend, PermanentBackendError,
                                export_training_pairs, load_pairs)
 from corefkit.synth import SynthConfig, random_corpus
 
-
-class Loopback(ThreadingHTTPServer):
-    """Answers each prompt with its gold completion (404 when it has none).
-
-    ``script`` holds (status, headers, body) replies served first, one per
-    request. When ``gate`` is set, the first two requests wait on it, so they
-    are answered only if both are in flight at once.
-    """
-
-    daemon_threads = True
-
-    def __init__(self):
-        super().__init__(("127.0.0.1", 0), _Handler)
-        self.gold: dict[str, str] = {}
-        self.script: list[tuple[int, dict, bytes]] = []
-        self.gate: threading.Barrier | None = None
-        self.requests = 0
-        self.lock = threading.Lock()
-
-    @property
-    def url(self) -> str:
-        return f"http://127.0.0.1:{self.server_address[1]}/v1/completions"
-
-
-class _Handler(BaseHTTPRequestHandler):
-    protocol_version = "HTTP/1.1"
-
-    def log_message(self, format, *args):
-        pass
-
-    def _reply(self, status: int, headers: dict, body: bytes) -> None:
-        self.send_response(status)
-        for key, value in headers.items():
-            self.send_header(key, value)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
-
-    def do_POST(self):
-        server = self.server
-        prompt = json.loads(self.rfile.read(int(self.headers["Content-Length"])))["prompt"]
-        with server.lock:
-            server.requests += 1
-            held = server.gate is not None and server.requests <= 2
-            scripted = server.script.pop(0) if server.script else None
-        if held:
-            try:
-                server.gate.wait()
-            except threading.BrokenBarrierError:
-                return self._reply(400, {}, b'{"error": "requests ran one at a time"}')
-        if scripted:
-            return self._reply(*scripted)
-        if prompt not in server.gold:
-            return self._reply(404, {}, b'{"error": "unknown prompt"}')
-        body = {"choices": [{"text": server.gold[prompt], "index": 0}]}
-        self._reply(200, {}, json.dumps(body).encode())
-
-
-@pytest.fixture
-def loopback():
-    server = Loopback()
-    thread = threading.Thread(target=server.serve_forever, args=(0.01,), daemon=True)
-    thread.start()
-    yield server
-    server.shutdown()
-    server.server_close()
-    thread.join(timeout=5)
-    assert not thread.is_alive()
+from conftest import serving
 
 
 @pytest.fixture
@@ -108,7 +39,7 @@ def test_jobs_keep_requests_in_flight_concurrently(loopback, tmp_path):
         return out.read_bytes()
 
     serial = annotate(1)
-    loopback.requests = 0
+    loopback.calls = 0
     loopback.gate = threading.Barrier(2, timeout=5)
     assert annotate(4) == serial
     assert not loopback.gate.broken
@@ -126,13 +57,9 @@ def test_failures_retried_by_class(loopback, sister_doc, sleeps, script, attempt
     [pair] = export_training_pairs(sister_doc, cfg)
     loopback.gold = {pair.prompt: pair.completion}
     loopback.script = script
-    backend = HttpBackend(loopback.url, "m")
-    try:
-        _, [report] = annotate_document(sister_doc, backend, cfg)
-    finally:
-        backend.close()
+    _, [report] = annotate_document(sister_doc, HttpBackend(loopback.url, "m"), cfg)
     assert (report.attempts, report.annotated, sleeps) == (attempts, annotated, waited)
-    assert loopback.requests == attempts
+    assert loopback.calls == attempts
 
 
 @pytest.mark.parametrize("status, retry_after, error, wait", [
@@ -150,12 +77,8 @@ def test_failures_retried_by_class(loopback, sister_doc, sleeps, script, attempt
 def test_http_status_classes(loopback, status, retry_after, error, wait):
     headers = {"Retry-After": retry_after} if retry_after else {}
     loopback.script = [(status, headers, b"{}")]
-    backend = HttpBackend(loopback.url, "m")
-    try:
-        with pytest.raises(BackendError, match=f"HTTP {status}") as caught:
-            backend.generate("p")
-    finally:
-        backend.close()
+    with pytest.raises(BackendError, match=f"HTTP {status}") as caught:
+        HttpBackend(loopback.url, "m").generate("p")
     assert type(caught.value) is error
     assert caught.value.retry_after == wait
 
@@ -165,9 +88,33 @@ def test_connection_refused_is_transient():
         probe.bind(("127.0.0.1", 0))
         port = probe.getsockname()[1]
     backend = HttpBackend(f"http://127.0.0.1:{port}/v1/completions", "m", timeout=5)
-    try:
-        with pytest.raises(BackendError) as caught:
-            backend.generate("p")
-    finally:
-        backend.close()
+    with pytest.raises(BackendError) as caught:
+        backend.generate("p")
     assert type(caught.value) is BackendError
+
+
+def test_reply_slower_than_timeout_is_transient(loopback):
+    loopback.stall = threading.Event()
+    try:
+        with pytest.raises(BackendError, match="timed out") as caught:
+            HttpBackend(loopback.url, "m", timeout=0.2).generate("p")
+    finally:
+        loopback.stall.set()
+    assert type(caught.value) is BackendError
+    assert loopback.calls == 1
+
+
+@pytest.mark.parametrize("status, error, followed", [
+    (302, "HTTP 405", True),  # followed as a GET, which the endpoint refuses
+    (307, "HTTP 307", False),  # urllib does not re-send a POST
+])
+def test_token_does_not_follow_a_redirect(loopback, monkeypatch, status, error, followed):
+    monkeypatch.setenv("COREFKIT_API_TOKEN", "sekrit")
+    with serving() as elsewhere:
+        loopback.script = [(status, {"Location": elsewhere.url}, b"{}")]
+        with pytest.raises(PermanentBackendError, match=error):
+            HttpBackend(loopback.url, "m").generate("p")
+    [(_, headers, _)] = loopback.seen
+    assert headers["Authorization"] == "Bearer sekrit"
+    assert [m for m, _, _ in elsewhere.seen] == (["GET"] if followed else [])
+    assert all("Authorization" not in h for _, h, _ in elsewhere.seen)

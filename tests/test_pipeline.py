@@ -390,67 +390,37 @@ def test_permanent_failure_is_not_retried(sister_doc):
     assert not report.annotated and report.attempts == backend.calls == 1
 
 
-class _FakeResponse:
-    def __init__(self, payload, status=200):
-        self.payload = payload
-        self.status_code = status
-        self.headers = {}
-
-    def json(self):
-        return self.payload
-
-
-class _FakeSession:
-    def __init__(self, payload, status=200):
-        self.payload = payload
-        self.status = status
-        self.seen = []
-        self.closed = False
-
-    def post(self, url, json=None, headers=None, timeout=None):
-        self.seen.append((url, json, headers, timeout))
-        return _FakeResponse(self.payload, self.status)
-
-    def close(self):
-        self.closed = True
-
-
-def test_http_backend_request_shape(monkeypatch):
+def test_http_backend_request_shape(loopback, monkeypatch):
     monkeypatch.setenv("COREFKIT_API_TOKEN", "sekrit")
-    session = _FakeSession({"choices": [{"text": "annotated!"}]})
-    backend = HttpBackend("http://unit.test/v1", "m-1", max_tokens=64,
-                          timeout=9.0, session=session)
+    loopback.gold = {"PROMPT": "annotated!"}
+    backend = HttpBackend(loopback.url, "m-1", max_tokens=64, timeout=9.0)
     assert backend.generate("PROMPT") == "annotated!"
-    [(url, payload, headers, timeout)] = session.seen
-    assert url == "http://unit.test/v1"
+    [(method, headers, payload)] = loopback.seen
+    assert method == "POST"
     assert payload == {"model": "m-1", "prompt": "PROMPT",
                        "max_tokens": 64, "temperature": 0}
-    assert headers == {"Authorization": "Bearer sekrit"}
-    assert timeout == 9.0
+    assert headers["Authorization"] == "Bearer sekrit"
 
 
-def test_http_backend_token_only_from_environment(monkeypatch):
+def test_http_backend_token_only_from_environment(loopback, monkeypatch):
     monkeypatch.delenv("COREFKIT_API_TOKEN", raising=False)
-    session = _FakeSession({"choices": [{"text": "ok"}]})
-    HttpBackend("http://unit.test", "m", session=session).generate("p")
-    assert session.seen[0][2] == {}  # no token in env -> no auth header
+    loopback.gold = {"p": "ok"}
+    HttpBackend(loopback.url, "m").generate("p")
+    [(_, headers, _)] = loopback.seen
+    assert "Authorization" not in headers  # no token in env -> no auth header
 
 
-def test_http_backend_leaves_a_passed_session_open():
-    session = _FakeSession({"choices": [{"text": "ok"}]})
-    HttpBackend("http://unit.test", "m", session=session).close()
-    assert not session.closed
-
-
-def test_http_backend_wraps_failures(monkeypatch):
+def test_http_backend_wraps_failures(loopback, monkeypatch):
     monkeypatch.delenv("COREFKIT_API_TOKEN", raising=False)
-    for session in (_FakeSession({}, status=500), _FakeSession({"nope": 1}),
-                    _FakeSession({"choices": [{"text": None}]}),
-                    _FakeSession({"choices": [{"text": 5}]}),
-                    _FakeSession({"choices": None})):
-        backend = HttpBackend("http://unit.test", "m", session=session)
-        with pytest.raises(BackendError):
+    bodies = [(500, {}), (200, {"nope": 1}), (200, {"choices": [{"text": None}]}),
+              (200, {"choices": [{"text": 5}]}), (200, {"choices": None})]
+    loopback.script = [(status, {}, json.dumps(body).encode()) for status, body in bodies]
+    backend = HttpBackend(loopback.url, "m")
+    for _ in bodies:
+        with pytest.raises(BackendError) as caught:
             backend.generate("p")
+        assert type(caught.value) is BackendError  # transient: worth a retry
+    assert loopback.calls == len(bodies)
 
 
 class _PairedBackend(EmptyBackend):
