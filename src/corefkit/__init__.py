@@ -9,7 +9,7 @@ reports corpus statistics; ``synth`` fabricates test data.
 """
 from .align import Alignment, align_tokens, clean, edit_similarity
 from .conllu import (Chain, ConlluError, Corpus, Document, Mention, Sentence,
-                     Token, parse_conllu, serialize_conllu, serialize_corpus)
+                     Token, iter_conllu, parse_conllu, serialize_conllu, serialize_corpus)
 from .diag import Diagnostic
 from .formats import (AnnotatedText, Format, FormatError, TagEvent,
                       build_events, decode, encode, events_to_mentions, render)
@@ -18,7 +18,7 @@ from .metrics import (DensityStats, DistanceCdf, ScoreReport, antecedent_cdf,
 from .pipeline import (BackendError, EmptyBackend, HttpBackend, ModelBackend,
                        OracleBackend, PermanentBackendError, PipelineConfig,
                        PRESETS, TrainingPair, annotate_corpus, annotate_document,
-                       build_prompt, export_training_pairs)
+                       annotate_documents, build_prompt, export_training_pairs)
 from .reindex import IdAllocator, IdMap, globalize, localize
 from .synth import SynthConfig, perturb, random_corpus, random_document
 
@@ -31,10 +31,11 @@ __all__ = [
     "IdMap", "Mention", "ModelBackend", "OracleBackend", "PRESETS",
     "PermanentBackendError", "PipelineConfig", "ScoreReport", "Sentence",
     "SynthConfig", "TagEvent", "Token", "TrainingPair", "align_tokens",
-    "annotate_corpus", "annotate_document", "antecedent_cdf", "build_events",
+    "annotate_corpus", "annotate_document", "annotate_documents", "antecedent_cdf",
+    "build_events",
     "build_prompt", "clean", "conll_f1", "decode", "density",
     "edit_similarity", "encode", "events_to_mentions", "export_training_pairs",
-    "globalize", "localize", "parse_conllu", "perturb",
+    "globalize", "iter_conllu", "localize", "parse_conllu", "perturb",
     "random_corpus", "random_document", "render", "score", "serialize_conllu",
     "serialize_corpus", "__version__",
 ]

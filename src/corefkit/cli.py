@@ -21,21 +21,24 @@ import argparse
 import dataclasses
 import json
 import sys
+import tempfile
+import threading
 from collections.abc import Iterable, Iterator
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 from pathlib import Path
+from typing import TextIO
 
 from . import metrics
 from .align import clean as clean_output
-from .conllu import (ConlluError, Corpus, Document, Sentence, Token,
-                     parse_conllu, serialize_conllu)
+from .conllu import (ConlluError, Corpus, Document, Sentence, Token, iter_conllu,
+                     serialize_conllu)
 from .diag import Diagnostic
 from .formats import (Format, FormatError, apply_idmap, build_events, decode,
                       events_to_mentions)
 from .pipeline import (BackendError, EmptyBackend, HttpBackend, ModelBackend,
-                       OracleBackend, PRESETS, PipelineConfig, _read_jsonl,
-                       annotate_corpus, export_training_pairs, mentions_to_document)
+                       OracleBackend, PRESETS, PipelineConfig,
+                       annotate_documents, export_training_pairs, mentions_to_document)
 from .reindex import localize
 
 
@@ -133,7 +136,7 @@ def build_backend(job: JobConfig) -> ModelBackend:
             raise UsageError(f"--{job.backend} PATH is required for the {job.backend} backend")
         replay = job.backend == "replay"
         try:
-            return OracleBackend(dict(_read_jsonl(path, prompts=not replay)), replay=replay)
+            return OracleBackend(path, replay=replay)
         except (OSError, ValueError) as exc:
             raise ConlluError(f"--{job.backend} {path}: {exc}") from exc
     if job.backend == "http":
@@ -173,6 +176,20 @@ def _write_text(path: str, text: str | Iterable[str]) -> None:
         raise UsageError(f"cannot write {path}: {exc}") from exc
 
 
+@contextmanager
+def _output(path: str | None) -> Iterator[TextIO | None]:
+    """A temporary file for a command to write its output into as it goes;
+    it is copied to ``path`` (see ``_write_text``) only if the block ends
+    without an error. So output takes no memory, and a data error found late
+    leaves none. No ``path``, no file: the block gets None."""
+    with (tempfile.TemporaryFile("w+", encoding="utf-8", newline="") if path
+          else nullcontext()) as spool:
+        yield spool
+        if path:
+            spool.seek(0)
+            _write_text(path, iter(lambda: spool.read(1 << 16), ""))
+
+
 def _dataset_id(path: str) -> str:
     return "stdin" if path == "-" else Path(path).stem
 
@@ -183,34 +200,41 @@ def _shown(path: str) -> str:
 
 
 def _check_ids(name: str, docs: list[Document]) -> None:
-    """Refuses documents, read or decoded from ``name``, that repeat an id."""
+    """Refuses documents, decoded from ``name``, that repeat an id."""
     ids = [doc.doc_id for doc in docs]
     if len(set(ids)) < len(ids):
         repeated = next(i for n, i in enumerate(ids) if i in ids[:n])
         raise ConlluError(f"{name}: document id {repeated!r} appears more than once")
 
 
-def _parse_file(path: str) -> list[Document]:
-    """The documents of one CoNLL-U file; each parse warning goes to stderr."""
-    name = _shown(path)
+def _lines(path: str) -> Iterator[str]:
+    """The lines of the text at ``path`` (stdin for ``-``) as
+    ``str.splitlines`` gives them, read a block at a time: each block is
+    completed to a line end, so no line is split across two."""
     try:
-        docs = parse_conllu(_read_text(path))
+        with nullcontext(sys.stdin) if path == "-" else open(path, encoding="utf-8") as fh:
+            while block := fh.read(1 << 16):
+                yield from (block + fh.readline()).splitlines()
+    except OSError as exc:
+        raise ConlluError(f"cannot read {path}: {exc}") from exc
+
+
+def _read_documents(path: str) -> Iterator[Document]:
+    """The documents of one CoNLL-U file, read one at a time: a repeated id
+    is refused, and each parse warning goes to stderr, as its document is
+    read."""
+    name = _shown(path)
+    ids: set[str] = set()
+    try:
+        for doc in iter_conllu(_lines(path)):
+            if doc.doc_id in ids:
+                raise ConlluError(f"document id {doc.doc_id!r} appears more than once")
+            ids.add(doc.doc_id)
+            for w in doc.warnings:
+                print(f"warning: {name}: {w}", file=sys.stderr)
+            yield doc
     except ConlluError as exc:
         raise ConlluError(f"{name}: {exc}") from exc
-    _check_ids(name, docs)
-    for doc in docs:
-        for w in doc.warnings:
-            print(f"warning: {name}: {w}", file=sys.stderr)
-    return docs
-
-
-def _read_corpus(paths: list[str]) -> Corpus:
-    return Corpus([(_dataset_id(p), _parse_file(p)) for p in paths])
-
-
-def _documents(paths: list[str]) -> list[tuple[str, Document]]:
-    """(path, document) for every document of the files at ``paths``."""
-    return [(p, d) for p in paths for d in _parse_file(p)]
 
 
 @contextmanager
@@ -231,7 +255,7 @@ def _write_diags(path: str | None, diags: list[Diagnostic]) -> None:
 
 def cmd_convert(args) -> int:
     fmt = Format(args.format)
-    docs = _documents(args.input)
+    docs = [(p, d) for p in args.input for d in _read_documents(p)]
     blocks = []
     for path, doc in docs:
         with _in_document(path, doc):
@@ -300,18 +324,22 @@ def cmd_annotate(args) -> int:
         raise UsageError("max_tokens must be >= 1")
     if not job.timeout > 0:  # NaN included
         raise UsageError("timeout must be > 0")
+    if job.timeout > threading.TIMEOUT_MAX:  # a socket cannot wait that long
+        raise UsageError(f"timeout must be <= {threading.TIMEOUT_MAX:.0f}")
     backend = build_backend(job)
-    predicted, reports = annotate_corpus(_read_corpus(args.input), backend, cfg,
-                                         jobs=job.jobs)
-    out = "".join(serialize_conllu(d) for _, docs in predicted.datasets for d in docs)
-    _write_text(args.output, out)
-    diags = [d for r in reports for d in r.diagnostics]
-    _write_diags(args.diagnostics, diags)
-    skipped = sum(1 for r in reports if not r.annotated)
+    docs = (doc for path in args.input for doc in _read_documents(path))
+    windows = skipped = 0
+    # the output is written before the diagnostics, as it leaves the inner block first
+    with _output(args.diagnostics) as diags, _output(args.output) as out:
+        for pred, reports in annotate_documents(docs, backend, cfg, jobs=job.jobs):
+            out.write(serialize_conllu(pred))
+            windows += len(reports)
+            skipped += sum(not r.annotated for r in reports)
+            if diags is not None:
+                diags.writelines(d.to_json() + "\n" for r in reports for d in r.diagnostics)
     if skipped:
         # output above is the partial result; the exit code flags the gaps
-        print(f"error: {skipped} of {len(reports)} windows left unannotated",
-              file=sys.stderr)
+        print(f"error: {skipped} of {windows} windows left unannotated", file=sys.stderr)
         return 3
     return 0
 
@@ -324,8 +352,9 @@ def cmd_evaluate(args) -> int:
         if unpaired:
             raise UsageError("no --pred file shares the stem of --gold "
                              + ", ".join(unpaired))
-    gold = _read_corpus(args.gold)
-    pred = _read_corpus(args.pred)
+    # the documents are read as they are scored (metrics.conll_f1)
+    gold = Corpus([(_dataset_id(p), _read_documents(p)) for p in args.gold])
+    pred = Corpus([(_dataset_id(p), _read_documents(p)) for p in args.pred])
     if len(args.gold) == 1 and len(args.pred) == 1:
         pred = Corpus([(gold.datasets[0][0], pred.datasets[0][1])])
     report = metrics.conll_f1(gold, pred)
@@ -337,7 +366,7 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_stats(args) -> int:
-    gold = _read_corpus(args.input)
+    gold = Corpus([(_dataset_id(p), list(_read_documents(p))) for p in args.input])
     dens = metrics.density(gold, include_singletons=not args.no_singletons)
     cdf = metrics.antecedent_cdf(gold)
     payload = dens.as_dict()
@@ -353,11 +382,11 @@ def cmd_stats(args) -> int:
 
 def cmd_export_train(args) -> int:
     cfg = pipeline_config(load_job_config(args.config, vars(args)))
-    pairs = []
-    for path, doc in _documents(args.input):
-        with _in_document(path, doc):
-            pairs += export_training_pairs(doc, cfg)
-    _write_text(args.output, (p.to_json() + "\n" for p in pairs))
+    with _output(args.output) as out:
+        for path in args.input:
+            for doc in _read_documents(path):
+                with _in_document(path, doc):
+                    out.writelines(p.to_json() + "\n" for p in export_training_pairs(doc, cfg))
     return 0
 
 

@@ -22,7 +22,9 @@ node, an empty node governed by an elided one) it adds a line to
 """
 from __future__ import annotations
 
+import itertools
 import re
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 
 
@@ -425,23 +427,26 @@ def _assemble_mentions(entity_events, sent: Sentence, sent_index: int,
     return mentions
 
 
-def parse_conllu(text: str) -> list[Document]:
-    """Parse a CoNLL-U string (one or more ``# newdoc id`` documents)."""
-    docs: list[Document] = []
+def iter_conllu(lines: Iterable[str]) -> Iterator[Document]:
+    """Read CoNLL-U lines (as ``str.splitlines`` gives them, numbered from 1)
+    and yield each ``# newdoc id`` document once the next header or the end
+    arrives, so a reader holds one document at a time."""
+    doc: Document | None = None
     acc = _SentenceAccumulator()
     sent_ids: set[str] = set()
     # each line is a comment ("#"), a token line or a sentence break (blank);
-    # the blank line appended to the text closes its last sentence
-    for line_no, line in enumerate([*text.splitlines(), ""], start=1):
+    # the blank line and the header appended to the input close its last
+    # sentence and its last document
+    for line_no, line in enumerate(itertools.chain(lines, ("", "# newdoc id")), start=1):
         if line[:1] == "#":
             body = line[1:].strip()
             if not body.startswith("newdoc id"):
-                if not docs:
+                if doc is None:
                     continue  # file preamble, e.g. "# global.columns = ..."
-                if acc.empty() and not docs[-1].sentences \
+                if acc.empty() and not doc.sentences \
                         and not body.startswith(("sent_id", "text ", "text=")):
                     # document-level header block (e.g. "# global.Entity = ...")
-                    docs[-1].meta.append(line)
+                    doc.meta.append(line)
                 elif body.startswith("sent_id"):
                     acc.sent_id = body.partition("=")[2].strip()
                 elif body.startswith("text") and body.partition("=")[0].strip() == "text":
@@ -477,20 +482,25 @@ def parse_conllu(text: str) -> list[Document]:
             body = None
         # a sentence break or a "# newdoc id" header
         if not acc.empty():
-            if not docs:
+            if doc is None:
                 raise ConlluError("sentence before any '# newdoc id' header", line_no)
             if acc.sent_id and acc.sent_id in sent_ids:
                 raise ConlluError(f"duplicate sent_id {acc.sent_id!r}", line_no)
             sent_ids.add(acc.sent_id)
-            acc.build(docs[-1])
+            acc.build(doc)
         acc = _SentenceAccumulator()
         if body is not None:
-            docs.append(Document(body.partition("=")[2].strip()))
+            if doc is not None:
+                for c in doc.chains.values():
+                    c.sort()
+                yield doc
+            doc = Document(body.partition("=")[2].strip())
             sent_ids.clear()
-    for doc in docs:
-        for chain in doc.chains.values():
-            chain.sort()
-    return docs
+
+
+def parse_conllu(text: str) -> list[Document]:
+    """Parse a CoNLL-U string (one or more ``# newdoc id`` documents)."""
+    return list(iter_conllu(text.splitlines()))
 
 
 # -- serialization -----------------------------------------------------------

@@ -21,6 +21,7 @@ import csv
 import heapq
 import io
 import json
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 from .conllu import Corpus, Document, Mention
@@ -209,22 +210,39 @@ class ScoreReport:
                          for r in rows)
 
 
+def _take(doc_id: str, rest: Iterator[Document], held: dict[str, Document]) -> Document | None:
+    """The document of ``doc_id`` from ``held``, else read from ``rest``;
+    the documents read past it are added to ``held``."""
+    if doc_id in held:
+        return held.pop(doc_id)
+    for doc in rest:
+        if doc.doc_id == doc_id:
+            return doc
+        held[doc.doc_id] = doc
+    return None
+
+
 def conll_f1(gold: Corpus, pred: Corpus) -> ScoreReport:
     """Dataset-level micro aggregation, macro averaged across datasets.
 
+    A dataset's documents may be a list or an iterator, read once: each gold
+    document is scored as it comes against the first unused prediction
+    document of its id, and prediction documents are read only as far as
+    that one, so only those that come out of gold order are held. Every
+    prediction document is read, matched or not, before the report is made.
     Documents present in gold but missing from pred are scored against an
     empty prediction and reported in the warnings list.
     """
     report = ScoreReport()
-    pred_by_ds = {name: {d.doc_id: d for d in docs} for name, docs in pred.datasets}
+    pred_by_ds = {name: (iter(docs), {}) for name, docs in pred.datasets}
     f1s = []
     for name, docs in gold.datasets:
-        pred_docs = pred_by_ds.get(name, {})
         if name not in pred_by_ds:
             report.warnings.append(f"dataset {name!r} missing from prediction")
+        rest, held = pred_by_ds.get(name, (iter(()), {}))
         totals = {m: PRF() for m in METRICS}
         for gdoc in docs:
-            pdoc = pred_docs.get(gdoc.doc_id)
+            pdoc = _take(gdoc.doc_id, rest, held)
             if pdoc is None:
                 report.warnings.append(
                     f"document {gdoc.doc_id!r} missing from prediction; scored as empty")
@@ -235,6 +253,9 @@ def conll_f1(gold: Corpus, pred: Corpus) -> ScoreReport:
         block["conll_f1"] = 100.0 * sum(totals[m].f1 for m in METRICS) / 3.0
         report.per_dataset[name] = block
         f1s.append(block["conll_f1"])
+    for _, docs in pred.datasets:
+        for _ in docs:  # the documents left unread still pass the reader's checks
+            pass
     report.macro_average = sum(f1s) / len(f1s) if f1s else 0.0
     return report
 

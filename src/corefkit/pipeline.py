@@ -19,10 +19,13 @@ from __future__ import annotations
 
 import json
 import os
+import threading
 import time
+import weakref
 from bisect import bisect_left, bisect_right
-from collections.abc import Iterator
-from concurrent.futures import ThreadPoolExecutor
+from collections import deque
+from collections.abc import Iterable, Iterator
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from operator import attrgetter
 from urllib.parse import urlsplit
@@ -201,27 +204,44 @@ class OracleBackend(ModelBackend):
     prompts, and a window asked with another prompt is refused, so any
     train/inference skew in windowing, context trimming or id rewriting fails
     loudly. ``replay`` records (``--replay``) are served as they are.
-    ``pairs`` is a list, or a dict by the line each record was read on (a
-    list counts from 1, as :func:`write_pairs` writes it); a second record
-    for a window raises ValueError naming both lines."""
+    ``pairs`` is a list, its records counted from 1 as :func:`write_pairs`
+    writes them, or the path of a JSONL file of them (see
+    :func:`_read_jsonl`); a second record for a window raises ValueError
+    naming both lines. From a file the table keeps each record's offset, not
+    the record, and reads the record again when its window is asked for, so
+    it stays small however large the file is."""
 
     def __init__(self, pairs, replay: bool = False):
         self.replay = replay
-        self.by_ref: dict[tuple[str, int], TrainingPair] = {}
-        line_of: dict[tuple[str, int], int] = {}
-        for line, pair in pairs.items() if isinstance(pairs, dict) else enumerate(pairs, 1):
-            ref = (pair.doc_id, pair.window_index)
-            if ref in line_of:
-                raise ValueError(f"record on line {line}: window {ref!r} is already "
-                                 f"recorded on line {line_of[ref]}")
-            line_of[ref] = line
-            self.by_ref[ref] = pair
+        self.path = pairs if isinstance(pairs, str) else None
+        records = (lambda: _read_jsonl(pairs, prompts=not replay)) if self.path else (
+            lambda: ((line, pair, pair) for line, pair in enumerate(pairs, 1)))
+        # keyed by repr((doc_id, window_index)): one short string per window
+        # costs less memory than a tuple and its parts
+        self.by_ref: dict[str, TrainingPair | int] = {}
+        for line, kept, pair in records():
+            ref = repr((pair.doc_id, pair.window_index))
+            if ref in self.by_ref:
+                first = next(n for n, _, p in records()
+                             if repr((p.doc_id, p.window_index)) == ref)
+                raise ValueError(f"record on line {line}: window {ref} is already "
+                                 f"recorded on line {first}")
+            self.by_ref[ref] = kept
+        if self.path is not None:
+            self.fd = os.open(self.path, os.O_RDONLY)
+            weakref.finalize(self, os.close, self.fd)
 
     def generate(self, prompt, ref=None):
-        pair = self.by_ref.get(ref)
+        pair = self.by_ref.get(repr(ref))
         if pair is None:
             kind = "replayed" if self.replay else "oracle"
             raise PermanentBackendError(f"no {kind} completion for window {ref!r}")
+        if self.path is not None:  # the record's offset: read it again
+            line, size = b"", 4096
+            while b"\n" not in line and (more := os.pread(self.fd, size, pair + len(line))):
+                line, size = line + more, size * 2
+            rec = json.loads(line.partition(b"\n")[0].partition(b"\r")[0])
+            pair = TrainingPair(*ref, rec.get("prompt"), rec["completion"])
         if not self.replay and pair.prompt != prompt:
             raise PermanentBackendError(
                 f"prompt for window {ref!r} does not match the exported one")
@@ -407,27 +427,41 @@ def annotate_document(doc: Document, backend: ModelBackend,
     return mentions_to_document(doc, predicted), reports
 
 
+def annotate_documents(docs: Iterable[Document], backend: ModelBackend,
+                       cfg: PipelineConfig, jobs: int = 1
+                       ) -> Iterator[tuple[Document, list[WindowReport]]]:
+    """(prediction, reports) of each document of ``docs``, in input order.
+    Up to ``jobs`` documents are annotated at once; a document's windows run
+    in order, as each prompt carries the previous window's output. At most
+    ``2 * jobs`` documents read are unfinished: the next one is read when a
+    slot frees up, so a worker that finishes finds one queued."""
+    if jobs == 1:
+        for doc in docs:
+            yield annotate_document(doc, backend, cfg)
+        return
+    slots = threading.BoundedSemaphore(2 * jobs)  # one per read, unfinished document
+    ahead: deque[Future] = deque()  # submitted and not yet yielded, in input order
+    with ThreadPoolExecutor(max_workers=jobs) as pool:
+        slots.acquire()
+        for doc in docs:
+            ahead.append(pool.submit(annotate_document, doc, backend, cfg))
+            ahead[-1].add_done_callback(lambda _: slots.release())
+            while ahead and ahead[0].done():
+                yield ahead.popleft().result()
+            slots.acquire()  # the next read waits for a free slot
+        for future in ahead:
+            yield future.result()
+
+
 def annotate_corpus(corpus: Corpus, backend: ModelBackend, cfg: PipelineConfig,
                     jobs: int = 1) -> tuple[Corpus, list[WindowReport]]:
-    """Documents are independent, so up to ``jobs`` of them are annotated at
-    once; each document's windows still run in order, since every prompt
-    carries the previous window's output. Output order always follows input
-    order."""
-    flat = [(name, doc) for name, docs in corpus.datasets for doc in docs]
-    if jobs > 1 and len(flat) > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(
-                lambda nd: annotate_document(nd[1], backend, cfg), flat))
-    else:
-        results = [annotate_document(doc, backend, cfg) for _, doc in flat]
-
-    out = Corpus([(name, []) for name, _ in corpus.datasets])
-    by_name = dict(out.datasets)
-    reports: list[WindowReport] = []
-    for (name, _), (pred, reps) in zip(flat, results):
-        by_name[name].append(pred)
-        reports.extend(reps)
-    return out, reports
+    """:func:`annotate_documents` over a corpus; the predictions keep its
+    datasets and order."""
+    results = annotate_documents((doc for _, docs in corpus.datasets for doc in docs),
+                                 backend, cfg, jobs)
+    done = [(name, [next(results) for _ in docs]) for name, docs in corpus.datasets]
+    return (Corpus([(name, [pred for pred, _ in rs]) for name, rs in done]),
+            [r for _, rs in done for _, reports in rs for r in reports])
 
 
 # -- training export --------------------------------------------------------------
@@ -477,14 +511,18 @@ def write_pairs(path: str, pairs: list[TrainingPair]) -> None:
 _RECORD_TYPES = {"doc_id": str, "window_index": int, "prompt": str, "completion": str}
 
 
-def _read_jsonl(path: str, prompts: bool = True) -> Iterator[tuple[int, TrainingPair]]:
-    """(line number, record) for each record of a JSONL file of training
-    pairs or, without ``prompts``, of replayed completions, whose prompt is
-    not read and stays None. Blank lines are skipped. A record that is not a
-    JSON object, or whose value is missing or of the wrong JSON type (a bool
-    is no ``window_index``), raises ValueError naming its line."""
-    with open(path, encoding="utf-8") as fh:
+def _read_jsonl(path: str, prompts: bool = True
+                ) -> Iterator[tuple[int, int, TrainingPair]]:
+    """(line number, byte offset of the line, record) for each record of a
+    JSONL file of training pairs or, without ``prompts``, of replayed
+    completions, whose prompt is not read and stays None. Blank lines are
+    skipped. A record that is not a JSON object, or whose value is missing
+    or of the wrong JSON type (a bool is no ``window_index``), raises
+    ValueError naming its line."""
+    offset = 0
+    with open(path, encoding="utf-8", newline="") as fh:
         for line_no, line in enumerate(fh, start=1):
+            start, offset = offset, offset + len(line.encode())
             if not line.strip():
                 continue
             try:
@@ -497,9 +535,10 @@ def _read_jsonl(path: str, prompts: bool = True) -> Iterator[tuple[int, Training
                 if (prompts or key != "prompt") and type(rec.get(key)) is not kind:
                     raise ValueError(f"record on line {line_no}: {key} must be "
                                      f"{kind.__name__}, not {json.dumps(rec.get(key))}")
-            yield line_no, TrainingPair(rec["doc_id"], rec["window_index"],
-                                        rec["prompt"] if prompts else None, rec["completion"])
+            yield line_no, start, TrainingPair(rec["doc_id"], rec["window_index"],
+                                               rec["prompt"] if prompts else None,
+                                               rec["completion"])
 
 
 def load_pairs(path: str) -> list[TrainingPair]:
-    return [pair for _, pair in _read_jsonl(path)]
+    return [pair for _, _, pair in _read_jsonl(path)]

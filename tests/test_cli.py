@@ -2,18 +2,23 @@
 import io
 import json
 import os
+import random
 import socket
 import subprocess
 import sys
+import threading
+import time
 from pathlib import Path
 
 import pytest
 
 import corefkit
+from corefkit import cli, metrics, pipeline
 from corefkit.cli import JobConfig, UsageError, build_backend, main
-from corefkit.conllu import parse_conllu, serialize_conllu
-from corefkit.pipeline import (EmptyBackend, HttpBackend, OracleBackend, _read_jsonl,
-                               load_pairs)
+from corefkit.conllu import (Corpus, Document, parse_conllu, serialize_conllu,
+                             serialize_corpus)
+from corefkit.synth import SynthConfig, random_corpus, random_document
+from corefkit.pipeline import EmptyBackend, HttpBackend, OracleBackend, load_pairs
 
 from conftest import GOLDEN, SISTER_CONLLU, make_sister_doc
 
@@ -264,6 +269,9 @@ def test_annotate_needs_at_least_one_job(gold_path, capsys, jobs):
     (["--timeout", "-1"], None, "timeout must be > 0"),
     (["--timeout", "nan"], None, "timeout must be > 0"),
     ([], {"timeout": 0}, "timeout must be > 0"),
+    (["--timeout", "inf"], None, f"timeout must be <= {threading.TIMEOUT_MAX:.0f}"),
+    (["--timeout", "1e300"], None, f"timeout must be <= {threading.TIMEOUT_MAX:.0f}"),
+    ([], {"timeout": float("inf")}, f"timeout must be <= {threading.TIMEOUT_MAX:.0f}"),
     (["--max-tokens", "0"], None, "max_tokens must be >= 1"),
     ([], {"max_tokens": -5}, "max_tokens must be >= 1"),
     (["--url", "localhost:8000/v1/completions"], None,
@@ -271,7 +279,8 @@ def test_annotate_needs_at_least_one_job(gold_path, capsys, jobs):
     ([], {"url": "file:///etc/hostname"},
      "url 'file:///etc/hostname' is not an http:// or https:// URL"),
 ], ids=["zero-timeout", "negative-timeout", "nan-timeout", "config-zero-timeout",
-        "zero-max-tokens", "config-negative-max-tokens", "schemeless-url",
+        "infinite-timeout", "huge-timeout", "config-infinite-timeout", "zero-max-tokens",
+        "config-negative-max-tokens", "schemeless-url",
         "config-file-url"])
 def test_bad_http_values_are_usage_errors(gold_path, tmp_path, capsys, flags, config,
                                           message):
@@ -424,7 +433,7 @@ def test_repeated_doc_id_exits_2(tmp_path, capsys, command, second):
 
 
 def replay_backend(path):
-    return OracleBackend(dict(_read_jsonl(path, prompts=False)), replay=True)
+    return OracleBackend(str(path), replay=True)
 
 
 @pytest.mark.parametrize("load, record, complaint", [
@@ -586,6 +595,112 @@ def test_jobs_flag_keeps_document_order(tmp_path, capsys):
     assert run("annotate", str(multi), "--backend", "empty", "--jobs", "3") == 0
     out = parse_conllu(capsys.readouterr().out)
     assert [d.doc_id for d in out] == [f"demo{i}" for i in range(4)]
+
+
+def test_jobs_bound_documents_in_flight_and_read_ahead(tmp_path, monkeypatch, capsys):
+    # documents of 1 to 8 windows, one sentence each
+    rng = random.Random(7)
+    docs = [random_document(f"d{i}", SynthConfig(sentences=(n, n)), rng)
+            for i, n in enumerate([8, 1, 1, 3, 1, 5, 2, 1, 8, 1, 4, 1, 6, 1, 1, 7])]
+    path = tmp_path / "many.conllu"
+    path.write_text(serialize_corpus(docs), encoding="utf-8")
+    lock = threading.Lock()
+    seen = {"read": 0, "done": 0, "held": 0, "running": 0, "most_running": 0,
+            "calls": 0, "most_calls": 0}
+
+    def bump(key, by, top=None):
+        with lock:
+            seen[key] += by
+            if top:
+                seen[top] = max(seen[top], seen[key])
+
+    class Recording(EmptyBackend):
+        def generate(self, prompt, ref=None):
+            bump("calls", 1, "most_calls")
+            time.sleep(0.002)
+            bump("calls", -1)
+            return super().generate(prompt, ref)
+
+    def read(lines):
+        for doc in parse_lines(lines):
+            bump("read", 1)
+            with lock:  # read and not yet finished
+                seen["held"] = max(seen["held"], seen["read"] - seen["done"])
+            yield doc
+
+    def annotate(doc, backend, cfg):
+        bump("running", 1, "most_running")
+        try:
+            return annotate_document(doc, backend, cfg)
+        finally:
+            bump("running", -1)
+            bump("done", 1)
+
+    parse_lines, annotate_document = cli.iter_conllu, pipeline.annotate_document
+    monkeypatch.setattr(cli, "iter_conllu", read)
+    monkeypatch.setattr(pipeline, "annotate_document", annotate)
+    monkeypatch.setattr(cli, "build_backend", lambda job: Recording())
+    assert run("annotate", str(path), "--sentences-per-batch", "1", "--jobs", "3") == 0
+    assert [d.doc_id for d in parse_conllu(capsys.readouterr().out)] == [d.doc_id for d in docs]
+    assert seen["most_running"] == seen["most_calls"] == 3
+    assert seen["held"] <= 2 * 3
+    assert seen["read"] == seen["done"] == len(docs)
+
+
+def test_evaluate_streamed_equals_whole_list_score(tmp_path, capsys):
+    [(_, gold_docs)] = random_corpus(12, SynthConfig(p_zero=0.2, p_discontinuous=0.1,
+                                                     seed=4)).datasets
+    # every other chain predicted, the documents in reverse order, the fourth
+    # missing and one more that the gold does not have
+    pred_docs = [Document(d.doc_id, d.sentences,
+                          dict(list(d.chains.items())[::2]), d.meta) for d in gold_docs]
+    pred_docs = [*pred_docs[:3], *pred_docs[4:], Document("extra", gold_docs[0].sentences)]
+    pred_docs.reverse()
+    gold, pred = tmp_path / "gold.conllu", tmp_path / "pred.conllu"
+    gold.write_text(serialize_corpus(gold_docs), encoding="utf-8")
+    pred.write_text(serialize_corpus(pred_docs), encoding="utf-8")
+    report = metrics.conll_f1(Corpus([("gold", parse_conllu(gold.read_text()))]),
+                              Corpus([("gold", parse_conllu(pred.read_text()))]))
+    assert 0 < report.macro_average < 100
+    assert report.warnings == [f"document {gold_docs[3].doc_id!r} missing from prediction; "
+                               "scored as empty"]
+    assert run("evaluate", "--gold", str(gold), "--pred", str(pred)) == 0
+    captured = capsys.readouterr()
+    assert captured.out == report.to_json() + "\n"
+    assert captured.err == "".join(f"warning: {w}\n" for w in report.warnings)
+
+    # a repeated id is refused on either side, also once every gold document
+    # has found its prediction
+    for side in (gold, pred):
+        for path in (gold, pred):
+            path.write_text(serialize_corpus(gold_docs) + (
+                serialize_conllu(gold_docs[0]) if path == side else ""), encoding="utf-8")
+        assert run("evaluate", "--gold", str(gold), "--pred", str(pred)) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: {side}: document id {gold_docs[0].doc_id!r} "
+                                "appears more than once\n")
+
+
+def test_first_fault_in_file_order_is_reported(tmp_path, capsys):
+    # document 1 cannot be encoded; document 2 is not even valid CoNLL-U
+    path = tmp_path / "faults.conllu"
+    path.write_text("# newdoc id = x\n# sent_id = s1\n" + "".join(
+        f"{i}\t{w}\t_\t_\t_\t_\t{int(i > 1)}\t_\t_\tEntity={entity}\n"
+        for i, (w, entity) in enumerate(zip("abcd", ["(e1", "(e2", "e1)", "e2)"]), start=1))
+        + "\n" + SISTER_CONLLU + "# newdoc id = y\n# sent_id = s1\n1\tonly\ttwo\n\n",
+        encoding="utf-8")
+    assert run("export-train", str(path)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {path}: document 'x': crossing mentions")
+    # the same input with document 1 left out fails on document 2's line
+    path.write_text(path.read_text().split("\n\n", 1)[1], encoding="utf-8")
+    assert run("export-train", str(path)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: {path}: line 15: expected 10 tab-separated columns, "
+                            "got 3\n")
 
 
 def test_replay_runs_are_deterministic(gold_path, tmp_path):

@@ -4,10 +4,11 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
+from corefkit.cli import _lines
 from corefkit.conllu import (Chain, ConlluError, Document, Mention, Sentence,
-                             Token, mention_head, parse_conllu, serialize_conllu,
-                             serialize_corpus)
-from corefkit.synth import SynthConfig, random_document
+                             Token, iter_conllu, mention_head, parse_conllu,
+                             serialize_conllu, serialize_corpus)
+from corefkit.synth import SynthConfig, random_corpus, random_document
 
 from conftest import SISTER_CONLLU, make_sister_doc
 
@@ -147,7 +148,7 @@ def test_crossing_mentions_of_one_chain_are_refused():
         serialize_conllu(doc)
 
 
-@pytest.mark.parametrize("line, message", [
+MALFORMED = [
     ("1\tonly-two", "10 tab-separated columns"),
     ("x\tbad\t_\t_\t_\t_\t0\t_\t_\t_", "bad token id"),
     ("1\tself\t_\t_\t_\t_\t1\t_\t_\t_", "governs itself"),
@@ -183,7 +184,10 @@ def test_crossing_mentions_of_one_chain_are_refused():
     ("1\ta\t_\t_\t_\t_\t0\t_\t_\t_\n2-1\tba\t_\t_\t_\t_\t_\t_\t_\t_\n"
      "2\tb\t_\t_\t_\t_\t1\t_\t_\t_",
      "line 4: multiword token 2-1 ends before it starts"),
-])
+]
+
+
+@pytest.mark.parametrize("line, message", MALFORMED)
 def test_malformed_input_raises(line, message):
     text = f"# newdoc id = d\n# sent_id = s1\n{line}\n\n"
     with pytest.raises(ConlluError, match=message):
@@ -194,7 +198,7 @@ def _row(tid, form="w", head="0"):
     return "\t".join([tid, form, "_", "_", "_", "_", head, "_", "_", "_"])
 
 
-@pytest.mark.parametrize("lines, expected", [
+LINE_KINDS = [
     # a whitespace-only line ends a sentence
     ([_row("1"), " \t ", _row("1")], [("s1", ["1"], [], [], []), ("", ["1"], [], [], [])]),
     ([_row("1"), "# note = x", _row("2", head="1")], [("s1", ["1", "2"], [], ["# note = x"], [])]),
@@ -209,7 +213,10 @@ def _row(tid, form="w", head="0"):
     ([" " + _row("1")], "line 3: bad token id ' 1'"),
     # only a line that starts with "#" is a comment
     ([_row("1"), " # note"], "line 4: expected 10 tab-separated columns, got 1"),
-])
+]
+
+
+@pytest.mark.parametrize("lines, expected", LINE_KINDS)
 def test_each_line_kind_reads_as_before(lines, expected):
     text = "\n".join(["# newdoc id = d", "# sent_id = s1", *lines, "", ""])
     if isinstance(expected, str):
@@ -272,3 +279,73 @@ def test_large_corpora_round_trip(docs, cfg):
     rng = random.Random(1)
     text = serialize_corpus([random_document(f"d{i + 1}", cfg, rng) for i in range(docs)])
     assert serialize_corpus(parse_conllu(text)) == text
+
+
+# -- the streaming reader ------------------------------------------------------
+
+def streamed(tmp_path, text):
+    """The documents of ``text`` as the commands read them: from a file, a
+    block at a time, each document as soon as it is complete."""
+    path = tmp_path / "input.conllu"
+    path.write_bytes(text.encode("utf-8"))
+    return list(iter_conllu(_lines(str(path))))
+
+
+def outcome(read):
+    """What ``read()`` gives: its documents, or its error message."""
+    try:
+        return read()
+    except ConlluError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("n_docs", [1, 70])  # 70 documents run past one read block
+def test_streamed_documents_equal_whole_text_parse(tmp_path, n_docs):
+    corpus = random_corpus(n_docs, SynthConfig(sentences=(3, 12), p_zero=0.3,
+                                               p_discontinuous=0.3, seed=n_docs))
+    text = serialize_corpus(corpus.datasets[0][1])
+    assert len(text.encode()) > 65536 or n_docs == 1
+    docs = parse_conllu(text)
+    assert list(iter_conllu(text.splitlines())) == docs
+    assert streamed(tmp_path, text) == docs
+    assert serialize_corpus(streamed(tmp_path, text)) == text
+    # lines broken as str.splitlines breaks them, numbered the same way
+    odd = text.replace("\n# sent_id", "\r\n# sent_id", 3).replace("\n# text", "\r# text", 2)
+    assert streamed(tmp_path, odd) == parse_conllu(odd) == docs
+    for sep in ("\x85", "\u2028", "\x0c"):
+        broken = text.replace("\n# sent_id", f"\n# note{sep}x\n# sent_id", 1)
+        assert outcome(lambda: streamed(tmp_path, broken)) == \
+            outcome(lambda: parse_conllu(broken)) == \
+            "line 3: expected 10 tab-separated columns, got 1"
+
+
+@pytest.mark.parametrize("text", [
+    *(f"# newdoc id = d\n# sent_id = s1\n{line}\n\n" for line, _ in MALFORMED),
+    *("\n".join(["# newdoc id = d", "# sent_id = s1", *lines, "", ""])
+      for lines, expected in LINE_KINDS if isinstance(expected, str)),
+    # a fault in the second document, after a whole first one
+    SISTER_CONLLU + "# newdoc id = e\n# sent_id = t1\n1\tbad\tcols\n\n",
+    "# sent_id = s1\n1\tword\t_\t_\t_\t_\t0\t_\t_\t_\n\n",
+])
+def test_streamed_faults_equal_whole_text_faults(tmp_path, text):
+    whole = outcome(lambda: parse_conllu(text))
+    assert isinstance(whole, str)
+    assert outcome(lambda: list(iter_conllu(text.splitlines()))) == whole
+    assert outcome(lambda: streamed(tmp_path, text)) == whole
+
+
+def test_a_document_is_yielded_before_the_next_one_is_read():
+    text = SISTER_CONLLU + SISTER_CONLLU.replace("demo", "demo2")
+    lines = text.splitlines()
+    read = []
+
+    def reading():
+        for line in lines:
+            read.append(line)
+            yield line
+
+    docs = iter_conllu(reading())
+    assert next(docs).doc_id == "demo"
+    assert read[-1] == "# newdoc id = demo2"  # the next header, and no further
+    assert next(docs).doc_id == "demo2"
+    assert next(docs, None) is None

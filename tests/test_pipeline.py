@@ -322,7 +322,7 @@ def test_replay_backend_serves_by_window(tmp_path, sister_doc):
     path = tmp_path / "replay.jsonl"
     path.write_text(json.dumps({"doc_id": "demo", "window_index": 0,
                                 "completion": FIXTURE_COMPLETION}) + "\n")
-    backend = OracleBackend(dict(pipeline._read_jsonl(path, prompts=False)), replay=True)
+    backend = OracleBackend(str(path), replay=True)
     assert backend.generate("ignored", ref=("demo", 0)) == FIXTURE_COMPLETION
     with pytest.raises(PermanentBackendError, match="no replayed completion"):
         backend.generate("ignored", ref=("demo", 1))
@@ -345,14 +345,17 @@ def test_annotating_leaves_its_input_unchanged():
     assert serialize_corpus(gold.datasets[0][1]) == before
 
 
-def test_oracle_backend_refuses_a_second_record_for_a_window(sister_doc):
+def test_oracle_backend_refuses_a_second_record_for_a_window(sister_doc, tmp_path):
     [pair] = export_training_pairs(sister_doc, PipelineConfig())
     other = TrainingPair("other", 0, "p", "c")
     with pytest.raises(ValueError, match=r"record on line 3: window \('demo', 0\) "
                                          r"is already recorded on line 1"):
         OracleBackend([pair, other, pair])
+    path = tmp_path / "pairs.jsonl"  # blank lines count, and are skipped
+    path.write_text("\n\n\n" + pair.to_json() + "\n" * 5 + pair.to_json() + "\n",
+                    encoding="utf-8")
     with pytest.raises(ValueError, match="line 9: .* already recorded on line 4"):
-        OracleBackend({4: pair, 9: pair}, replay=True)
+        OracleBackend(str(path), replay=True)
 
 
 class FlakyBackend(ModelBackend):
