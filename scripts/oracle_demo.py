@@ -25,12 +25,15 @@ def main(argv=None) -> int:
                     choices=["crac", "explicit", "minimal", "headword"])
     ap.add_argument("--sentences-per-batch", type=int, default=4)
     ap.add_argument("--context-budget", type=int, default=250)
+    ap.add_argument("--no-reindex", action="store_true",
+                    help="one chain numbering per document, not per window")
     ap.add_argument("--jobs", type=int, default=1)
     args = ap.parse_args(argv)
 
     cfg = PipelineConfig(fmt=args.format,
                          sentences_per_batch=args.sentences_per_batch,
-                         context_budget=args.context_budget)
+                         context_budget=args.context_budget,
+                         reindex=not args.no_reindex)
     synth = SynthConfig(p_zero=0.2, p_discontinuous=0.1, seed=args.seed)
     if args.sentences is not None:
         synth.sentences = (args.sentences, args.sentences)
@@ -38,7 +41,7 @@ def main(argv=None) -> int:
     pairs = export_training_pairs(gold, cfg)
     print(f"{len(pairs)} training pairs exported "
           f"(format={args.format}, batch={cfg.sentences_per_batch}, "
-          f"context={cfg.context_budget})")
+          f"context={cfg.context_budget}, reindex={cfg.reindex})")
     print("--- first pair " + "-" * 50)
     print(pairs[0].prompt + pairs[0].completion)
     print("-" * 65)

@@ -9,9 +9,10 @@ Three stages:
      then leftover gap tokens are paired greedily in order when their
      normalized character edit similarity clears a threshold.
   3. clean: decode the model output, align its tokens against the input,
-     and project the tag events across, each span whole. The returned token
-     sequence is the input's, exactly; events that cannot be carried over
-     are dropped with diagnostics.
+     and project the tag events across, each span whole. An output whose
+     tokens equal the input's maps each token to itself without aligning.
+     The returned token sequence is the input's, exactly; events that
+     cannot be carried over are dropped with diagnostics.
 """
 from __future__ import annotations
 
@@ -226,9 +227,13 @@ def clean(input_text: str, model_output: str, fmt: Format | str,
         breaks.append(count)
 
     decoded, diags = decode(model_output, fmt)
-    mapping = align_tokens(input_tokens, decoded.tokens, fuzzy_threshold).out_to_in()
-
     n = len(input_tokens)
+    if decoded.tokens == input_tokens:
+        # what anchoring and expansion give on equal sequences, unaligned
+        mapping = {i: i for i in range(n)}
+    else:
+        mapping = align_tokens(input_tokens, decoded.tokens, fuzzy_threshold).out_to_in()
+
     events: list[TagEvent] = []
     seen: set[tuple[str, int | str]] = set()
     for ev in decoded.events:

@@ -34,12 +34,12 @@ from .align import clean as clean_output
 from .conllu import (ConlluError, Corpus, Document, Sentence, Token, iter_conllu,
                      serialize_conllu)
 from .diag import Diagnostic
-from .formats import (Format, FormatError, apply_idmap, build_events, decode,
-                      events_to_mentions)
+from .formats import (Format, FormatError, build_events, decode, events_to_mentions,
+                      render)
 from .pipeline import (BackendError, EmptyBackend, HttpBackend, ModelBackend,
                        OracleBackend, PRESETS, PipelineConfig,
                        annotate_documents, export_training_pairs, mentions_to_document)
-from .reindex import localize
+from .reindex import IdMap
 
 
 class UsageError(Exception):
@@ -260,10 +260,9 @@ def cmd_convert(args) -> int:
     for path, doc in docs:
         with _in_document(path, doc):
             annotated = build_events(doc.sentences, doc.mentions(), fmt)
-        _, idmap = localize(annotated)
+        idmap = IdMap()
         # convert output numbers chains from 1; prompts number them from 0
-        display = {cid: i + 1 for cid, i in idmap.global_to_local.items()}
-        text = apply_idmap(annotated, display).render()
+        text = render(annotated, index=lambda c: idmap.assign(c) + 1)
         blocks.append(f"# doc = {doc.doc_id}\n{text}" if len(docs) > 1 else text)
     _write_text(args.output, "\n".join(blocks) + "\n")
     return 0
@@ -345,6 +344,16 @@ def cmd_annotate(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
+    # datasets are keyed by stem (metrics.conll_f1): a second file of one
+    # stem on a side would take the first one's place unseen
+    for flag, paths in (("--gold", args.gold), ("--pred", args.pred)):
+        seen: dict[str, str] = {}
+        for path in paths:
+            stem = _dataset_id(path)
+            if stem in seen:
+                raise UsageError(f"{flag} files {_shown(seen[stem])} and {_shown(path)} "
+                                 f"share the stem {stem!r}")
+            seen[stem] = path
     if len(args.gold) + len(args.pred) > 2:
         # past one file a side, gold and prediction files pair by stem
         stems = {_dataset_id(p) for p in args.pred}

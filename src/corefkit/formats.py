@@ -24,10 +24,11 @@ sentence per line.
 from __future__ import annotations
 
 import re
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from enum import Enum
-from typing import Mapping, Sequence
+from operator import attrgetter
+from typing import Callable, Mapping, Sequence
 
 from .conllu import Mention, Sentence, mention_head
 from .diag import Diagnostic
@@ -194,39 +195,58 @@ def encode(sentences: Sequence[Sentence], mentions: Sequence[Mention],
 
 # -- rendering ---------------------------------------------------------------
 
-def render(annotated: AnnotatedText) -> str:
-    """Single-space joined atoms, a new line at each of ``breaks``; events
-    anchored outside the text, but for leading ones at -1, render nothing.
-    Python work follows events and lines: only tokens that carry atoms are
-    rewritten, and each line's words are joined in one call."""
-    words = list(annotated.tokens)  # each token with its atoms
+_anchor = attrgetter("anchor")
+
+
+def render(annotated: AnnotatedText, lo: int = 0,
+           index: Callable[[int | str], int | str] | None = None) -> str:
+    """Single-space joined atoms of tokens ``lo`` on, a new line at each of
+    ``breaks``; events anchored outside the text, but for leading ones at
+    -1, render nothing.
+
+    A cut at ``lo`` > 0 renders what ``slice_annotated(annotated, lo, n)``
+    would, without making it: the events anchored before ``lo`` (a span
+    that straddles it, a leading zero) and the breaks up to ``lo`` are
+    left out, both found by bisection, and atoms sit at ``anchor - lo``.
+    ``index(chain)``, when given, is called once per event from the cut
+    on, in event order, and its result is shown in place of the chain id,
+    so ``IdMap.assign`` numbers chains by first appearance as ``localize``
+    does. Python work follows events and lines: only tokens that carry
+    atoms are rewritten, and each line's words are joined in one call."""
+    events, breaks = annotated.events, annotated.breaks
+    if lo:  # anchors never decrease and breaks ascend (see AnnotatedText)
+        events = events[bisect_left(events, lo, key=_anchor):]
+        breaks = breaks[bisect_right(breaks, lo):]
+    chains = [ev.chain for ev in events] if index is None else [index(ev.chain) for ev in events]
+    words = annotated.tokens[lo:]  # each token with its atoms
     n = len(words)
     before: dict[int, list[str]] = {}   # atoms ahead of token i
     after: dict[int, list[str]] = {}    # atoms behind token i (-1: leading)
 
     if annotated.fmt is Format.CRAC:
         ranked: dict[int, tuple[list[str], list[str], list[str]]] = {}
-        for ev in annotated.events:
+        for ev, k in zip(events, chains):
+            i = ev.anchor - lo
             if ev.kind == ZERO:
-                after.setdefault(ev.anchor, []).append(f"##|[e{ev.chain}]")
+                after.setdefault(i, []).append(f"##|[e{k}]")
             elif ev.kind == SPAN and ev.end == ev.anchor:
-                ranked.setdefault(ev.anchor, ([], [], []))[0].append(f"[e{ev.chain}]")
+                ranked.setdefault(i, ([], [], []))[0].append(f"[e{k}]")
             elif ev.kind == SPAN:
-                ranked.setdefault(ev.anchor, ([], [], []))[1].append(f"[e{ev.chain}")
-                ranked.setdefault(ev.end, ([], [], []))[2].append(f"e{ev.chain}]")
+                ranked.setdefault(i, ([], [], []))[1].append(f"[e{k}")
+                ranked.setdefault(ev.end - lo, ([], [], []))[2].append(f"e{k}]")
         # a token closes its innermost span first: the one visited last
         for i, (s, o, c) in ranked.items():
             if 0 <= i < n:
                 words[i] += "|" + ",".join(s + o + c[::-1])
     else:
         tags = {kind: template.format for kind, template in TAGS[annotated.fmt].items()}
-        for ev in annotated.events:
+        for ev, k in zip(events, chains):
             if ev.kind == SPAN:
-                before.setdefault(ev.anchor, []).append(tags[OPEN](k=ev.chain))
+                before.setdefault(ev.anchor - lo, []).append(tags[OPEN](k=k))
                 # spans ending at token i come before the events after it
-                after.setdefault(ev.end, []).append(tags[CLOSE]())
+                after.setdefault(ev.end - lo, []).append(tags[CLOSE]())
             else:
-                after.setdefault(ev.anchor, []).append(tags[ev.kind](k=ev.chain))
+                after.setdefault(ev.anchor - lo, []).append(tags[ev.kind](k=k))
 
     for i, atoms in before.items():
         if 0 <= i < n:
@@ -235,7 +255,7 @@ def render(annotated: AnnotatedText) -> str:
         if 0 <= i < n:
             words[i] += " " + " ".join(atoms)
     # the leading atoms open the first line; a break at 0 ends it before token 0
-    starts = sorted({b for b in annotated.breaks if 0 <= b < n})
+    starts = sorted({b - lo for b in breaks if 0 <= b - lo < n})
     ends = starts + [n]
     lines = [" ".join(after.get(-1, []) + words[:ends[0]])]
     return "\n".join(lines + [" ".join(words[a:b]) for a, b in zip(starts, ends[1:])])
@@ -264,8 +284,10 @@ class AtomCounts:
     renders the atoms charged from ``c`` on, which ``prefix`` gives as a
     difference.
 
-    The counts are exact for every suffix ``slice_annotated`` cuts, rendered
-    with display chain indices as ``localize`` gives them.
+    The counts are exact for every suffix that ``render(acc, cut, index)``
+    renders from the accumulator the window walker builds, with display
+    chain indices numbered by first appearance (the same suffix that
+    ``slice_annotated`` cuts and ``localize`` renumbers).
     """
 
     def __init__(self, fmt: Format):

@@ -27,14 +27,14 @@ from collections import deque
 from collections.abc import Iterable, Iterator
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
-from operator import attrgetter
 from urllib.parse import urlsplit
 
 from .align import clean
 from .conllu import Chain, Corpus, Document, Mention, Token
 from .diag import Diagnostic
-from .formats import AnnotatedText, AtomCounts, Format, build_events, events_to_mentions
-from .reindex import IdAllocator, IdMap, globalize, localize
+from .formats import (AnnotatedText, AtomCounts, Format, _anchor, build_events,
+                      events_to_mentions, render)
+from .reindex import IdAllocator, IdMap, globalize
 
 
 @dataclass
@@ -111,9 +111,6 @@ def iter_windows(n_sentences: int, per_batch: int) -> list[tuple[int, int]]:
             for lo in range(0, n_sentences, per_batch)]
 
 
-_anchor = attrgetter("anchor")
-
-
 def slice_annotated(annotated: AnnotatedText, lo: int, hi: int) -> AnnotatedText:
     """Tokens [lo, hi) with their events, re-anchored to the slice.
 
@@ -149,7 +146,9 @@ def truncate_context(annotated: AnnotatedText, budget: int,
     the smallest one whose suffix fits by ``counts``, the
     :class:`AtomCounts` of ``annotated`` (made here when not given), which
     are exact for the accumulator the window walker builds; finding it
-    renders nothing and takes time logarithmic in the text's length.
+    renders nothing and takes time logarithmic in the text's length. The
+    walker itself makes no slice: it renders the same suffix from the
+    accumulator with ``render(acc, counts.cut(budget), index)``.
     """
     if counts is None:
         counts = AtomCounts(annotated.fmt)
@@ -324,7 +323,9 @@ def _append(acc: AnnotatedText, counts: AtomCounts, piece: AnnotatedText) -> Non
     acc.events += [ev.shifted(offset) for ev in piece.events]
     if offset:
         acc.breaks.append(offset)
-    acc.breaks += [b + offset for b in piece.breaks]
+    # a break at 0 (an empty first sentence) is one no cut keeps: the
+    # context never opens with an empty line
+    acc.breaks += [b + offset for b in piece.breaks if b + offset]
 
 
 def mentions_to_document(doc: Document, mentions: list[Mention]) -> Document:
@@ -361,9 +362,14 @@ def _walk_windows(doc: Document, cfg: PipelineConfig, take) -> None:
 
     Each window's prompt holds the annotation accumulated so far, trimmed to
     the budget and localized, plus the raw batch of sentences [lo, hi),
-    rendered as ``text``. ``take(w_index, lo, hi, text, prompt, idmap)``
-    handles the window and returns its events, with global chain ids and
-    anchored to the batch; they become context for the windows after it.
+    rendered as ``text``. The context is rendered in one pass from the
+    accumulator: ``AtomCounts.cut`` gives the cut, and ``render`` numbers
+    chains through ``idmap.assign`` as it meets them, ``idmap`` being a
+    fresh :class:`IdMap` or, under ``reindex=False``, the document's own;
+    no trimmed or localized copy of the context is made.
+    ``take(w_index, lo, hi, text, prompt, idmap)`` handles the window and
+    returns its events, with global chain ids and anchored to the batch;
+    they become context for the windows after it.
     """
     acc = AnnotatedText([], [], cfg.fmt, [])
     counts = AtomCounts(cfg.fmt)
@@ -371,10 +377,10 @@ def _walk_windows(doc: Document, cfg: PipelineConfig, take) -> None:
     for w_index, (lo, hi) in enumerate(iter_windows(len(doc.sentences),
                                                     cfg.sentences_per_batch)):
         batch = build_events(doc.sentences[lo:hi], (), cfg.fmt)
-        context = truncate_context(acc, cfg.context_budget, counts)
-        local_ctx, idmap = localize(context, doc_map)
+        idmap = doc_map if doc_map is not None else IdMap()
+        context = render(acc, counts.cut(cfg.context_budget), idmap.assign)
         text = batch.render()
-        prompt = build_prompt(local_ctx.render(), text, cfg.fmt)
+        prompt = build_prompt(context, text, cfg.fmt)
         events = take(w_index, lo, hi, text, prompt, idmap)
         _append(acc, counts, replace(batch, events=events))
 
@@ -494,8 +500,8 @@ def export_training_pairs(source: Document | Corpus,
 
     def take(w_index, lo, hi, text, prompt, idmap):
         gold = slice_annotated(full, starts[lo], starts[hi])
-        local_gold, _ = localize(gold, idmap)
-        pairs.append(TrainingPair(doc.doc_id, w_index, prompt, local_gold.render()))
+        pairs.append(TrainingPair(doc.doc_id, w_index, prompt,
+                                  render(gold, index=idmap.assign)))
         return gold.events
 
     _walk_windows(doc, cfg, take)

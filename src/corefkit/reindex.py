@@ -1,10 +1,12 @@
 """Window-local chain id renumbering.
 
 Models see small integer indices, documents keep global chain ids. localize
-numbers the chains visible in a context 0..N-1 by first appearance;
-globalize maps predicted indices back, minting deterministic fresh ids
-(e<max+1> style) for indices the map does not hold, in order of first
-appearance, so repeats of a new index corefer within the window.
+numbers the chains visible in a context 0..N-1 by first appearance, as
+``IdMap.assign`` does when the window walker passes it to ``formats.render``
+as the index hook; globalize maps predicted indices back, minting
+deterministic fresh ids (e<max+1> style) for indices the map does not hold,
+in order of first appearance, so repeats of a new index corefer within the
+window.
 """
 from __future__ import annotations
 

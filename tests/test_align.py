@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 from corefkit import align
 from corefkit.align import (align_tokens, anchor_align, clean, edit_similarity,
                             similarity_bound)
+from corefkit.conllu import Mention
 from corefkit.formats import Format, encode
 from corefkit.synth import SynthConfig, perturb, random_document
 
@@ -192,3 +193,67 @@ def _cum_lengths(doc):
         total += len(s.tokens)
         out.append(total)
     return out
+
+
+class _Unequal(list):
+    """Decoded tokens that compare unequal to everything, so ``clean``
+    aligns them even when they equal its input."""
+
+    def __eq__(self, other):
+        return False
+
+    __hash__ = None
+
+
+# a tag ahead of the first token: decoded with a diagnostic, no token
+_STRAY = {Format.CRAC: "##|[e1", Format.EXPLICIT: "</ent>",
+          Format.MINIMAL: "</ent>", Format.HEADWORD: "<ent1>"}
+
+
+def _exact_case(seed, fmt):
+    """Input text and a completion whose tokens equal its own: a random
+    document's encoding with a zero ahead of its first token, after a tag
+    that decodes to a diagnostic."""
+    doc = random_document("d", SynthConfig(seed=seed, p_zero=0.3, p_discontinuous=0.1))
+    idmap = {cid: i for i, cid in enumerate(sorted(doc.chains))}
+    mentions = [Mention(min(idmap), 0, (), (0, 1), True), *doc.mentions()]
+    source = encode(doc.sentences, (), fmt, {}).render()
+    wire = encode(doc.sentences, mentions, fmt, idmap).render()
+    return source, _STRAY[fmt] + " " + wire
+
+
+@pytest.mark.parametrize("fmt", list(Format))
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_exact_completion_is_not_aligned(monkeypatch, seed, fmt):
+    source, wire = _exact_case(seed, fmt)
+    real_decode = align.decode
+
+    def decode_unequal(text, fmt):
+        decoded, diags = real_decode(text, fmt)
+        decoded.tokens = _Unequal(decoded.tokens)
+        return decoded, diags
+
+    monkeypatch.setattr(align, "decode", decode_unequal)
+    aligned, aligned_diags = clean(source, wire, fmt)  # through align_tokens
+    monkeypatch.setattr(align, "decode", real_decode)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an exact completion was aligned")
+
+    monkeypatch.setattr(align, "align_tokens", refuse)
+    cleaned, diags = clean(source, wire, fmt)
+    assert (cleaned, diags) == (aligned, aligned_diags)
+    assert diags and cleaned.events
+
+
+@pytest.mark.parametrize("fmt", list(Format))
+def test_one_token_off_completion_is_aligned(monkeypatch, fmt):
+    source, wire = _exact_case(0, fmt)
+    source = "x" + source  # its first token no longer matches the completion's
+    calls = []
+    real_align = align.align_tokens
+    monkeypatch.setattr(align, "align_tokens",
+                        lambda *args: calls.append(args) or real_align(*args))
+    cleaned, _ = clean(source, wire, fmt)
+    assert len(calls) == 1
+    assert cleaned.tokens == source.split() and cleaned.events

@@ -199,6 +199,33 @@ def test_evaluate_pairs_files_by_stem(tmp_path, capsys):
     assert capsys.readouterr().out.splitlines()[1].split() == ["en_gum"] + ["100.00"] * 4
 
 
+def test_evaluate_refuses_two_files_of_one_stem_on_a_side(tmp_path, capsys):
+    """Files pair by stem, so a second file of a stem on one side would be
+    scored in place of the first, or not at all."""
+    paths = {}
+    for d in ("a", "b", "pa", "pb"):
+        (tmp_path / d).mkdir()
+        paths[d] = tmp_path / d / "x.conllu"
+        paths[d].write_text(SISTER_CONLLU, encoding="utf-8")
+    other = tmp_path / "y.conllu"
+    other.write_text(SISTER_CONLLU, encoding="utf-8")
+    a, b, pa, pb = (str(paths[d]) for d in ("a", "b", "pa", "pb"))
+
+    assert run("evaluate", "--gold", a, b, "--pred", pa, pb) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == (
+        f"error: --gold files {a} and {b} share the stem 'x'\n")
+    assert run("evaluate", "--gold", a, str(other), "--pred", pa, pb, "--table") == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == (
+        f"error: --pred files {pa} and {pb} share the stem 'x'\n")
+    # the same file twice is two files of one stem too
+    assert run("evaluate", "--gold", a, a, "--pred", pa) == 1
+    assert capsys.readouterr().err == f"error: --gold files {a} and {a} share the stem 'x'\n"
+    # one file a side still pairs whatever the names
+    assert run("evaluate", "--gold", a, "--pred", pb) == 0
+
+
 def test_stats_reports_density_and_coverage(gold_path, tmp_path, capsys):
     csv_path = tmp_path / "cdf.csv"
     assert run("stats", gold_path, "--budget", "2", "250",

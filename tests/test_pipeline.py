@@ -1,4 +1,5 @@
 """Windowed annotation loop, context trimming, backends, training export."""
+import dataclasses
 import json
 import sys
 import threading
@@ -9,7 +10,8 @@ from hypothesis import strategies as st
 
 from corefkit import formats, pipeline
 from corefkit.conllu import Corpus, Document, Mention, parse_conllu, serialize_corpus
-from corefkit.formats import AnnotatedText, AtomCounts, Format, TagEvent, build_events
+from corefkit.formats import (AnnotatedText, AtomCounts, Format, TagEvent, build_events,
+                              render)
 from corefkit.metrics import conll_f1
 from corefkit.pipeline import (PRESETS, BackendError, EmptyBackend,
                                HttpBackend, ModelBackend, OracleBackend,
@@ -19,7 +21,7 @@ from corefkit.pipeline import (PRESETS, BackendError, EmptyBackend,
                                export_training_pairs, iter_windows, load_pairs,
                                mentions_to_document, slice_annotated,
                                truncate_context, write_pairs)
-from corefkit.reindex import localize
+from corefkit.reindex import IdMap, localize
 from corefkit.synth import SynthConfig, random_corpus, random_document
 
 from conftest import SISTER_CONLLU, make_sister_doc
@@ -236,6 +238,63 @@ def test_slice_matches_linear_filter_on_walker_accumulators(data, drawn):
         pipeline._append(acc, counts, piece)
     lo, hi = _bounds(data, acc)
     assert slice_annotated(acc, lo, hi) == _sliced_by_filter(acc, lo, hi)
+
+
+def _cut(data, acc):
+    """A cut of the text: 0, anywhere, inside a span, or at the last token."""
+    n = len(acc.tokens)
+    inside = [i for ev in acc.events if ev.end is not None
+              for i in range(ev.anchor + 1, ev.end + 1)]
+    return data.draw(st.one_of(
+        [st.just(0), st.integers(0, n), st.just(max(n - 1, 0))]
+        + ([st.sampled_from(inside)] if inside else [])))
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), drawn=_pieces(), leads=st.integers(0, 2),
+       held=st.lists(st.sampled_from(["e2", "e7", "e 3"]), max_size=3))
+def test_render_at_a_cut_matches_slice_then_localize(data, drawn, leads, held):
+    """The walker's one pass equals trimming, then localizing, then rendering,
+    with a fresh map or one that already holds chains (``reindex=False``)."""
+    fmt, pieces = drawn
+    pieces[0].events[:0] = [TagEvent("zero", "e10", -1)] * leads  # ahead of the text
+    acc, counts = AnnotatedText([], [], fmt, []), AtomCounts(fmt)  # as the walker makes it
+    for piece in pieces:
+        pipeline._append(acc, counts, piece)
+    cut = _cut(data, acc)
+    shown, expected_map = IdMap(), IdMap()
+    for chain in held:
+        shown.assign(chain)
+        expected_map.assign(chain)
+    expected, _ = localize(slice_annotated(acc, cut, len(acc.tokens)), expected_map)
+    assert render(acc, cut, shown.assign) == expected.render()
+    assert shown == expected_map
+
+
+@pytest.mark.parametrize("reindex", [True, False])
+@pytest.mark.parametrize("fmt", list(Format))
+def test_walker_prompts_match_trimmed_then_localized_context(fmt, reindex):
+    """Export pairs equal those of trimming the accumulator to a slice,
+    localizing it and rendering it, window by window."""
+    doc = random_document("d", SynthConfig(sentences=(30, 30), seed=5, p_zero=0.3,
+                                           p_discontinuous=0.1))
+    cfg = PipelineConfig(fmt=fmt, sentences_per_batch=2, context_budget=40, reindex=reindex)
+    full = build_events(doc.sentences, doc.mentions(), fmt)
+    starts = doc.sentence_starts()
+    acc, counts = AnnotatedText([], [], fmt, []), AtomCounts(fmt)
+    doc_map = None if reindex else IdMap()
+    expected = []
+    for lo, hi in iter_windows(len(doc.sentences), 2):
+        context, idmap = localize(truncate_context(acc, 40, counts), doc_map)
+        batch = build_events(doc.sentences[lo:hi], (), fmt)
+        gold = slice_annotated(full, starts[lo], starts[hi])
+        expected.append((build_prompt(context.render(), batch.render(), fmt),
+                         localize(gold, idmap)[0].render()))
+        pipeline._append(acc, counts, dataclasses.replace(batch, events=gold.events))
+    pairs = export_training_pairs(doc, cfg)
+    assert [(p.prompt, p.completion) for p in pairs] == expected
+    assert any(_context_of(p.prompt) != "(none)" and len(_context_of(p.prompt).split()) > 30
+               for p in pairs)
 
 
 def test_trimming_renders_per_window_do_not_grow_with_the_document(monkeypatch):
