@@ -91,7 +91,7 @@ class AnnotatedText:
     invariant that its consumers rely on: ``events`` are in slot order, of
     two spans that start together the outer first, and every span lies
     inside the text and nests with every other one. So event anchors never
-    decrease, and ``breaks`` ascend; ``slice_annotated`` bisects on both.
+    decrease, and ``breaks`` ascend; ``cut_at`` bisects on both.
     """
 
     tokens: list[str]
@@ -198,25 +198,43 @@ def encode(sentences: Sequence[Sentence], mentions: Sequence[Mention],
 _anchor = attrgetter("anchor")
 
 
-def render(annotated: AnnotatedText, lo: int = 0,
-           index: Callable[[int | str], int | str] | None = None) -> str:
-    """Single-space joined atoms of tokens ``lo`` on, a new line at each of
-    ``breaks``; events anchored outside the text, but for leading ones at
-    -1, render nothing.
+def cut_at(annotated: AnnotatedText, lo: int) -> tuple[int, int]:
+    """Where the text from token ``lo`` on starts in ``annotated``: the
+    index of its first event and of its first break.
 
-    A cut at ``lo`` > 0 renders what ``slice_annotated(annotated, lo, n)``
-    would, without making it: the events anchored before ``lo`` (a span
-    that straddles it, a leading zero) and the breaks up to ``lo`` are
-    left out, both found by bisection, and atoms sit at ``anchor - lo``.
-    ``index(chain)``, when given, is called once per event from the cut
-    on, in event order, and its result is shown in place of the chain id,
-    so ``IdMap.assign`` numbers chains by first appearance as ``localize``
-    does. Python work follows events and lines: only tokens that carry
-    atoms are rewritten, and each line's words are joined in one call."""
+    It keeps the events anchored at ``lo`` or later, so a span that
+    straddles the cut and a tag on token ``lo - 1`` go, and a leading zero
+    (anchor -1) stays only when ``lo`` is 0. It keeps the breaks above
+    ``lo``: the text opens a line at the cut anyway, and a break there (one
+    at 0 included) would only open it with an empty line. Anchors never
+    decrease and breaks ascend (see :class:`AnnotatedText`), so both are
+    found by bisection. ``slice_annotated`` and ``render`` cut by it."""
+    return (bisect_left(annotated.events, lo or -1, key=_anchor),
+            bisect_right(annotated.breaks, lo))
+
+
+def render(annotated: AnnotatedText, lo: int | None = None,
+           index: Callable[[int | str], int | str] | None = None) -> str:
+    """Single-space joined atoms, a new line at each of ``breaks``; events
+    anchored outside the text, but for leading ones at -1, render nothing.
+
+    Given a cut ``lo``, it renders tokens ``lo`` on as
+    ``slice_annotated(annotated, lo, n)`` would, without making the slice:
+    the events and breaks that :func:`cut_at` keeps, atoms at
+    ``anchor - lo``. Without one it renders the whole text as it is, a
+    break at 0 (an empty first sentence) as an empty first line and
+    unsorted breaks included. ``index(chain)``, when given, is called once
+    per rendered event, in event order, and its result is shown in place
+    of the chain id, so ``IdMap.assign`` numbers chains by first appearance
+    as ``localize`` does. Python work follows events and lines: only tokens
+    that carry atoms are rewritten, and each line's words are joined in one
+    call."""
     events, breaks = annotated.events, annotated.breaks
-    if lo:  # anchors never decrease and breaks ascend (see AnnotatedText)
-        events = events[bisect_left(events, lo, key=_anchor):]
-        breaks = breaks[bisect_right(breaks, lo):]
+    if lo is None:
+        lo = 0
+    else:
+        first_event, first_break = cut_at(annotated, lo)
+        events, breaks = events[first_event:], breaks[first_break:]
     chains = [ev.chain for ev in events] if index is None else [index(ev.chain) for ev in events]
     words = annotated.tokens[lo:]  # each token with its atoms
     n = len(words)

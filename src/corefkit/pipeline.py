@@ -22,7 +22,7 @@ import os
 import threading
 import time
 import weakref
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from collections import deque
 from collections.abc import Iterable, Iterator
 from concurrent.futures import Future, ThreadPoolExecutor
@@ -32,7 +32,7 @@ from urllib.parse import urlsplit
 from .align import clean
 from .conllu import Chain, Corpus, Document, Mention, Token
 from .diag import Diagnostic
-from .formats import (AnnotatedText, AtomCounts, Format, _anchor, build_events,
+from .formats import (AnnotatedText, AtomCounts, Format, _anchor, build_events, cut_at,
                       events_to_mentions, render)
 from .reindex import IdAllocator, IdMap, globalize
 
@@ -114,16 +114,15 @@ def iter_windows(n_sentences: int, per_batch: int) -> list[tuple[int, int]]:
 def slice_annotated(annotated: AnnotatedText, lo: int, hi: int) -> AnnotatedText:
     """Tokens [lo, hi) with their events, re-anchored to the slice.
 
-    A span that straddles a boundary is dropped; at a sentence boundary
-    nothing straddles. A cut between tokens, as :func:`truncate_context`
-    makes, can fall inside a mention: its words stay in the slice untagged.
-    A zero or head tag after token ``lo - 1`` is dropped with that token; a
-    zero ahead of the first token stays only when ``lo`` is 0.
+    What the cut at ``lo`` keeps is :func:`~corefkit.formats.cut_at`'s rule,
+    which ``render`` shares; at ``hi`` a span that ends at or past it is
+    dropped. At a sentence boundary nothing straddles. A cut between tokens,
+    as :func:`truncate_context` makes, can fall inside a mention: its words
+    stay in the slice untagged.
     """
-    # anchors never decrease and breaks ascend, so both ends are bisected;
-    # an anchor of -1 is kept only when lo is 0
+    # anchors never decrease and breaks ascend, so hi is bisected as well
     events, breaks = annotated.events, annotated.breaks
-    first = bisect_left(events, lo or -1, key=_anchor)
+    first, first_break = cut_at(annotated, lo)
     last = bisect_left(events, hi, first, key=_anchor)
     kept = [ev for ev in events[first:last] if ev.end is None or ev.end < hi]
     return AnnotatedText(
@@ -131,7 +130,7 @@ def slice_annotated(annotated: AnnotatedText, lo: int, hi: int) -> AnnotatedText
         # events are frozen, so one that keeps its anchor is shared
         [ev.shifted(-lo) for ev in kept] if lo else kept,
         annotated.fmt,
-        tuple(b - lo for b in breaks[bisect_right(breaks, lo):bisect_left(breaks, hi)]),
+        tuple(b - lo for b in breaks[first_break:bisect_left(breaks, hi)]),
     )
 
 
@@ -323,9 +322,7 @@ def _append(acc: AnnotatedText, counts: AtomCounts, piece: AnnotatedText) -> Non
     acc.events += [ev.shifted(offset) for ev in piece.events]
     if offset:
         acc.breaks.append(offset)
-    # a break at 0 (an empty first sentence) is one no cut keeps: the
-    # context never opens with an empty line
-    acc.breaks += [b + offset for b in piece.breaks if b + offset]
+    acc.breaks += [b + offset for b in piece.breaks]
 
 
 def mentions_to_document(doc: Document, mentions: list[Mention]) -> Document:

@@ -237,6 +237,18 @@ def test_render_matches_per_token_reference(annotated):
     assert render(annotated) == _render_per_token(annotated)
 
 
+def test_a_cut_never_opens_with_an_empty_line():
+    """Uncut, a break at 0 (an empty first sentence) opens an empty line; a
+    cut, at 0 too, keeps only the breaks above it, and leading zeros only at
+    0."""
+    text = AnnotatedText(["a", "b", "c"], [TagEvent("zero", 1, -1), TagEvent("head", 2, 1)],
+                         Format.HEADWORD, (0, 1, 2))
+    assert render(text) == "<zero1>\na\nb <ent2>\nc"
+    assert render(text, 0) == "<zero1> a\nb <ent2>\nc"
+    assert render(text, 1) == "b <ent2>\nc"
+    assert render(text, 1, index=lambda chain: chain + 5) == "b <ent7>\nc"
+
+
 @settings(max_examples=200, deadline=None)
 @given(seed=st.integers(0, 20_000), fmt=st.sampled_from(ALL_FORMATS))
 def test_render_matches_per_token_reference_on_perturbed_output(seed, fmt):

@@ -300,21 +300,30 @@ def test_walker_prompts_match_trimmed_then_localized_context(fmt, reindex):
 def test_trimming_renders_per_window_do_not_grow_with_the_document(monkeypatch):
     log = []
     real_render, real_prompt = formats.render, pipeline.build_prompt
-    monkeypatch.setattr(formats, "render",
-                        lambda annotated: log.append("render") or real_render(annotated))
+
+    def logged_render(*args, **kwargs):
+        log.append("render")
+        return real_render(*args, **kwargs)
+
+    # the walker calls render under its own name, AnnotatedText.render under formats'
+    monkeypatch.setattr(formats, "render", logged_render)
+    monkeypatch.setattr(pipeline, "render", logged_render)
     monkeypatch.setattr(pipeline, "build_prompt",
                         lambda *args: log.append("prompt") or real_prompt(*args))
     cfg = PRESETS["large-infer"]
 
-    def most_renders_per_window(sentences):
+    def renders_per_window(sentences):
         """Renders from one prompt to the next: the previous completion, then
-        trimming, context and batch of the window."""
+        the context and the batch of the window."""
         doc = random_document("d", SynthConfig(sentences=(sentences, sentences), seed=7))
         log.clear()
         export_training_pairs(doc, cfg)
-        return max(run.count("render") for run in " ".join(log).split("prompt"))
+        return [run.count("render") for run in " ".join(log).split("prompt")]
 
-    assert most_renders_per_window(1200) <= most_renders_per_window(200)  # 200: under budget
+    short, long = renders_per_window(200), renders_per_window(1200)  # 200: under budget
+    # each prompt has its context and its batch rendered; the last completion follows
+    assert [short[0], short[-1]] == [long[0], long[-1]] == [2, 1]
+    assert set(short[1:-1]) == set(long[1:-1]) == {3}
 
 
 @pytest.mark.parametrize("fmt", list(Format))
