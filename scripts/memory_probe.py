@@ -1,13 +1,15 @@
 #!/usr/bin/env python3
-"""Peak memory of export-train, annotate and evaluate at two corpus sizes.
+"""Peak memory of export-train, annotate, evaluate, convert and decode at
+two corpus sizes.
 
     PYTHONPATH=src python3 scripts/memory_probe.py [--docs 1000 4000] [--limit 1.1]
 
 For each size n, writes ``synth.random_corpus(n, SynthConfig(seed=5,
 sentences=(3, 12)))`` to a temporary directory, then runs ``export-train``,
-``annotate --backend oracle`` on the exported pairs and ``evaluate`` of that
-prediction against the gold, each in a fresh process, and prints each
-command's peak resident set size. Exits 1 when a command's peak at the
+``annotate --backend oracle`` on the exported pairs, ``evaluate`` of that
+prediction against the gold, ``convert --format minimal`` of the gold and
+``decode --format minimal`` of that text, each in a fresh process, and
+prints each command's peak resident set size. Exits 1 when a command's peak at the
 largest size is more than ``--limit`` times its peak at the smallest: the
 commands read one document at a time, so their memory should not follow the
 corpus. This process imports nothing from corefkit and writes the corpora in
@@ -49,14 +51,17 @@ def main(argv=None) -> int:
     peaks: dict[str, list[float]] = {}
     with tempfile.TemporaryDirectory() as tmp:
         for n in args.docs:
-            gold, pairs, pred = (str(Path(tmp) / f"{name}{n}{ext}") for name, ext in
-                                 (("gold", ".conllu"), ("pairs", ".jsonl"), ("pred", ".conllu")))
+            gold, pairs, pred, text = (
+                str(Path(tmp) / f"{name}{n}{ext}") for name, ext in
+                (("gold", ".conllu"), ("pairs", ".jsonl"), ("pred", ".conllu"), ("text", ".txt")))
             subprocess.run([sys.executable, "-c", WRITE_CORPUS, str(n), gold], check=True)
             for name, command in (
                     ("export-train", ["export-train", gold, "-o", pairs]),
                     ("annotate", ["annotate", gold, "--backend", "oracle",
                                   "--oracle", pairs, "-o", pred]),
-                    ("evaluate", ["evaluate", "--gold", gold, "--pred", pred])):
+                    ("evaluate", ["evaluate", "--gold", gold, "--pred", pred]),
+                    ("convert", ["convert", gold, "--format", "minimal", "-o", text]),
+                    ("decode", ["decode", text, "--format", "minimal"])):
                 peaks.setdefault(name, []).append(peak_mb(command))
     print("command       " + "".join(f"{n:>10}" for n in args.docs) + "     ratio")
     worst = 0.0

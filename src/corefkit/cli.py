@@ -12,28 +12,29 @@ Every command reads `-` as stdin; `-o` (default `-`) and `--diagnostics`
 both write `-` as stdout. Options may come from a JSON config file
 (--config); unknown keys there are an error, and explicit command-line flags
 win over the file. Exit status: 0 success, 1 usage or configuration problem
-(an output path that cannot be written included), 2 malformed data, 3
-backend failure.
+(an output path that cannot be written included), 2 malformed data (an input
+that cannot be read or is not UTF-8 included), 3 backend failure.
 """
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import itertools
 import json
+import shutil
 import sys
 import tempfile
 import threading
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterator
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TextIO
+from typing import Callable, TextIO
 
 from . import metrics
 from .align import clean as clean_output
 from .conllu import (ConlluError, Corpus, Document, Sentence, Token, iter_conllu,
                      serialize_conllu)
-from .diag import Diagnostic
 from .formats import (Format, FormatError, build_events, decode, events_to_mentions,
                       render)
 from .pipeline import (BackendError, EmptyBackend, HttpBackend, ModelBackend,
@@ -153,41 +154,35 @@ def build_backend(job: JobConfig) -> ModelBackend:
 # -- small I/O helpers -----------------------------------------------------------
 
 def _read_text(path: str, error: type[Exception] = ConlluError) -> str:
-    """The text at ``path`` (stdin for ``-``); an unreadable path raises ``error``."""
-    if path == "-":
-        return sys.stdin.read()
+    """The text at ``path`` (stdin for ``-``); an unreadable path or one
+    that is not UTF-8 raises ``error``."""
     try:
-        return Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise error(f"cannot read {path}: {exc}") from exc
-
-
-def _write_text(path: str, text: str | Iterable[str]) -> None:
-    """The one output writer: ``text`` is a string or an iterable of pieces,
-    written to stdout for ``-``. An unwritable path is a usage error."""
-    pieces = [text] if isinstance(text, str) else text
-    if path == "-":
-        sys.stdout.writelines(pieces)
-        return
-    try:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.writelines(pieces)
-    except OSError as exc:
-        raise UsageError(f"cannot write {path}: {exc}") from exc
+        return sys.stdin.read() if path == "-" else Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise error(f"cannot read {_shown(path)}: {exc}") from exc
 
 
 @contextmanager
 def _output(path: str | None) -> Iterator[TextIO | None]:
-    """A temporary file for a command to write its output into as it goes;
-    it is copied to ``path`` (see ``_write_text``) only if the block ends
-    without an error. So output takes no memory, and a data error found late
-    leaves none. No ``path``, no file: the block gets None."""
-    with (tempfile.TemporaryFile("w+", encoding="utf-8", newline="") if path
-          else nullcontext()) as spool:
+    """The one output writer: a temporary file for a command to write its
+    output into as it goes, copied to ``path`` (stdout for ``-``) only if
+    the block ends without an error. So output takes no memory, and a data
+    error found late leaves none. An unwritable path is a usage error. No
+    ``path``, no file: the block gets None."""
+    if not path:
+        yield None
+        return
+    with tempfile.TemporaryFile("w+", encoding="utf-8", newline="") as spool:
         yield spool
-        if path:
-            spool.seek(0)
-            _write_text(path, iter(lambda: spool.read(1 << 16), ""))
+        spool.seek(0)
+        if path == "-":
+            shutil.copyfileobj(spool, sys.stdout)
+            return
+        try:
+            with open(path, "w", encoding="utf-8") as fh:
+                shutil.copyfileobj(spool, fh)
+        except OSError as exc:
+            raise UsageError(f"cannot write {path}: {exc}") from exc
 
 
 def _dataset_id(path: str) -> str:
@@ -199,12 +194,8 @@ def _shown(path: str) -> str:
     return "<stdin>" if path == "-" else path
 
 
-def _check_ids(name: str, docs: list[Document]) -> None:
-    """Refuses documents, decoded from ``name``, that repeat an id."""
-    ids = [doc.doc_id for doc in docs]
-    if len(set(ids)) < len(ids):
-        repeated = next(i for n, i in enumerate(ids) if i in ids[:n])
-        raise ConlluError(f"{name}: document id {repeated!r} appears more than once")
+class _Unreadable(ConlluError):
+    """An input that cannot be read as UTF-8 text; the message names it."""
 
 
 def _lines(path: str) -> Iterator[str]:
@@ -215,24 +206,27 @@ def _lines(path: str) -> Iterator[str]:
         with nullcontext(sys.stdin) if path == "-" else open(path, encoding="utf-8") as fh:
             while block := fh.read(1 << 16):
                 yield from (block + fh.readline()).splitlines()
-    except OSError as exc:
-        raise ConlluError(f"cannot read {path}: {exc}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise _Unreadable(f"cannot read {_shown(path)}: {exc}") from exc
 
 
-def _read_documents(path: str) -> Iterator[Document]:
-    """The documents of one CoNLL-U file, read one at a time: a repeated id
-    is refused, and each parse warning goes to stderr, as its document is
-    read."""
+def _read_documents(path: str, parse: Callable[[Iterator[str]], Iterator[Document]]
+                    | None = None) -> Iterator[Document]:
+    """The documents that ``parse`` (``iter_conllu`` if None) makes of the
+    lines of one file, read one at a time: a repeated id is refused, and
+    each parse warning goes to stderr, as its document is read."""
     name = _shown(path)
     ids: set[str] = set()
     try:
-        for doc in iter_conllu(_lines(path)):
+        for doc in (parse or iter_conllu)(_lines(path)):
             if doc.doc_id in ids:
                 raise ConlluError(f"document id {doc.doc_id!r} appears more than once")
             ids.add(doc.doc_id)
             for w in doc.warnings:
                 print(f"warning: {name}: {w}", file=sys.stderr)
             yield doc
+    except _Unreadable:
+        raise
     except ConlluError as exc:
         raise ConlluError(f"{name}: {exc}") from exc
 
@@ -246,61 +240,58 @@ def _in_document(path: str, doc: Document) -> Iterator[None]:
         raise FormatError(f"{_shown(path)}: document {doc.doc_id!r}: {exc}") from exc
 
 
-def _write_diags(path: str | None, diags: list[Diagnostic]) -> None:
-    if path:
-        _write_text(path, (d.to_json() + "\n" for d in diags))
-
-
 # -- commands --------------------------------------------------------------------
 
 def cmd_convert(args) -> int:
     fmt = Format(args.format)
-    docs = [(p, d) for p in args.input for d in _read_documents(p)]
-    blocks = []
-    for path, doc in docs:
-        with _in_document(path, doc):
-            annotated = build_events(doc.sentences, doc.mentions(), fmt)
-        idmap = IdMap()
-        # convert output numbers chains from 1; prompts number them from 0
-        text = render(annotated, index=lambda c: idmap.assign(c) + 1)
-        blocks.append(f"# doc = {doc.doc_id}\n{text}" if len(docs) > 1 else text)
-    _write_text(args.output, "\n".join(blocks) + "\n")
+
+    def rendered() -> Iterator[tuple[str, str]]:
+        for path in args.input:
+            for doc in _read_documents(path):
+                with _in_document(path, doc):
+                    annotated = build_events(doc.sentences, doc.mentions(), fmt)
+                idmap = IdMap()
+                # convert output numbers chains from 1; prompts number them from 0
+                yield doc.doc_id, render(annotated, index=lambda c: idmap.assign(c) + 1)
+
+    blocks = rendered()
+    # a second document means headers; it is looked for only once the first
+    # is rendered, so the first fault in file order is the one reported
+    ahead = list(itertools.islice(blocks, 2))
+    with _output(args.output) as out:
+        for n, (doc_id, text) in enumerate(itertools.chain(ahead, blocks)):
+            out.write(("\n" if n else "") + (f"# doc = {doc_id}\n" if len(ahead) > 1 else "")
+                      + text)
+        out.write("\n")
     return 0
 
 
 def cmd_decode(args) -> int:
     fmt = Format(args.format)
-    text = _read_text(args.input)
-    diags: list[Diagnostic] = []
-    finished: list[Document] = []
-    doc, mentions = Document(args.doc_id), []
+    with _output(args.diagnostics) as diags, _output(args.output) as out:
 
-    def flush():
-        if doc.sentences:
-            renamed = [dataclasses.replace(m, chain_id=f"e{m.chain_id}")
-                       for m in mentions]
-            finished.append(mentions_to_document(doc, renamed))
+        def blocks(lines: Iterator[str]) -> Iterator[Document]:
+            # one document per "# doc = ID" block, made once the next header
+            # (or the one appended to the input) arrives
+            doc, mentions = Document(args.doc_id), []
+            for line in itertools.chain(lines, ["# doc = "]):
+                if line.startswith("# doc = "):
+                    if doc.sentences:
+                        yield mentions_to_document(doc, [
+                            dataclasses.replace(m, chain_id=f"e{m.chain_id}") for m in mentions])
+                    doc, mentions = Document(line[len("# doc = "):].strip()), []
+                elif line.strip():
+                    annotated, found = decode(line, fmt)
+                    li = len(doc.sentences)
+                    tokens = [Token(p + 1, form) for p, form in enumerate(annotated.tokens)]
+                    doc.sentences.append(Sentence(f"s{li + 1}", tokens))
+                    token_map = [(li, t.position) for t in tokens]
+                    ms, more = events_to_mentions(annotated, token_map, doc.sentences)
+                    mentions.extend(ms)
+                    if diags is not None:
+                        diags.writelines(d.to_json() + "\n" for d in found + more)
 
-    for line in text.splitlines():
-        if line.startswith("# doc = "):
-            flush()
-            doc, mentions = Document(line[len("# doc = "):].strip()), []
-            continue
-        if not line.strip():
-            continue
-        annotated, d = decode(line, fmt)
-        diags.extend(d)
-        li = len(doc.sentences)
-        tokens = [Token(p + 1, form) for p, form in enumerate(annotated.tokens)]
-        doc.sentences.append(Sentence(f"s{li + 1}", tokens))
-        token_map = [(li, t.position) for t in tokens]
-        ms, d2 = events_to_mentions(annotated, token_map, doc.sentences)
-        diags.extend(d2)
-        mentions.extend(ms)
-    flush()
-    _check_ids(_shown(args.input), finished)
-    _write_text(args.output, "".join(serialize_conllu(d) for d in finished))
-    _write_diags(args.diagnostics, diags)
+        out.writelines(map(serialize_conllu, _read_documents(args.input, blocks)))
     return 0
 
 
@@ -309,8 +300,10 @@ def cmd_clean(args) -> int:
     noisy = _read_text(args.model_output)
     annotated, diags = clean_output(source, noisy, Format(args.format),
                                     args.fuzzy_threshold)
-    _write_text(args.output, annotated.render() + "\n")
-    _write_diags(args.diagnostics, diags)
+    with _output(args.diagnostics) as diag_out, _output(args.output) as out:
+        out.write(annotated.render() + "\n")
+        if diag_out is not None:
+            diag_out.writelines(d.to_json() + "\n" for d in diags)
     return 0
 
 
@@ -367,8 +360,8 @@ def cmd_evaluate(args) -> int:
     if len(args.gold) == 1 and len(args.pred) == 1:
         pred = Corpus([(gold.datasets[0][0], pred.datasets[0][1])])
     report = metrics.conll_f1(gold, pred)
-    _write_text(args.output,
-                (report.to_table() if args.table else report.to_json()) + "\n")
+    with _output(args.output) as out:
+        out.write((report.to_table() if args.table else report.to_json()) + "\n")
     for w in report.warnings:
         print(f"warning: {w}", file=sys.stderr)
     return 0
@@ -383,9 +376,10 @@ def cmd_stats(args) -> int:
         "pairs": cdf.count,
         "coverage": {str(b): cdf.coverage(b) for b in args.budget},
     }
-    _write_text(args.output, json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    if args.cdf_csv:
-        _write_text(args.cdf_csv, cdf.to_csv())
+    with _output(args.cdf_csv) as cdf_out, _output(args.output) as out:
+        out.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        if cdf_out is not None:
+            cdf_out.write(cdf.to_csv())
     return 0
 
 

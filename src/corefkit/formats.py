@@ -373,10 +373,9 @@ class _Decoder:
 
     A span takes its place in ``events`` when it opens, so events come out
     in slot order, the outer of two spans that open together first. A close
-    before any token closes nothing, yet it uses up one open: the closes
-    after it may close one open fewer. A close right after its open drops
-    the span, which holds no token. A span still open at the end closes at
-    the last token.
+    before any token closes nothing and uses up no open. A close right after
+    its open drops the span, which holds no token. A span still open at the
+    end closes at the last token.
     """
 
     def __init__(self, fmt: Format):
@@ -386,19 +385,16 @@ class _Decoder:
         self.events: list[TagEvent | None] = []  # None: the place of an open span
         self.diags: list[Diagnostic] = []
         self.stack: list[tuple[int, int, int]] = []  # (place, chain, anchor) per open span
-        self.closable = 0  # how many spans of the stack a close may still close
 
     def open(self, chain: int):
         self.stack.append((len(self.events), chain, len(self.tokens)))
         self.events.append(None)
-        self.closable += 1
 
     def close(self, wire_chain: int | None = None):
         n = len(self.tokens)
-        if not self.closable:
+        if not self.stack:
             self.diags.append(Diagnostic("decode", "unmatched close tag", n))
             return
-        self.closable -= 1
         if not n:
             self.diags.append(Diagnostic("decode", "close tag before any token", 0))
             return

@@ -8,6 +8,7 @@ import subprocess
 import sys
 import threading
 import time
+from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
@@ -52,6 +53,85 @@ def test_convert_reads_stdin(monkeypatch, capsys):
     monkeypatch.setattr(sys, "stdin", io.StringIO(SISTER_CONLLU))
     assert run("convert", "-", "--format", "crac") == 0
     assert capsys.readouterr().out == GOLDEN["crac"] + "\n"
+
+
+@pytest.mark.parametrize("source", ["file", "stdin"])
+@pytest.mark.parametrize("n", [0, 1, 3])
+def test_convert_and_decode_headers_follow_the_document_count(tmp_path, monkeypatch,
+                                                              capsys, n, source):
+    # past one document, each block gets a "# doc =" header and decode splits on it
+    ids = [f"demo{i}" for i in range(n)]
+    gold = "".join(SISTER_CONLLU.replace("demo", doc_id) for doc_id in ids)
+    expected = ("\n".join(f"# doc = {doc_id}\n{GOLDEN['minimal']}" for doc_id in ids)
+                if n > 1 else GOLDEN["minimal"] * n) + "\n"
+
+    def command(name, text):
+        path = tmp_path / f"{name}.in"
+        path.write_text(text, encoding="utf-8")
+        if source == "stdin":
+            monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+        assert run(name, "-" if source == "stdin" else str(path), "--format", "minimal") == 0
+        return capsys.readouterr().out
+
+    assert command("convert", gold) == expected
+    decoded = parse_conllu(command("decode", expected))
+    assert [d.doc_id for d in decoded] == (ids if n > 1 else ["decoded"] * n)
+    assert all(sorted(d.chains) == ["e1", "e2"] for d in decoded)
+
+
+@pytest.mark.parametrize("command", ["convert", "decode"])
+def test_convert_and_decode_write_each_document_before_reading_far_ahead(
+        tmp_path, monkeypatch, capsys, command):
+    rng = random.Random(3)
+    docs = [random_document(f"d{i}", SynthConfig(sentences=(2, 2)), rng) for i in range(5)]
+    source = tmp_path / "in.conllu"
+    source.write_text(serialize_corpus(docs), encoding="utf-8")
+    if command == "decode":
+        text = tmp_path / "in.txt"
+        assert run("convert", str(source), "--format", "minimal", "-o", str(text)) == 0
+        source = text
+    assert run(command, str(source), "--format", "minimal") == 0
+    expected = capsys.readouterr().out
+    log = []
+
+    def read(lines):  # each document as the convert reader parses it
+        for doc in parse_lines(lines):
+            log.append(("read", doc.doc_id))
+            yield doc
+
+    def lines(path):  # each "# doc =" block as the decode reader reaches it
+        for line in read_lines(path):
+            if line.startswith("# doc = "):
+                log.append(("read", line[len("# doc = "):]))
+            yield line
+
+    @contextmanager
+    def output(path):
+        with write_output(path) as spool:
+            yield spool and Recording(spool)
+
+    class Recording:
+        def __init__(self, spool):
+            self.spool = spool
+
+        def write(self, text):
+            log.extend(("write", d.doc_id) for d in docs if f"= {d.doc_id}\n" in text)
+            self.spool.write(text)
+
+        def writelines(self, texts):
+            for text in texts:
+                self.write(text)
+
+    parse_lines, read_lines, write_output = cli.iter_conllu, cli._lines, cli._output
+    monkeypatch.setattr(cli, "iter_conllu", read)
+    monkeypatch.setattr(cli, "_lines", lines)
+    monkeypatch.setattr(cli, "_output", output)
+    assert run(command, str(source), "--format", "minimal") == 0
+    assert capsys.readouterr().out == expected
+    assert [e for e in log if e[0] == "write"] == [("write", d.doc_id) for d in docs]
+    # document 1 is written before document 3 is read, and so on down the file
+    for i in range(len(docs) - 2):
+        assert log.index(("write", docs[i].doc_id)) < log.index(("read", docs[i + 2].doc_id))
 
 
 def test_decode_rebuilds_conllu(tmp_path, capsys):
@@ -153,6 +233,8 @@ def test_diagnostics_dash_goes_to_stdout(gold_path, tmp_path, monkeypatch,
 @pytest.mark.parametrize("command, flags", [
     ("export-train", ["-o"]),
     ("annotate", ["--backend", "empty", "-o", os.devnull, "--diagnostics"]),
+    ("convert", ["-o"]),
+    ("stats", ["-o", os.devnull, "--cdf-csv"]),
 ])
 def test_unwritable_output_exits_1(gold_path, tmp_path, capsys, command, flags):
     target = str(tmp_path / "missing" / "out.jsonl")
@@ -606,6 +688,9 @@ def test_crossing_mentions_exit_2(tmp_path, capsys, command):
 
 def test_missing_file_exits_2(capsys):
     assert run("convert", "/nonexistent/file.conllu") == 2
+    # the message names the file once
+    assert capsys.readouterr().err.startswith(
+        "error: cannot read /nonexistent/file.conllu: [Errno 2]")
 
 
 def test_bad_flag_exits_1(gold_path, capsys):
@@ -709,25 +794,61 @@ def test_evaluate_streamed_equals_whole_list_score(tmp_path, capsys):
                                 "appears more than once\n")
 
 
-def test_first_fault_in_file_order_is_reported(tmp_path, capsys):
-    # document 1 cannot be encoded; document 2 is not even valid CoNLL-U
+@pytest.mark.parametrize("between", ["", SISTER_CONLLU], ids=["adjacent", "apart"])
+@pytest.mark.parametrize("command", [("export-train",), ("convert", "--format", "minimal")],
+                         ids=lambda c: c[0])
+def test_first_fault_in_file_order_is_reported(tmp_path, capsys, command, between):
+    # document 1 cannot be encoded; the last one is not even valid CoNLL-U
     path = tmp_path / "faults.conllu"
     path.write_text("# newdoc id = x\n# sent_id = s1\n" + "".join(
         f"{i}\t{w}\t_\t_\t_\t_\t{int(i > 1)}\t_\t_\tEntity={entity}\n"
         for i, (w, entity) in enumerate(zip("abcd", ["(e1", "(e2", "e1)", "e2)"]), start=1))
-        + "\n" + SISTER_CONLLU + "# newdoc id = y\n# sent_id = s1\n1\tonly\ttwo\n\n",
+        + "\n" + between + "# newdoc id = y\n# sent_id = s1\n1\tonly\ttwo\n\n",
         encoding="utf-8")
-    assert run("export-train", str(path)) == 2
+    assert run(command[0], str(path), *command[1:]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith(f"error: {path}: document 'x': crossing mentions")
-    # the same input with document 1 left out fails on document 2's line
-    path.write_text(path.read_text().split("\n\n", 1)[1], encoding="utf-8")
-    assert run("export-train", str(path)) == 2
+    # the same input with document 1 left out fails on the malformed line
+    text = path.read_text().split("\n\n", 1)[1]
+    path.write_text(text, encoding="utf-8")
+    assert run(command[0], str(path), *command[1:]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == (f"error: {path}: line 15: expected 10 tab-separated columns, "
+    line = text.splitlines().index("1\tonly\ttwo") + 1
+    assert line == (15 if between else 3)
+    assert captured.err == (f"error: {path}: line {line}: expected 10 tab-separated columns, "
                             "got 3\n")
+
+
+@pytest.mark.parametrize("command, code", [
+    (("convert", "{bad}"), 2),
+    (("convert", "-"), 2),
+    (("decode", "{bad}"), 2),
+    (("clean", "{bad}", "{text}"), 2),
+    (("clean", "{text}", "{bad}"), 2),
+    (("clean", "-", "{text}"), 2),
+    (("annotate", "{bad}", "--backend", "empty"), 2),
+    (("export-train", "{bad}"), 2),
+    (("evaluate", "--gold", "{bad}", "--pred", "{gold}"), 2),
+    (("evaluate", "--gold", "{gold}", "--pred", "{bad}"), 2),
+    (("stats", "{bad}"), 2),
+    (("annotate", "{gold}", "--config", "{bad}"), 1),
+    (("export-train", "{gold}", "--config", "{bad}"), 1),
+], ids=lambda c: "-".join(a.strip("{}-") for a in c) if isinstance(c, tuple) else None)
+def test_input_that_is_not_utf8_is_reported(gold_path, tmp_path, monkeypatch, capsys,
+                                            command, code):
+    bad, text = tmp_path / "latin1.txt", tmp_path / "text.txt"
+    bad.write_bytes(b"caf\xe9\n")
+    text.write_text("cafe\n", encoding="utf-8")
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(b"caf\xe9\n"),
+                                                       encoding="utf-8"))
+    assert run(*(a.format(bad=bad, text=text, gold=gold_path) for a in command)) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    [line] = captured.err.splitlines()
+    name = "<stdin>" if "-" in command else bad
+    assert line.startswith(f"error: cannot read {name}: 'utf-8' codec can't decode byte 0xe9")
 
 
 def test_replay_runs_are_deterministic(gold_path, tmp_path):

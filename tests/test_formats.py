@@ -103,10 +103,9 @@ def test_zero_before_first_token_anchors_at_minus_one():
     # the later close ends the inner span; the outer one closes at the last token
     ("<ent1> <ent2> </ent> river before river </ent> flows",
      [("1", ((1, 4),)), ("2", ((1, 3),))]),
-    # the early close leaves no open for the close after "doctor", so chain 2
-    # closes at the last token
+    # the early close uses up no open, so the close after "doctor" ends chain 2
     ("<ent2> </ent> doctor </ent> <ent3> with with <ent2> </ent> </ent>",
-     [("2", ((1, 3),)), ("3", ((2, 3),))]),
+     [("2", ((1, 1),)), ("3", ((2, 3),))]),
 ])
 def test_close_before_any_token_closes_nothing(text, spans):
     annotated, diags = decode(text, Format.MINIMAL)
