@@ -537,7 +537,9 @@ def _sentence_entity_strings(doc_id: str, mentions: list[Mention], npos: int):
 
     per_token: dict[tuple[int, int], str] = {}
     stack: list[tuple[int, str]] = []  # (end, eid_for_close), in opening order
-    for p in range(1, npos + 1):
+    # only where a bracket opens or a span ends does anything happen
+    ends = {e for opens in opens_by_start.values() for e, _, _ in opens}
+    for p in sorted(p for p in opens_by_start.keys() | ends if 1 <= p <= npos):
         pieces = []
         # wider spans open first; equal spans order by bracket text so the
         # output is stable under parse -> serialize

@@ -24,9 +24,11 @@ sentence per line.
 from __future__ import annotations
 
 import re
+from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from enum import Enum
+from itertools import accumulate, count
 from operator import attrgetter
 from typing import Callable, Mapping, Sequence
 
@@ -208,7 +210,8 @@ def cut_at(annotated: AnnotatedText, lo: int) -> tuple[int, int]:
     ``lo``: the text opens a line at the cut anyway, and a break there (one
     at 0 included) would only open it with an empty line. Anchors never
     decrease and breaks ascend (see :class:`AnnotatedText`), so both are
-    found by bisection. ``slice_annotated`` and ``render`` cut by it."""
+    found by bisection. ``slice_annotated``, ``render`` and
+    ``Layout.fill`` cut by it."""
     return (bisect_left(annotated.events, lo or -1, key=_anchor),
             bisect_right(annotated.breaks, lo))
 
@@ -226,57 +229,267 @@ def render(annotated: AnnotatedText, lo: int | None = None,
     unsorted breaks included. ``index(chain)``, when given, is called once
     per rendered event, in event order, and its result is shown in place
     of the chain id, so ``IdMap.assign`` numbers chains by first appearance
-    as ``localize`` does. Python work follows events and lines: only tokens
-    that carry atoms are rewritten, and each line's words are joined in one
-    call."""
-    events, breaks = annotated.events, annotated.breaks
+    as ``localize`` does. The text is laid out with a slot for each chain
+    index (:func:`_lay_out`), and the slots filled in (:func:`_fill`)."""
+    events, breaks, words = annotated.events, annotated.breaks, annotated.tokens[lo or 0:]
     if lo is None:
         lo = 0
     else:
         first_event, first_break = cut_at(annotated, lo)
         events, breaks = events[first_event:], breaks[first_break:]
-    chains = [ev.chain for ev in events] if index is None else [index(ev.chain) for ev in events]
-    words = annotated.tokens[lo:]  # each token with its atoms
+    return _rendered(annotated.fmt, words, events, lo,
+                     sorted({b - lo for b in breaks if 0 <= b - lo < len(words)}),
+                     _shown(events, index))
+
+
+def _shown(events: Sequence[TagEvent], index) -> list[str]:
+    """What the slots of each event show: ``index(chain)``, called once per
+    event in event order, or the chain itself."""
+    if index is None:
+        return [str(ev.chain) for ev in events]
+    return [str(index(ev.chain)) for ev in events]
+
+
+# Each atom with the slot character in place of its chain index; it stands
+# for a slot while a text is laid out. Crac items join onto their token,
+# each with the comma that follows it: one per single-token span, one per
+# span that opens or closes on it.
+_SLOT = "\x00"
+_SINGLE = "single"
+_SLOTTED: dict[Format, dict[str, str]] = {
+    fmt: {kind: template.replace("{k}", _SLOT) for kind, template in tags.items()}
+    for fmt, tags in TAGS.items()}
+_SLOTTED[Format.CRAC] = {_SINGLE: f"[e{_SLOT}],", OPEN: f"[e{_SLOT},", CLOSE: f"e{_SLOT}],",
+                         ZERO: f"##|[e{_SLOT}]"}
+_plus_one = (1).__add__
+
+
+def _lay_out(fmt: Format, words: list[str], events: Sequence[TagEvent], lo: int,
+             lines: list[int], first: int = 0, follows: bool = False
+             ) -> tuple[str, list[int], str, int]:
+    """``words`` rendered with a slot for each chain index: the atoms of
+    each event at ``anchor - lo``, those at -1 leading, none for one
+    anchored outside the words, and a new line at each of ``lines``,
+    ascending word indices (0: ahead of the first word). ``follows`` says
+    that the text comes after other text, so it opens with a space (or the
+    new line). ``words`` is rewritten in place.
+
+    Returns the text, with a slot character that no word holds in place of
+    each chain index; the events of its slots, in text order, counted from
+    ``first``; the slot character; and where the first word starts."""
     n = len(words)
-    before: dict[int, list[str]] = {}   # atoms ahead of token i
-    after: dict[int, list[str]] = {}    # atoms behind token i (-1: leading)
-
-    if annotated.fmt is Format.CRAC:
-        ranked: dict[int, tuple[list[str], list[str], list[str]]] = {}
-        for ev, k in zip(events, chains):
-            i = ev.anchor - lo
+    atoms, slot = _SLOTTED[fmt], _SLOT
+    if events and slot in "".join(words):  # a word holds it: take one none holds
+        held = set("".join(words))
+        slot = next(c for c in map(chr, count()) if c not in held)
+        atoms = {kind: atom.replace(_SLOT, slot) for kind, atom in atoms.items()}
+    after: dict[int, list[str]] = {}  # atoms behind word i (-1: leading)
+    if not events:
+        slots = []
+    elif fmt is Format.CRAC:
+        single: dict[int, list[int]] = {}
+        opened: dict[int, list[int]] = {}
+        closed: dict[int, list[int]] = {}
+        zeros: dict[int, list[int]] = {}
+        for j, ev in enumerate(events, first):
             if ev.kind == ZERO:
-                after.setdefault(i, []).append(f"##|[e{k}]")
+                after.setdefault(ev.anchor - lo, []).append(atoms[ZERO])
+                zeros.setdefault(ev.anchor - lo, []).append(j)
             elif ev.kind == SPAN and ev.end == ev.anchor:
-                ranked.setdefault(i, ([], [], []))[0].append(f"[e{k}]")
+                single.setdefault(ev.anchor - lo, []).append(j)
             elif ev.kind == SPAN:
-                ranked.setdefault(i, ([], [], []))[1].append(f"[e{k}")
-                ranked.setdefault(ev.end - lo, ([], [], []))[2].append(f"e{k}]")
-        # a token closes its innermost span first: the one visited last
-        for i, (s, o, c) in ranked.items():
+                opened.setdefault(ev.anchor - lo, []).append(j)
+                # a token closes its innermost span first: the one visited last
+                closed.setdefault(ev.end - lo, []).insert(0, j)
+        # the items join onto their token, ahead of its zeros
+        slots = zeros.pop(-1, [])
+        for i in sorted(single.keys() | opened.keys() | closed.keys() | zeros.keys()):
             if 0 <= i < n:
-                words[i] += "|" + ",".join(s + o + c[::-1])
+                s, o, c = single.get(i, ()), opened.get(i, ()), closed.get(i, ())
+                if s or o or c:
+                    words[i] += ("|" + atoms[_SINGLE] * len(s) + atoms[OPEN] * len(o)
+                                 + atoms[CLOSE] * len(c))[:-1]
+                    slots += (*s, *o, *c)
+                slots += zeros.get(i, ())
     else:
-        tags = {kind: template.format for kind, template in TAGS[annotated.fmt].items()}
-        for ev, k in zip(events, chains):
+        before: dict[int, list[str]] = {}
+        # each event has one slot: in event order while the places ascend
+        place, unordered = -1, n + n
+        for ev in events:
+            i = ev.anchor - lo
             if ev.kind == SPAN:
-                before.setdefault(ev.anchor - lo, []).append(tags[OPEN](k=k))
+                before.setdefault(i, []).append(atoms[OPEN])
                 # spans ending at token i come before the events after it
-                after.setdefault(ev.end - lo, []).append(tags[CLOSE]())
+                after.setdefault(ev.end - lo, []).append(atoms[CLOSE])
+                place = i + i if place <= i + i else unordered
             else:
-                after.setdefault(ev.anchor - lo, []).append(tags[ev.kind](k=k))
+                after.setdefault(i, []).append(atoms[ev.kind])
+                place = i + i + 1 if place <= i + i + 1 else unordered
+        if place < unordered:
+            slots = list(range(first, first + len(events)))
+        else:  # out of order, or anchored outside the words: sorted by place
+            places = sorted((2 * (ev.anchor - lo) + (ev.kind != SPAN), j)
+                            for j, ev in enumerate(events, first))
+            slots = [j for place, j in places if -1 <= place < unordered]
+        for i, atoms_ahead in before.items():
+            if 0 <= i < n:
+                words[i] = " ".join(atoms_ahead) + " " + words[i]
+    for i, atoms_behind in after.items():
+        if 0 <= i < n:
+            words[i] += " " + " ".join(atoms_behind)
 
-    for i, atoms in before.items():
-        if 0 <= i < n:
-            words[i] = " ".join(atoms) + " " + words[i]
-    for i, atoms in after.items():
-        if 0 <= i < n:
-            words[i] += " " + " ".join(atoms)
-    # the leading atoms open the first line; a break at 0 ends it before token 0
-    starts = sorted({b - lo for b in breaks if 0 <= b - lo < n})
-    ends = starts + [n]
-    lines = [" ".join(after.get(-1, []) + words[:ends[0]])]
-    return "\n".join(lines + [" ".join(words[a:b]) for a, b in zip(starts, ends[1:])])
+    # the leading atoms open the first line
+    lead = " ".join(after.get(-1, ()))
+    if lead and follows:
+        lead = " " + lead
+    sep = body = ""
+    if n:
+        if lines and lines[0] == 0:
+            sep, lines = "\n", lines[1:]
+        elif lead or follows:
+            sep = " "
+        if lines:
+            ends = lines + [n]
+            body = "\n".join([" ".join(words[:ends[0]]),
+                              *(" ".join(words[a:b]) for a, b in zip(lines, ends[1:]))])
+        else:
+            body = " ".join(words)
+    return lead + sep + body, slots, slot, len(lead) + len(sep)
+
+
+def _fill(runs: list[str], slots: Sequence[int], shown: Sequence[str], first: int) -> str:
+    """``runs`` joined, slot ``k`` between ``runs[k]`` and ``runs[k + 1]``
+    showing ``shown[slots[k] - first]``."""
+    out: list[str | None] = [None] * (len(runs) + len(slots))
+    out[::2] = runs
+    out[1::2] = [shown[j - first] for j in slots]
+    return "".join(out)
+
+
+def _rendered(fmt: Format, words: list[str], events: Sequence[TagEvent], lo: int,
+              lines: list[int], shown: Sequence[str], first: int = 0) -> str:
+    """``words`` laid out by :func:`_lay_out` with the slots filled in."""
+    text, slots, slot, _ = _lay_out(fmt, words, events, lo, lines, first)
+    return _fill(text.split(slot), slots, shown, first) if slots else text
+
+
+class Layout:
+    """The window walker's accumulator kept rendered, with a slot for each
+    chain index, so that no prompt renders it again.
+
+    ``runs[k]`` is the text ahead of slot ``k``, which shows the chain of
+    event ``slots[k]``; ``tail`` holds the text after the last slot, in
+    pieces, so what is added after it is copied once, when the next slot
+    closes it. Offsets into the text count a slot as one character.
+
+    ``extend`` lays out each piece the walker appends to its accumulator,
+    and ``fill`` gives the context from a cut: ``render(acc, cut, index)``,
+    with Python work that follows the kept events, not the tokens and
+    lines. Where runs and tokens start, and how far spans reach, is worked
+    out only when a prompt is cut inside the text (``_settle``), and then
+    only for what was added since.
+    """
+
+    def __init__(self, fmt: Format):
+        self.fmt = Format(fmt)
+        self.runs: list[str] = []
+        self.slots: list[int] = []
+        self.tail: list[str] = []
+        self.size = 0      # the text's length
+        self.n_tokens = 0  # tokens laid out
+        self.n_events = 0  # events laid out
+        self.run_starts: list[int] = []  # where runs[k] starts, once settled
+        self.starts = array("q")         # where token i starts, once settled
+        self.unsettled: list[tuple[int, list[str]]] = []  # (where, words) laid out since
+        self.reach = [0]  # reach[j]: 1 + the last token of any span among events[:j]
+
+    def extend(self, piece: AnnotatedText) -> None:
+        """Lay ``piece`` out as appended after the tokens laid out so far:
+        it opens a new line, and its events at -1 follow the last token
+        before it."""
+        words = list(piece.tokens)
+        lines = sorted({b for b in piece.breaks if 0 < b < len(words)})
+        if self.n_tokens:
+            lines.insert(0, 0)
+        text, slots, slot, start = _lay_out(self.fmt, words, piece.events, 0, lines,
+                                            self.n_events, bool(self.n_tokens or self.size))
+        if words:
+            self.unsettled.append((self.size + start, words))
+        self.n_tokens += len(words)
+        self.n_events += len(piece.events)
+        self.size += len(text)
+        if not slots:
+            self.tail.append(text)
+            return
+        runs = text.split(slot)
+        self.tail.append(runs[0])
+        self.runs.append("".join(self.tail))
+        self.runs += runs[1:-1]
+        self.tail[:] = runs[-1:]
+        self.slots += slots
+
+    def _settle(self, events: Sequence[TagEvent]) -> None:
+        """Work out where each run and token laid out since the last call
+        starts, and how far the spans among ``events``, the accumulator's,
+        reach."""
+        runs, run_starts = self.runs, self.run_starts
+        if len(run_starts) < len(runs):
+            # a run starts one past the slot ahead of it
+            k = len(run_starts)
+            start = run_starts[-1] + len(runs[k - 1]) + 1 if k else 0
+            run_starts += accumulate(map(_plus_one, map(len, runs[k:-1])), initial=start)
+        for where, words in self.unsettled:
+            self.starts.extend(accumulate(map(_plus_one, map(len, words[:-1])), initial=where))
+        self.unsettled.clear()
+        reach = self.reach[-1]
+        for ev in events[len(self.reach) - 1:]:
+            if ev.end is not None:
+                reach = max(reach, ev.end + 1)
+            self.reach.append(reach)
+
+    def _join(self, shown: Sequence[str], first: int, at: int) -> str:
+        """The text from offset ``at`` on, slots filled in as ``_fill``
+        fills them; from past 0 it must be settled."""
+        runs, tail = self.runs, "".join(self.tail)
+        if not at:
+            return _fill([*runs, tail], self.slots, shown, first) if runs else tail
+        tail_start = self.run_starts[-1] + len(runs[-1]) + 1 if runs else 0
+        if at >= tail_start:
+            return tail[at - tail_start:]
+        r = bisect_right(self.run_starts, at) - 1
+        return _fill([runs[r][at - self.run_starts[r]:], *runs[r + 1:], tail],
+                     self.slots[r:], shown, first)
+
+    def fill(self, annotated: AnnotatedText, lo: int,
+             index: Callable[[int | str], int | str] | None = None) -> str:
+        """``render(annotated, lo, index)``, where ``annotated`` holds the
+        pieces laid out so far, appended as the window walker appends them:
+        the layout from token ``lo`` on, with its slots filled in.
+
+        ``index`` is called once per kept event, in event order, as render
+        calls it. A span that straddles the cut has its close atom in the
+        layout, so the tokens from ``lo`` to the first one past every such
+        span are laid out anew, as render lays them out."""
+        events = annotated.events
+        first, first_break = cut_at(annotated, lo)
+        shown = _shown(events[first:], index)
+        if lo == 0:
+            return self._join(shown, first, 0)
+        if lo >= self.n_tokens:
+            return ""
+        self._settle(events)
+        clear = max(lo, self.reach[first])  # the first token past every straddling span
+        if clear == lo:
+            return self._join(shown, first, self.starts[lo])
+        breaks = annotated.breaks
+        last_break = bisect_left(breaks, clear, first_break)
+        head = _rendered(self.fmt, annotated.tokens[lo:clear],
+                         events[first:bisect_left(events, clear, first, key=_anchor)], lo,
+                         sorted({b - lo for b in breaks[first_break:last_break]}), shown, first)
+        if clear == self.n_tokens:
+            return head
+        sep = "\n" if last_break < len(breaks) and breaks[last_break] == clear else " "
+        return head + sep + self._join(shown, first, self.starts[clear])
 
 
 # rendered atoms per event kind: one or two per tag template, a span's open

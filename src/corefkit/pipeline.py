@@ -32,8 +32,8 @@ from urllib.parse import urlsplit
 from .align import clean
 from .conllu import Chain, Corpus, Document, Mention, Token
 from .diag import Diagnostic
-from .formats import (AnnotatedText, AtomCounts, Format, _anchor, build_events, cut_at,
-                      events_to_mentions, render)
+from .formats import (AnnotatedText, AtomCounts, Format, Layout, _anchor, build_events,
+                      cut_at, events_to_mentions, render)
 from .reindex import IdAllocator, IdMap, globalize
 
 
@@ -359,27 +359,33 @@ def _walk_windows(doc: Document, cfg: PipelineConfig, take) -> None:
 
     Each window's prompt holds the annotation accumulated so far, trimmed to
     the budget and localized, plus the raw batch of sentences [lo, hi),
-    rendered as ``text``. The context is rendered in one pass from the
-    accumulator: ``AtomCounts.cut`` gives the cut, and ``render`` numbers
-    chains through ``idmap.assign`` as it meets them, ``idmap`` being a
-    fresh :class:`IdMap` or, under ``reindex=False``, the document's own;
-    no trimmed or localized copy of the context is made.
+    rendered as ``text``. The accumulator is kept rendered as a
+    :class:`~corefkit.formats.Layout`, extended by each window's piece:
+    ``AtomCounts.cut`` gives the cut, and ``Layout.fill`` gives what
+    ``render`` would from there, numbering chains through ``idmap.assign``
+    as it meets them, ``idmap`` being a fresh :class:`IdMap` or, under
+    ``reindex=False``, the document's own; no trimmed or localized copy of
+    the context is made, and the accumulator is not rendered again.
     ``take(w_index, lo, hi, text, prompt, idmap)`` handles the window and
     returns its events, with global chain ids and anchored to the batch;
     they become context for the windows after it.
     """
     acc = AnnotatedText([], [], cfg.fmt, [])
     counts = AtomCounts(cfg.fmt)
+    layout = Layout(cfg.fmt)
     doc_map = IdMap() if not cfg.reindex else None
-    for w_index, (lo, hi) in enumerate(iter_windows(len(doc.sentences),
-                                                    cfg.sentences_per_batch)):
+    windows = iter_windows(len(doc.sentences), cfg.sentences_per_batch)
+    for w_index, (lo, hi) in enumerate(windows):
         batch = build_events(doc.sentences[lo:hi], (), cfg.fmt)
         idmap = doc_map if doc_map is not None else IdMap()
-        context = render(acc, counts.cut(cfg.context_budget), idmap.assign)
+        context = layout.fill(acc, counts.cut(cfg.context_budget), idmap.assign)
         text = batch.render()
         prompt = build_prompt(context, text, cfg.fmt)
         events = take(w_index, lo, hi, text, prompt, idmap)
-        _append(acc, counts, replace(batch, events=events))
+        if w_index + 1 < len(windows):  # the last window is context for none
+            piece = replace(batch, events=events)
+            _append(acc, counts, piece)
+            layout.extend(piece)
 
 
 def annotate_document(doc: Document, backend: ModelBackend,

@@ -1,13 +1,15 @@
 """CoNLL-U reader/writer: bracket grammar, empty nodes, round trips."""
 import random
+import re
 
 import pytest
 from hypothesis import given, strategies as st
 
 from corefkit.cli import _lines
 from corefkit.conllu import (Chain, ConlluError, Document, Mention, Sentence,
-                             Token, iter_conllu, mention_head, parse_conllu,
-                             serialize_conllu, serialize_corpus)
+                             Token, _eid_with_part, _mention_fields, _sentence_entity_strings,
+                             iter_conllu, mention_head, parse_conllu, serialize_conllu,
+                             serialize_corpus)
 from corefkit.synth import SynthConfig, random_corpus, random_document
 
 from conftest import SISTER_CONLLU, make_sister_doc
@@ -349,3 +351,69 @@ def test_a_document_is_yielded_before_the_next_one_is_read():
     assert read[-1] == "# newdoc id = demo2"  # the next header, and no further
     assert next(docs).doc_id == "demo2"
     assert next(docs, None) is None
+
+
+def _entity_strings_per_position(doc_id, mentions, npos):
+    """Reference for ``_sentence_entity_strings``: the same bracket rules,
+    visiting every position of the sentence."""
+    opens_by_start, zeros = {}, {}
+    for m in mentions:
+        fields = _mention_fields(m)
+        if m.is_zero:
+            zeros.setdefault(m.head, []).append(f"({m.chain_id}{'-' + fields if fields else ''})")
+            continue
+        for part, (s, e) in enumerate(m.fragments, start=1):
+            eid = _eid_with_part(m.chain_id, part, len(m.fragments))
+            tail = f"-{fields}" if fields and part == 1 else ""
+            opens_by_start.setdefault(s, []).append((e, f"({eid}{tail}", eid))
+    per_token, stack = {}, []
+    for p in range(1, npos + 1):
+        pieces = []
+        for e, text, eid in sorted(opens_by_start.get(p, ()), key=lambda x: (-x[0], x[1])):
+            pieces.append(text + ")" if e == p else text)
+            if e != p:
+                stack.append((e, eid))
+        for i in reversed(range(len(stack))):
+            if stack[i][0] == p:
+                eid = stack.pop(i)[1]
+                if any(other == eid for _, other in stack[i:]):
+                    raise ConlluError(f"document {doc_id!r}: crossing mentions of chain "
+                                      f"{eid!r} cannot be bracketed")
+                pieces.append(eid + ")")
+        if pieces:
+            per_token[(p, 0)] = "".join(pieces)
+    for key, texts in zeros.items():
+        per_token[key] = "".join(texts)
+    return per_token
+
+
+@st.composite
+def _sentence_mentions(draw):
+    """A sentence length and mentions over it: spans that nest, cross or
+    run past the sentence, discontinuous ones, zeros, chains repeated."""
+    npos = draw(st.integers(0, 8))
+    mentions = []
+    for _ in range(draw(st.integers(0, 6))):
+        chain = draw(st.sampled_from(["e1", "e2", "e3"]))
+        if draw(st.booleans()) and npos:
+            mentions.append(Mention(chain, 0, (), (draw(st.integers(0, npos)), 1), True))
+            continue
+        starts = sorted(draw(st.sets(st.integers(1, npos + 2), min_size=1, max_size=2)))
+        fragments = []
+        for k, s in enumerate(starts):
+            limit = starts[k + 1] - 1 if k + 1 < len(starts) else npos + 2
+            fragments.append((s, draw(st.integers(s, max(s, limit)))))
+        mentions.append(Mention(chain, 0, tuple(fragments), (fragments[0][0], 0)))
+    return npos, mentions
+
+
+@given(_sentence_mentions())
+def test_entity_strings_equal_a_visit_of_every_position(drawn):
+    npos, mentions = drawn
+    try:
+        expected = _entity_strings_per_position("d", mentions, npos)
+    except ConlluError as exc:
+        with pytest.raises(ConlluError, match=re.escape(str(exc))):
+            _sentence_entity_strings("d", mentions, npos)
+    else:
+        assert _sentence_entity_strings("d", mentions, npos) == expected

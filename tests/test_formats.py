@@ -232,6 +232,10 @@ def _annotated(draw):
 @example(AnnotatedText([], [TagEvent("zero", 1, -1)], Format.MINIMAL, (0,)))
 @example(AnnotatedText(["a"], [TagEvent("zero", 1, -1)], Format.CRAC, (0, 0, 1, 5)))
 @example(AnnotatedText(["end ", ""], [TagEvent("span", 2, 0, 1)], Format.CRAC, (1,)))
+# out of slot order, and one anchored past the text
+@example(AnnotatedText(["a", "b", "c"], [TagEvent("span", 1, 2, 2), TagEvent("zero", 2, 0),
+                                         TagEvent("zero", 3, 5), TagEvent("span", 4, 0, 1)],
+                       Format.MINIMAL, (1,)))
 def test_render_matches_per_token_reference(annotated):
     assert render(annotated) == _render_per_token(annotated)
 

@@ -5,13 +5,13 @@ import sys
 import threading
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from corefkit import formats, pipeline
 from corefkit.conllu import Corpus, Document, Mention, parse_conllu, serialize_corpus
-from corefkit.formats import (AnnotatedText, AtomCounts, Format, TagEvent, build_events,
-                              render)
+from corefkit.formats import (AnnotatedText, AtomCounts, Format, Layout, TagEvent,
+                              build_events, render)
 from corefkit.metrics import conll_f1
 from corefkit.pipeline import (PRESETS, BackendError, EmptyBackend,
                                HttpBackend, ModelBackend, OracleBackend,
@@ -271,6 +271,56 @@ def test_render_at_a_cut_matches_slice_then_localize(data, drawn, leads, held):
     assert shown == expected_map
 
 
+def _z(chain, anchor):
+    return TagEvent("zero", chain, anchor)
+
+
+def _s(chain, anchor, end):
+    return TagEvent("span", chain, anchor, end)
+
+
+@settings(max_examples=300, deadline=None)
+@given(drawn=_pieces(), leads=st.integers(0, 2),
+       held=st.lists(st.sampled_from(["e2", "e7", "e 3"]), max_size=3))
+# a span across a line break, cut inside it; a zero at -1 in a later piece
+@example(drawn=(Format.CRAC, [
+    AnnotatedText(["a", "b", "c", "d"], [_s("e1", 0, 3), _s("e2", 1, 1), _s("e 3", 1, 2)],
+                  Format.CRAC, (2,)),
+    AnnotatedText(["x", ""], [_z("e 3", -1), _z("e1", 1), _s("e2", 1, 1)], Format.CRAC, ())]),
+    leads=1, held=["e2"])
+# a piece without tokens, leading zeros in two pieces, breaks at 0 and at the end
+@example(drawn=(Format.MINIMAL, [
+    AnnotatedText([], [_z("e1", -1)], Format.MINIMAL, (0,)),
+    AnnotatedText(["a", "b", "c"], [_z("e2", -1), _s("e1", 0, 2), _s("e2", 1, 2)],
+                  Format.MINIMAL, (0, 1, 3)),
+    AnnotatedText(["d"], [_z("e10", -1), _s("e1", 0, 0)], Format.MINIMAL, (0,))]),
+    leads=0, held=[])
+# a zero at -1 after a token whose form is empty
+@example(drawn=(Format.HEADWORD, [AnnotatedText([""], [], Format.HEADWORD, ()),
+                                  AnnotatedText(["a"], [_z("e1", -1)], Format.HEADWORD, ())]),
+         leads=0, held=[])
+def test_walker_context_matches_render_at_every_cut(drawn, leads, held):
+    """The walker's context, its accumulator's layout filled from a cut,
+    equals ``render`` at that cut and leaves the map as render does, at
+    every cut (0, inside a span, the last token), with a fresh map or one
+    that already holds chains (``reindex=False``)."""
+    fmt, pieces = drawn
+    pieces[0].events[:0] = [_z("e10", -1)] * leads  # ahead of the text
+    acc, counts, layout = AnnotatedText([], [], fmt, []), AtomCounts(fmt), Layout(fmt)
+    for piece in pieces:  # as the walker appends them
+        pipeline._append(acc, counts, piece)
+        layout.extend(piece)
+    for cut in range(len(acc.tokens) + 1):
+        for chains in ([], held):
+            shown, expected_map = IdMap(), IdMap()
+            for chain in chains:
+                shown.assign(chain)
+                expected_map.assign(chain)
+            expected = render(acc, cut, expected_map.assign)
+            assert layout.fill(acc, cut, shown.assign) == expected, cut
+            assert shown == expected_map
+
+
 @pytest.mark.parametrize("reindex", [True, False])
 @pytest.mark.parametrize("fmt", list(Format))
 def test_walker_prompts_match_trimmed_then_localized_context(fmt, reindex):
@@ -301,29 +351,31 @@ def test_trimming_renders_per_window_do_not_grow_with_the_document(monkeypatch):
     log = []
     real_render, real_prompt = formats.render, pipeline.build_prompt
 
-    def logged_render(*args, **kwargs):
-        log.append("render")
-        return real_render(*args, **kwargs)
+    def logged(name, fn):
+        return lambda *args, **kwargs: log.append(name) or fn(*args, **kwargs)
 
     # the walker calls render under its own name, AnnotatedText.render under formats'
-    monkeypatch.setattr(formats, "render", logged_render)
-    monkeypatch.setattr(pipeline, "render", logged_render)
-    monkeypatch.setattr(pipeline, "build_prompt",
-                        lambda *args: log.append("prompt") or real_prompt(*args))
+    monkeypatch.setattr(formats, "render", logged("render", real_render))
+    monkeypatch.setattr(pipeline, "render", logged("render", real_render))
+    for method in ("fill", "extend"):
+        monkeypatch.setattr(Layout, method, logged(method, getattr(Layout, method)))
+    monkeypatch.setattr(pipeline, "build_prompt", logged("prompt", real_prompt))
     cfg = PRESETS["large-infer"]
 
-    def renders_per_window(sentences):
-        """Renders from one prompt to the next: the previous completion, then
-        the context and the batch of the window."""
+    def calls_per_window(sentences):
+        """Calls from one prompt to the next: the previous completion, the
+        layout extended by the previous window, then the context and the
+        batch of the window."""
         doc = random_document("d", SynthConfig(sentences=(sentences, sentences), seed=7))
         log.clear()
         export_training_pairs(doc, cfg)
-        return [run.count("render") for run in " ".join(log).split("prompt")]
+        return [tuple(sorted(run.split())) for run in " ".join(log).split("prompt")]
 
-    short, long = renders_per_window(200), renders_per_window(1200)  # 200: under budget
-    # each prompt has its context and its batch rendered; the last completion follows
-    assert [short[0], short[-1]] == [long[0], long[-1]] == [2, 1]
-    assert set(short[1:-1]) == set(long[1:-1]) == {3}
+    short, long = calls_per_window(200), calls_per_window(1200)  # 200: under budget
+    # each prompt gets its context once, filled from the layout; the
+    # accumulator is never rendered, and the last window extends nothing
+    assert [short[0], short[-1]] == [long[0], long[-1]] == [("fill", "render"), ("render",)]
+    assert set(short[1:-1]) == set(long[1:-1]) == {("extend", "fill", "render", "render")}
 
 
 @pytest.mark.parametrize("fmt", list(Format))
