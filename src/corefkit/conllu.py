@@ -121,9 +121,6 @@ class Sentence:
     comments: list[str] = field(default_factory=list)
     mwt_lines: dict[int, str] = field(default_factory=dict)
 
-    def plain(self) -> str:
-        return " ".join(t.form for t in self.tokens)
-
 
 @dataclass
 class Document:
@@ -148,9 +145,6 @@ class Document:
 
     def surface_token_count(self) -> int:
         return sum(len(s.tokens) for s in self.sentences)
-
-    def plain_text(self) -> str:
-        return "\n".join(s.plain() for s in self.sentences)
 
 
 @dataclass
@@ -189,7 +183,7 @@ def _split_eid(raw: str) -> tuple[str, int, int]:
     if raw.endswith("]") and "[" in raw:
         base, _, tail = raw[:-1].partition("[")
         a, _, b = tail.partition("/")
-        if a.isdigit() and b.isdigit():
+        if a.isdecimal() and b.isdecimal():
             return base, int(a), int(b)
     return raw, 1, 1
 
@@ -224,14 +218,14 @@ def _head_index(fields: str | None) -> int | None:
     if not fields:
         return None
     for piece in fields.split("-"):
-        if piece.isdigit():
+        if piece.isdecimal():
             return int(piece)
     return None
 
 
 def _canonical_fields(fields: str | None) -> str | None:
     """A pure head-index field is regenerated on write, so keep it implicit."""
-    if fields is not None and fields.isdigit():
+    if fields is not None and fields.isdecimal():
         return None
     return fields
 
@@ -244,11 +238,9 @@ _ENTITY_SLOT = ("Entity", "")
 
 
 def _parse_misc(raw: str, line: int) -> tuple[tuple[tuple[str, str | None], ...], list | None]:
-    """A MISC column's pairs in order, its ``Entity=`` value (the last one
-    wins) replaced by ``_ENTITY_SLOT``, and that value's bracket events
-    (None without one)."""
-    if raw == "_":
-        return (), None
+    """The pairs of a MISC column other than ``_`` in order, its ``Entity=``
+    value (the last one wins) replaced by ``_ENTITY_SLOT``, and that value's
+    bracket events (None without one)."""
     pairs = []
     entity_raw = None
     for item in raw.split("|"):
@@ -272,149 +264,106 @@ def _misc_string(pairs, entity: str | None) -> str:
     return "|".join(items) if items else "_"
 
 
-class _SentenceAccumulator:
-    """Collects the lines of one sentence and assembles tokens + mentions."""
-
-    def __init__(self):
-        self.sent_id = ""
-        self.text: str | None = None
-        self.comments: list[str] = []
-        self.rows: list[tuple[int, list[str]]] = []  # (line_no, columns)
-        self.mwt_lines: dict[int, str] = {}
-        self.mwt_ranges: list[tuple[int, int, int]] = []  # (line_no, first, last)
-
-    def empty(self) -> bool:
-        return not (self.rows or self.mwt_ranges or self.sent_id or self.comments
-                    or self.text is not None)
-
-    def build(self, doc: Document) -> None:
-        """Append the sentence to ``doc`` and its mentions to ``doc.chains``."""
-        tokens: list[Token] = []
-        empties: list[Token] = []
-        entity_events: list[tuple[tuple[int, int], list]] = []  # ((pos, sub), events)
-        for line_no, cols in self.rows:
-            id_field = cols[0]
-            is_zero = not id_field.isdigit()
-            if is_zero:  # empty node "pos.sub"
-                anchor, _, sub = id_field.partition(".")
-                pos, sub = int(anchor), int(sub)
-                # empty nodes keep their governor in DEPS ("head:rel"); decimal
-                # governors mean the governor is itself elided.
-                gov = cols[8].split("|")[0].partition(":")[0]
-                dep = int(gov) if gov.isdigit() else 0
-                if "." in gov:
-                    doc.warnings.append(
-                        f"{self.sent_id or doc.doc_id}: empty node {id_field} "
-                        f"governed by elided node {gov}")
-            else:
-                pos, sub = int(id_field), 0
-                dep = int(cols[6]) if cols[6].isdigit() else 0
-                if dep == pos:
-                    raise ConlluError(f"token {pos} governs itself", line_no)
-            misc, events = _parse_misc(cols[9], line_no)
-            (empties if is_zero else tokens).append(
-                Token(pos, cols[1], dep, is_zero, sub, cols[2], cols[3], cols[4],
-                      cols[5], cols[7], cols[8], misc))
-            if events:
-                entity_events.append(((pos, sub), events))
-
-        for i, t in enumerate(tokens, start=1):
-            if t.position != i:
-                raise ConlluError(
-                    f"sentence {self.sent_id!r}: token positions not contiguous at {t.position}")
-        # a range is written before its first word, so both ends must be words
-        for line_no, first, last in self.mwt_ranges:
-            if not (0 < first <= len(tokens) and 0 < last <= len(tokens)):
-                raise ConlluError(f"multiword token {first}-{last} covers words "
-                                  f"its sentence does not have", line_no)
-        seen_sub: dict[int, int] = {}
-        for t in empties:
-            if not (0 <= t.position <= len(tokens)):
-                raise ConlluError(
-                    f"sentence {self.sent_id!r}: empty node {t.tid} anchored outside sentence")
-            if t.sub_index < 1 or seen_sub.get(t.position, 0) >= t.sub_index:
-                raise ConlluError(
-                    f"sentence {self.sent_id!r}: empty node IDs at anchor {t.position} not increasing")
-            seen_sub[t.position] = t.sub_index
-
-        sent = Sentence(self.sent_id, tokens, empties, self.text, self.comments, self.mwt_lines)
-        if entity_events:
-            for m in _assemble_mentions(entity_events, sent, len(doc.sentences), doc):
-                doc.chains.setdefault(m.chain_id, Chain(m.chain_id)).mentions.append(m)
-        doc.sentences.append(sent)
+def _add_sentence(doc: Document, sent: Sentence, fault: ConlluError | None, gap: int | None,
+                  mwt_ranges, elided: list[str], entity_events) -> None:
+    """Raise the sentence's first held fault, else append it to ``doc`` and
+    its mentions to ``doc.chains``."""
+    if fault is not None:
+        raise fault
+    if gap is not None:
+        raise ConlluError(f"sentence {sent.sent_id!r}: token positions not contiguous at {gap}")
+    ntok = len(sent.tokens)
+    # a range is written before its first word, so both ends must be words
+    for line_no, first, last in mwt_ranges:
+        if not (0 < first <= ntok and 0 < last <= ntok):
+            raise ConlluError(f"multiword token {first}-{last} covers words "
+                              f"its sentence does not have", line_no)
+    seen_sub: dict[int, int] = {}
+    for t in sent.empty_nodes:
+        if not (0 <= t.position <= ntok):
+            raise ConlluError(
+                f"sentence {sent.sent_id!r}: empty node {t.tid} anchored outside sentence")
+        if t.sub_index < 1 or seen_sub.get(t.position, 0) >= t.sub_index:
+            raise ConlluError(
+                f"sentence {sent.sent_id!r}: empty node IDs at anchor {t.position} not increasing")
+        seen_sub[t.position] = t.sub_index
+    doc.warnings.extend(f"{sent.sent_id or doc.doc_id}: {w}" for w in elided)
+    if entity_events:
+        _assemble_mentions(entity_events, sent, len(doc.sentences), doc)
+    doc.sentences.append(sent)
 
 
-def _assemble_mentions(entity_events, sent: Sentence, sent_index: int,
-                       doc: Document) -> list[Mention]:
+def _assemble_mentions(entity_events, sent: Sentence, sent_index: int, doc: Document) -> None:
+    """File the mentions of one sentence's ``Entity=`` brackets in ``doc.chains``."""
+    ntok = len(sent.tokens)
+    chains = doc.chains
     open_stack: list[tuple] = []  # (eid, part, nparts, fields, start)
     # several discontinuous mentions of one chain may be in flight at once;
     # parts arrive in order, part i+1 joining the oldest instance expecting it.
     # An instance is (nparts, ((start, end, fields), ...)).
     pending: dict[str, list[tuple]] = {}
-    mentions: list[Mention] = []
-
-    def surface(pos_sub, start=None):
-        """A bracket's surface position. One on an empty node becomes the next
-        token when it opens a mention and the node's anchor (not before
-        ``start``) when it closes one."""
-        pos, sub = pos_sub
-        if sub == 0:
-            return pos
-        doc.warnings.append(f"{doc.doc_id}/{sent.sent_id}: mention bracket on empty node "
-                            f"{pos}.{sub} approximated to surface span")
-        return min(pos + 1, len(sent.tokens)) if start is None else max(pos, start)
-
-    def add(eid, part, nparts, start, end, fields):
-        """File one finished bracket; the last part of a mention completes it."""
-        parts = ((start, end, fields),)
-        if nparts != 1:
-            instances = pending.setdefault(eid, [])
-            if part == 1:
-                instances.append((nparts, parts))
-                return
-            i = next((i for i, (n, done) in enumerate(instances)
-                      if n == nparts and len(done) + 1 == part), None)
-            if i is None:
-                raise ConlluError(
-                    f"document {doc.doc_id!r}: part {part}/{nparts} of chain {eid!r} "
-                    f"has no preceding part {part - 1} in sentence {sent.sent_id!r}")
-            parts = instances[i][1] + parts
-            if len(parts) != nparts:
-                instances[i] = (nparts, parts)
-                return
-            del instances[i]
-            if not instances:
-                del pending[eid]
-        frags = tuple((s, e) for s, e, _ in parts)
-        fields = parts[0][2]
-        span = [p for s, e in frags for p in range(s, e + 1)]
-        if not span:
-            raise ConlluError(
-                f"document {doc.doc_id!r}: mention of chain {eid!r} covers no token "
-                f"in sentence {sent.sent_id!r}")
-        h = _head_index(fields)
-        head = (span[h - 1], 0) if h and h <= len(span) else mention_head(frags, sent)
-        mentions.append(Mention(eid, sent_index, frags, head, False, _canonical_fields(fields)))
-
-    for pos_sub, events in entity_events:
+    for (pos, sub), events in entity_events:
         for kind, eid, part, nparts, fields in events:
-            if kind == "open":
-                open_stack.append((eid, part, nparts, fields, surface(pos_sub)))
-            elif kind == "single" and pos_sub[1]:
-                mentions.append(Mention(eid, sent_index, (), pos_sub, True,
-                                        _canonical_fields(fields)))
-            elif kind == "single":
-                add(eid, part, nparts, pos_sub[0], pos_sub[0], fields)
-            else:  # close
-                match = next((o for o in reversed(open_stack)
-                              if o[0] == eid and o[1] == part), None)
-                if match is None:
+            if kind == "single" and sub:  # a zero mention: the empty node itself
+                m = Mention(eid, sent_index, (), (pos, sub), True, _canonical_fields(fields))
+            else:
+                if sub:
+                    # an open on an empty node goes to the next token, a close
+                    # to the node's anchor (not before the mention's start)
+                    doc.warnings.append(f"{doc.doc_id}/{sent.sent_id}: mention bracket on empty "
+                                        f"node {pos}.{sub} approximated to surface span")
+                if kind == "open":
+                    start = min(pos + 1, ntok) if sub else pos
+                    open_stack.append((eid, part, nparts, fields, start))
+                    continue
+                if kind == "single":
+                    start = end = pos
+                else:  # close
+                    match = next((o for o in reversed(open_stack)
+                                  if o[0] == eid and o[1] == part), None)
+                    if match is None:
+                        raise ConlluError(
+                            f"document {doc.doc_id!r}: unbalanced Entity bracket for chain {eid!r} "
+                            f"(close without open in sentence {sent.sent_id!r})")
+                    open_stack.remove(match)
+                    _, _, nparts, fields, start = match
+                    end = max(pos, start) if sub else pos
+                # a finished bracket; the last part of a mention completes it
+                if nparts == 1:
+                    frags = ((start, end),)
+                    span = range(start, end + 1)
+                else:
+                    instances = pending.setdefault(eid, [])
+                    if part == 1:
+                        instances.append((nparts, ((start, end, fields),)))
+                        continue
+                    i = next((i for i, (n, done) in enumerate(instances)
+                              if n == nparts and len(done) + 1 == part), None)
+                    if i is None:
+                        raise ConlluError(
+                            f"document {doc.doc_id!r}: part {part}/{nparts} of chain {eid!r} "
+                            f"has no preceding part {part - 1} in sentence {sent.sent_id!r}")
+                    parts = instances[i][1] + ((start, end, fields),)
+                    if len(parts) != nparts:
+                        instances[i] = (nparts, parts)
+                        continue
+                    del instances[i]
+                    if not instances:
+                        del pending[eid]
+                    frags = tuple((s, e) for s, e, _ in parts)
+                    fields = parts[0][2]
+                    span = [p for s, e in frags for p in range(s, e + 1)]
+                if not span:
                     raise ConlluError(
-                        f"document {doc.doc_id!r}: unbalanced Entity bracket for chain {eid!r} "
-                        f"(close without open in sentence {sent.sent_id!r})")
-                open_stack.remove(match)
-                _, _, nparts, fields, start = match
-                add(eid, part, nparts, start, surface(pos_sub, start), fields)
+                        f"document {doc.doc_id!r}: mention of chain {eid!r} covers no token "
+                        f"in sentence {sent.sent_id!r}")
+                h = _head_index(fields)
+                head = (span[h - 1], 0) if h and h <= len(span) else mention_head(frags, sent)
+                m = Mention(eid, sent_index, frags, head, False, _canonical_fields(fields))
+            chain = chains.get(eid)
+            if chain is None:
+                chain = chains[eid] = Chain(eid)
+            chain.mentions.append(m)
 
     if open_stack:
         raise ConlluError(
@@ -424,16 +373,28 @@ def _assemble_mentions(entity_events, sent: Sentence, sent_index: int,
         raise ConlluError(
             f"document {doc.doc_id!r}: discontinuous mention of chain {next(iter(pending))!r} "
             f"not completed within sentence {sent.sent_id!r}")
-    return mentions
 
 
 def iter_conllu(lines: Iterable[str]) -> Iterator[Document]:
     """Read CoNLL-U lines (as ``str.splitlines`` gives them, numbered from 1)
     and yield each ``# newdoc id`` document once the next header or the end
-    arrives, so a reader holds one document at a time."""
+    arrives, so a reader holds one document at a time.
+
+    Each token line becomes its ``Token`` as it is read. A fault of one line
+    on its own (its column count, a bad id, a multiword range that ends
+    before it starts or shares a word with an earlier one) is raised as that
+    line is read, so before any fault of its sentence. The rest wait for the
+    sentence to end and are raised in this order: a sentence before any
+    header, a duplicate ``sent_id``, the first row that governs itself or
+    holds a malformed ``Entity=`` value, the first gap in the token
+    positions, a multiword range past the last word, an empty node anchored
+    outside the sentence or out of order, and then the mention brackets.
+    """
     doc: Document | None = None
-    acc = _SentenceAccumulator()
     sent_ids: set[str] = set()
+    # the sentence being read: its comments, rows and held faults
+    sent_id, text, comments, mwt_lines, mwt_ranges = "", None, [], {}, []
+    tokens, empties, entity_events, elided, fault, gap = [], [], [], [], None, None
     # each line is a comment ("#"), a token line or a sentence break (blank);
     # the blank line and the header appended to the input close its last
     # sentence and its last document
@@ -443,52 +404,84 @@ def iter_conllu(lines: Iterable[str]) -> Iterator[Document]:
             if not body.startswith("newdoc id"):
                 if doc is None:
                     continue  # file preamble, e.g. "# global.columns = ..."
-                if acc.empty() and not doc.sentences \
-                        and not body.startswith(("sent_id", "text ", "text=")):
+                if not (doc.sentences or tokens or empties or mwt_ranges or sent_id or comments
+                        or text is not None or body.startswith(("sent_id", "text ", "text="))):
                     # document-level header block (e.g. "# global.Entity = ...")
                     doc.meta.append(line)
                 elif body.startswith("sent_id"):
-                    acc.sent_id = body.partition("=")[2].strip()
+                    sent_id = body.partition("=")[2].strip()
                 elif body.startswith("text") and body.partition("=")[0].strip() == "text":
-                    acc.text = body.partition("=")[2].strip()
+                    text = body.partition("=")[2].strip()
                 else:
-                    acc.comments.append(line)
+                    comments.append(line)
                 continue
         elif line and not line.isspace():
             cols = line.split("\t")
-            if len(cols) != 10:
-                raise ConlluError(f"expected 10 tab-separated columns, got {len(cols)}", line_no)
-            if cols[0].isdigit() or all(p.isdigit() for p in cols[0].split(".", 1)):
-                acc.rows.append((line_no, cols))
-            elif "-" in cols[0]:  # multiword-token range
-                first, _, last = cols[0].partition("-")
-                if not (first.isdigit() and last.isdigit()):
-                    raise ConlluError(f"bad token id {cols[0]!r}", line_no)
+            try:
+                tid, form, lemma, upos, xpos, feats, head, deprel, deps, misc = cols
+            except ValueError:
+                raise ConlluError(f"expected 10 tab-separated columns, got {len(cols)}",
+                                  line_no) from None
+            if tid.isdecimal():
+                pos, sub, zero = int(tid), 0, False
+                dep = int(head) if head.isdecimal() else 0
+                if dep == pos and fault is None:
+                    fault = ConlluError(f"token {pos} governs itself", line_no)
+                if pos != len(tokens) + 1 and gap is None:
+                    gap = pos
+            elif all(p.isdecimal() for p in tid.split(".", 1)):  # empty node "pos.sub"
+                anchor, _, sub = tid.partition(".")
+                pos, sub, zero = int(anchor), int(sub), True
+                # empty nodes keep their governor in DEPS ("head:rel"); decimal
+                # governors mean the governor is itself elided.
+                gov = deps.split("|")[0].partition(":")[0]
+                dep = int(gov) if gov.isdecimal() else 0
+                if "." in gov:
+                    elided.append(f"empty node {tid} governed by elided node {gov}")
+            elif "-" in tid:  # multiword-token range
+                first, _, last = tid.partition("-")
+                if not (first.isdecimal() and last.isdecimal()):
+                    raise ConlluError(f"bad token id {tid!r}", line_no)
                 first, last = int(first), int(last)
                 if last < first:
                     raise ConlluError(f"multiword token {first}-{last} ends before it starts",
                                       line_no)
                 # one range per word: the line kept for its first word is all that is written
-                for earlier, a, b in acc.mwt_ranges:
+                for earlier, a, b in mwt_ranges:
                     if a <= last and first <= b:
                         raise ConlluError(f"multiword token {first}-{last} shares words "
                                           f"with {a}-{b} on line {earlier}", line_no)
-                acc.mwt_lines[first] = line
-                acc.mwt_ranges.append((line_no, first, last))
+                mwt_lines[first] = line
+                mwt_ranges.append((line_no, first, last))
+                continue
             else:
-                raise ConlluError(f"bad token id {cols[0]!r}", line_no)
+                raise ConlluError(f"bad token id {tid!r}", line_no)
+            if misc == "_":
+                misc = ()
+            else:
+                try:
+                    misc, events = _parse_misc(misc, line_no)
+                except ConlluError as err:
+                    misc, fault = (), fault or err
+                else:
+                    if events:
+                        entity_events.append(((pos, sub), events))
+            (empties if zero else tokens).append(Token(
+                pos, form, dep, zero, sub, lemma, upos, xpos, feats, deprel, deps, misc))
             continue
         else:
             body = None
         # a sentence break or a "# newdoc id" header
-        if not acc.empty():
+        if tokens or empties or mwt_ranges or sent_id or comments or text is not None:
             if doc is None:
                 raise ConlluError("sentence before any '# newdoc id' header", line_no)
-            if acc.sent_id and acc.sent_id in sent_ids:
-                raise ConlluError(f"duplicate sent_id {acc.sent_id!r}", line_no)
-            sent_ids.add(acc.sent_id)
-            acc.build(doc)
-        acc = _SentenceAccumulator()
+            if sent_id and sent_id in sent_ids:
+                raise ConlluError(f"duplicate sent_id {sent_id!r}", line_no)
+            sent_ids.add(sent_id)
+            _add_sentence(doc, Sentence(sent_id, tokens, empties, text, comments, mwt_lines),
+                          fault, gap, mwt_ranges, elided, entity_events)
+            sent_id, text, comments, mwt_lines, mwt_ranges = "", None, [], {}, []
+            tokens, empties, entity_events, elided, fault, gap = [], [], [], [], None, None
         if body is not None:
             if doc is not None:
                 for c in doc.chains.values():
@@ -576,7 +569,8 @@ def serialize_conllu(doc: Document) -> str:
     lines = [f"# newdoc id = {doc.doc_id}", *doc.meta]
     for si, sent in enumerate(doc.sentences):
         npos = len(sent.tokens)
-        entity = _sentence_entity_strings(doc.doc_id, by_sentence.get(si, []), npos)
+        mentions = by_sentence.get(si)
+        entity = _sentence_entity_strings(doc.doc_id, mentions, npos) if mentions else {}
         if sent.sent_id:
             lines.append(f"# sent_id = {sent.sent_id}")
         if sent.text is not None:
@@ -584,15 +578,17 @@ def serialize_conllu(doc: Document) -> str:
         lines.extend(sent.comments)
         # empty node p.k follows token p (0.k opens the sentence); one anchored
         # outside the sentence follows no token and is not written
-        nodes = sorted([*sent.tokens, *(t for t in sent.empty_nodes if 0 <= t.position <= npos)],
-                       key=lambda t: (t.position, t.is_zero, t.sub_index))
+        nodes = sent.tokens if not sent.empty_nodes else sorted(
+            [*sent.tokens, *(t for t in sent.empty_nodes if 0 <= t.position <= npos)],
+            key=lambda t: (t.position, t.is_zero, t.sub_index))
         for tok in nodes:
             if not tok.is_zero and tok.position in sent.mwt_lines:
                 lines.append(sent.mwt_lines[tok.position])
+            value = entity.get((tok.position, tok.sub_index)) if entity else None
             lines.append("\t".join([
                 tok.tid, tok.form, tok.lemma, tok.upos, tok.xpos, tok.feats,
                 "_" if tok.is_zero else str(tok.dep_head), tok.deprel, tok.deps,
-                _misc_string(tok.misc, entity.get((tok.position, tok.sub_index))),
+                _misc_string(tok.misc, value) if tok.misc or value else "_",
             ]))
         lines.append("")
     return "\n".join(lines) + "\n"

@@ -128,9 +128,9 @@ def build_events(sentences: Sequence[Sentence], mentions: Sequence[Mention],
     for si, s in enumerate(sentences):
         if si:
             breaks.append(len(tokens))
-        for t in s.tokens:
-            index_of[(si, t.position)] = len(tokens)
-            tokens.append(t.form)
+        if mentions:  # only a mention to place needs the index
+            index_of.update(((si, t.position), i) for i, t in enumerate(s.tokens, len(tokens)))
+        tokens.extend([t.form for t in s.tokens])
 
     spans = []  # (si, start, end, chain, head_pos, seq)
     zeros = []  # (si, anchor_pos, sub, chain)

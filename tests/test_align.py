@@ -95,7 +95,7 @@ def test_fuzzy_pairs_misspelled_token():
 
 def test_clean_is_identity_on_its_own_encoding():
     doc = make_sister_doc()
-    src = doc.plain_text()
+    src = "\n".join(" ".join(t.form for t in s.tokens) for s in doc.sentences)
     for fmt in Format:
         wire = encode(doc.sentences, doc.mentions(), fmt, SISTER_IDMAP).render()
         out, diags = clean(src, wire, fmt)
@@ -180,7 +180,7 @@ def test_cleaned_tokens_always_equal_input(seed, fmt, noise):
     wire = encode(doc.sentences, doc.mentions(), fmt, idmap).render()
     rng = random.Random(seed * 4 + noise)
     noisy = perturb(wire, rng, p_drop=0.05, p_dup=0.05, p_typo=0.08)
-    src = doc.plain_text()
+    src = "\n".join(" ".join(t.form for t in s.tokens) for s in doc.sentences)
     out, _ = clean(src, noisy, fmt)
     assert out.tokens == src.split()
     assert out.breaks == tuple(

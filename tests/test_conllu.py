@@ -186,6 +186,25 @@ MALFORMED = [
     ("1\ta\t_\t_\t_\t_\t0\t_\t_\t_\n2-1\tba\t_\t_\t_\t_\t_\t_\t_\t_\n"
      "2\tb\t_\t_\t_\t_\t1\t_\t_\t_",
      "line 4: multiword token 2-1 ends before it starts"),
+    # two faults in one sentence: a line's own fault comes first, wherever
+    # it is, then the first bad row, then a position gap, then the brackets
+    ("1\tself\t_\t_\t_\t_\t1\t_\t_\t_\n2\tw\t_\t_\t_\t_\t0\t_\t_",
+     "line 4: expected 10 tab-separated columns, got 9"),
+    ("2\tgap\t_\t_\t_\t_\t0\t_\t_\t_\n3\tself\t_\t_\t_\t_\t3\t_\t_\t_",
+     "line 4: token 3 governs itself"),
+    ("1\tself\t_\t_\t_\t_\t1\t_\t_\t_\n2\tw\t_\t_\t_\t_\t1\t_\t_\tEntity=(",
+     "line 3: token 1 governs itself"),
+    ("1\tw\t_\t_\t_\t_\t0\t_\t_\tEntity=(\n2\tself\t_\t_\t_\t_\t2\t_\t_\t_",
+     r"line 3: empty Entity bracket in '\('"),
+    ("1-5\tabcde\t_\t_\t_\t_\t_\t_\t_\t_\n2\tw\t_\t_\t_\t_\t0\t_\t_\t_",
+     "token positions not contiguous at 2"),
+    ("1\tself\t_\t_\t_\t_\t1\t_\t_\t_\nx\tw\t_\t_\t_\t_\t0\t_\t_\t_",
+     "line 4: bad token id 'x'"),
+    # an id must be decimal digits: "\u00b2" (superscript two) is a digit int() refuses
+    ("1\tself\t_\t_\t_\t_\t1\t_\t_\t_\n\u00b2\tw\t_\t_\t_\t_\t0\t_\t_\t_",
+     "line 4: bad token id '\u00b2'"),
+    ("1\tw\t_\t_\t_\t_\t0\t_\t_\tEntity=(e1-1\n3\tx\t_\t_\t_\t_\t1\t_\t_\t_",
+     "token positions not contiguous at 3"),
 ]
 
 
