@@ -21,15 +21,16 @@ import argparse
 import dataclasses
 import itertools
 import json
+import os
 import shutil
 import sys
 import tempfile
 import threading
 from collections.abc import Iterator
-from contextlib import contextmanager, nullcontext
+from contextlib import contextmanager, nullcontext, suppress
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, TextIO
+from typing import NoReturn, TextIO
 
 from . import metrics
 from .align import clean as clean_output
@@ -210,15 +211,14 @@ def _lines(path: str) -> Iterator[str]:
         raise _Unreadable(f"cannot read {_shown(path)}: {exc}") from exc
 
 
-def _read_documents(path: str, parse: Callable[[Iterator[str]], Iterator[Document]]
-                    | None = None) -> Iterator[Document]:
-    """The documents that ``parse`` (``iter_conllu`` if None) makes of the
-    lines of one file, read one at a time: a repeated id is refused, and
-    each parse warning goes to stderr, as its document is read."""
+def _read_documents(path: str, docs: Iterator[Document] | None = None) -> Iterator[Document]:
+    """The documents of one file (``docs``, else ``iter_conllu`` over its
+    lines), read one at a time: a repeated id is refused, and each parse
+    warning goes to stderr, as its document is read."""
     name = _shown(path)
     ids: set[str] = set()
     try:
-        for doc in (parse or iter_conllu)(_lines(path)):
+        for doc in iter_conllu(_lines(path)) if docs is None else docs:
             if doc.doc_id in ids:
                 raise ConlluError(f"document id {doc.doc_id!r} appears more than once")
             ids.add(doc.doc_id)
@@ -229,6 +229,113 @@ def _read_documents(path: str, parse: Callable[[Iterator[str]], Iterator[Documen
         raise
     except ConlluError as exc:
         raise ConlluError(f"{name}: {exc}") from exc
+
+
+class _Worker:
+    """A forked child that reads one file as ``_read_documents`` would
+    (``iter_conllu`` over ``_lines``, every check included) and sends down a
+    pipe each document's id, chains and warnings as it is read, then None,
+    or the error that stopped it. It runs at most a pipe's worth ahead of
+    ``documents``. Sentences are not sent: pickling them costs as much as
+    parsing them."""
+
+    def __init__(self, path: str):
+        fd_in, fd_out = os.pipe()
+        try:
+            self.pid = os.fork()
+        except OSError:
+            os.close(fd_in)
+            os.close(fd_out)
+            raise
+        if self.pid == 0:
+            os.close(fd_in)
+            self._send(path, fd_out)
+        os.close(fd_out)
+        self.status: int | None = None
+        self.pipe = open(fd_in, "rb")
+
+    @staticmethod
+    def _send(path: str, fd: int) -> NoReturn:
+        """The child's whole life: it ends in ``os._exit``, so it never
+        returns into the parent's frames to run their ``finally`` blocks or
+        flush their buffers a second time."""
+        code = 1
+        try:
+            import gc
+            import pickle
+            gc.freeze()  # the collector leaves the parent's objects, and so their pages, alone
+            with open(fd, "wb") as pipe:
+                try:
+                    for doc in iter_conllu(_lines(path)):
+                        pickle.dump((doc.doc_id, doc.chains, doc.warnings), pipe)
+                        pipe.flush()
+                    end = None
+                except Exception as exc:  # the parent raises it where it reads it
+                    end = exc
+                pickle.dump(end, pipe)
+            code = 0
+        finally:
+            os._exit(code)
+
+    def documents(self) -> Iterator[Document]:
+        """Each document as it arrives, without sentences; the error the
+        child met is raised here, and a child that ends early is a
+        ``ConlluError``."""
+        import pickle
+        while True:
+            try:
+                item = pickle.load(self.pipe)
+            except (EOFError, pickle.UnpicklingError):
+                raise ConlluError(f"the process reading it ended with status {self.reap()} "
+                                  "before the end of the file") from None
+            if item is None:
+                self.reap()
+                return
+            if isinstance(item, Exception):
+                raise item
+            doc_id, chains, warnings = item
+            yield Document(doc_id, [], chains, warnings=warnings)
+
+    def reap(self) -> int:
+        """Waits for the child to end; its exit code, negative for a signal."""
+        if self.status is None:
+            self.status = os.waitstatus_to_exitcode(os.waitpid(self.pid, 0)[1])
+        return self.status
+
+    def close(self) -> None:
+        """Stops the child if it is still running, and reaps it."""
+        self.pipe.close()
+        if self.status is None:
+            import signal
+            os.kill(self.pid, signal.SIGKILL)
+        self.reap()
+
+
+@contextmanager
+def _read_in_workers(paths: list[str]) -> Iterator[list[Iterator[Document]]]:
+    """The documents of each file, as ``_read_documents`` gives them. Each
+    file but stdin is parsed by a ``_Worker`` started here, so it is read on
+    another core while this process goes on. Each forwarded item is handled
+    (its warnings printed, its id checked, its error raised) only when it is
+    consumed, so output and exit status are those of reading in process.
+    Without ``os.fork``, or with another thread alive (a forked child would
+    hold only this thread, and any lock another one held), or if no process
+    can be had, a file is read in process. The workers are stopped and
+    reaped when the block ends."""
+    workers: list[_Worker] = []
+    streams = []
+    try:
+        for path in paths:
+            worker = None
+            if path != "-" and hasattr(os, "fork") and threading.active_count() == 1:
+                with suppress(OSError):
+                    worker = _Worker(path)
+                    workers.append(worker)
+            streams.append(_read_documents(path, worker and worker.documents()))
+        yield streams
+    finally:
+        for worker in workers:
+            worker.close()
 
 
 @contextmanager
@@ -291,7 +398,8 @@ def cmd_decode(args) -> int:
                     if diags is not None:
                         diags.writelines(d.to_json() + "\n" for d in found + more)
 
-        out.writelines(map(serialize_conllu, _read_documents(args.input, blocks)))
+        out.writelines(map(serialize_conllu,
+                           _read_documents(args.input, blocks(_lines(args.input)))))
     return 0
 
 
@@ -354,12 +462,14 @@ def cmd_evaluate(args) -> int:
         if unpaired:
             raise UsageError("no --pred file shares the stem of --gold "
                              + ", ".join(unpaired))
-    # the documents are read as they are scored (metrics.conll_f1)
-    gold = Corpus([(_dataset_id(p), _read_documents(p)) for p in args.gold])
-    pred = Corpus([(_dataset_id(p), _read_documents(p)) for p in args.pred])
-    if len(args.gold) == 1 and len(args.pred) == 1:
-        pred = Corpus([(gold.datasets[0][0], pred.datasets[0][1])])
-    report = metrics.conll_f1(gold, pred)
+    # the documents are read as they are scored (metrics.conll_f1), the
+    # predictions in workers started before the first gold document is read
+    with _read_in_workers(args.pred) as preds:
+        gold = Corpus([(_dataset_id(p), _read_documents(p)) for p in args.gold])
+        pred = Corpus([(_dataset_id(p), docs) for p, docs in zip(args.pred, preds)])
+        if len(args.gold) == 1 and len(args.pred) == 1:
+            pred = Corpus([(gold.datasets[0][0], pred.datasets[0][1])])
+        report = metrics.conll_f1(gold, pred)
     with _output(args.output) as out:
         out.write((report.to_table() if args.table else report.to_json()) + "\n")
     for w in report.warnings:

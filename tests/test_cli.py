@@ -1,5 +1,6 @@
 """End-to-end command behavior, exit codes, config handling."""
 import io
+import itertools
 import json
 import os
 import random
@@ -759,7 +760,48 @@ def test_jobs_bound_documents_in_flight_and_read_ahead(tmp_path, monkeypatch, ca
     assert seen["read"] == seen["done"] == len(docs)
 
 
-def test_evaluate_streamed_equals_whole_list_score(tmp_path, capsys):
+@contextmanager
+def reading(mode):
+    """Within, evaluate reads its --pred files in forked workers ("worker")
+    or in process ("in-process", forced by a thread kept alive meanwhile);
+    yields the pids forked. On leaving, checks that no child process is left
+    behind."""
+    forked, fork, stop = [], os.fork, threading.Event()
+
+    def counted():
+        pid = fork()
+        forked.append(pid)
+        return pid
+
+    alive = threading.Thread(target=stop.wait)
+    if mode == "in-process":
+        alive.start()
+    try:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(os, "fork", counted)
+            yield forked
+    finally:
+        stop.set()
+        if mode == "in-process":
+            alive.join(timeout=10)
+            assert not alive.is_alive()
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def evaluate(mode, *argv):
+    """The exit code of ``evaluate ARGV`` run as ``reading(mode)`` sets; a
+    worker run forks once for each --pred file but stdin."""
+    with reading(mode) as forked:
+        code = run("evaluate", *argv)
+    preds = list(itertools.takewhile(lambda a: not a.startswith("-") or a == "-",
+                                     argv[argv.index("--pred") + 1:]))
+    assert len(forked) == (mode == "worker") * sum(p != "-" for p in preds)
+    return code
+
+
+@pytest.mark.parametrize("mode", ["worker", "in-process"])
+def test_evaluate_streamed_equals_whole_list_score(tmp_path, capsys, mode):
     [(_, gold_docs)] = random_corpus(12, SynthConfig(p_zero=0.2, p_discontinuous=0.1,
                                                      seed=4)).datasets
     # every other chain predicted, the documents in reverse order, the fourth
@@ -776,7 +818,7 @@ def test_evaluate_streamed_equals_whole_list_score(tmp_path, capsys):
     assert 0 < report.macro_average < 100
     assert report.warnings == [f"document {gold_docs[3].doc_id!r} missing from prediction; "
                                "scored as empty"]
-    assert run("evaluate", "--gold", str(gold), "--pred", str(pred)) == 0
+    assert evaluate(mode, "--gold", str(gold), "--pred", str(pred)) == 0
     captured = capsys.readouterr()
     assert captured.out == report.to_json() + "\n"
     assert captured.err == "".join(f"warning: {w}\n" for w in report.warnings)
@@ -787,11 +829,125 @@ def test_evaluate_streamed_equals_whole_list_score(tmp_path, capsys):
         for path in (gold, pred):
             path.write_text(serialize_corpus(gold_docs) + (
                 serialize_conllu(gold_docs[0]) if path == side else ""), encoding="utf-8")
-        assert run("evaluate", "--gold", str(gold), "--pred", str(pred)) == 2
+        assert evaluate(mode, "--gold", str(gold), "--pred", str(pred)) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == (f"error: {side}: document id {gold_docs[0].doc_id!r} "
                                 "appears more than once\n")
+
+
+ZERO_BRACKET = ("# newdoc id = z\n# sent_id = s1\n1\tAnna\t_\t_\t_\t_\t0\t_\t_\t_\n"
+                "1.1\t_\t_\t_\t_\t_\t_\t_\t1:nsubj\tEntity=(e1\n"
+                "2\tsings\t_\t_\t_\t_\t1\t_\t_\tEntity=e1)\n\n")
+
+
+def test_evaluate_reads_alike_in_a_worker_and_in_process(tmp_path, monkeypatch, capsys):
+    [(_, docs)] = random_corpus(300, SynthConfig(seed=6)).datasets
+    text, third = serialize_corpus(docs), f"# newdoc id = {docs[2].doc_id}\n"
+    assert len(text.encode()) > 1 << 17  # more than a pipe holds, so a worker waits on it
+    files = {"gold": text, "pred": text, "other": text,
+             # a warning in document 1 of either side
+             "warned": ZERO_BRACKET + text,
+             # a malformed line in document 3
+             "malformed": text.replace(third, third + "1\tx\n"),
+             # bytes that are not UTF-8 after the last document
+             "latin1": text + "# newdoc id = more\ncaf\xe9\n",
+             # the gold's first document cannot be read: the workers are stopped
+             "bad-gold": text.replace("\t", " ", 1)}
+    paths = {}
+    for name, body in files.items():
+        paths[name] = tmp_path / name / f"{name.split('-')[0]}.conllu"
+        paths[name].parent.mkdir()
+        paths[name].write_bytes(body.encode("latin-1" if name == "latin1" else "utf-8"))
+    gold, pred = str(paths["gold"]), str(paths["pred"])
+    cases = [
+        ("--gold", gold, "--pred", pred, "--table"),
+        ("--gold", gold, "--pred", "-", "--table"),
+        ("--gold", str(paths["warned"]), "--pred", str(paths["warned"])),
+        ("--gold", gold, "--pred", str(paths["malformed"])),
+        ("--gold", gold, "--pred", str(paths["latin1"])),
+        ("--gold", gold, "--pred", str(tmp_path / "missing.conllu")),
+        ("--gold", str(paths["bad-gold"]), "--pred", pred),
+        ("--gold", gold, str(paths["other"]), "--pred", str(paths["other"]), gold, "--table"),
+    ]
+    seen = []
+    for argv in cases:
+        results = []
+        for mode in ("worker", "in-process"):
+            monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+            code = evaluate(mode, *argv)
+            captured = capsys.readouterr()
+            results.append((code, captured.out, captured.err))
+        assert results[0] == results[1], argv
+        seen.append(results[0])
+    assert [code for code, _, _ in seen] == [0, 0, 0, 2, 2, 2, 2, 0]
+    assert seen[1] == seen[0]  # stdin, read in process either way
+    assert seen[2][2] == 2 * (f"warning: {paths['warned']}: z/s1: mention bracket on "
+                              "empty node 1.1 approximated to surface span\n")
+    line = files["malformed"].splitlines().index("1\tx") + 1
+    assert seen[3][2] == (f"error: {paths['malformed']}: line {line}: expected 10 "
+                          "tab-separated columns, got 2\n")
+    assert seen[4][2].startswith(f"error: cannot read {paths['latin1']}: 'utf-8' codec")
+    assert seen[5][2].startswith(f"error: cannot read {tmp_path / 'missing.conllu'}: ")
+    assert seen[6][2] == (f"error: {paths['bad-gold']}: line 3: expected 10 "
+                          "tab-separated columns, got 9\n")
+    assert [row.split()[-1] for row in seen[7][1].splitlines()] == [
+        "conll_f1", "100.00", "100.00", "100.00"]
+
+
+def test_evaluate_reads_in_process_when_no_process_can_be_forked(gold_path, monkeypatch,
+                                                                  capsys):
+    assert run("evaluate", "--gold", gold_path, "--pred", gold_path, "--table") == 0
+    expected = capsys.readouterr()
+
+    def refused():
+        raise BlockingIOError(11, "Resource temporarily unavailable")
+
+    monkeypatch.setattr(os, "fork", refused)
+    assert run("evaluate", "--gold", gold_path, "--pred", gold_path, "--table") == 0
+    assert capsys.readouterr() == expected
+
+
+STOPPING_WORKER = """\
+import os, signal, sys, time
+from corefkit import cli
+
+parse, parent, how = cli.iter_conllu, os.getpid(), sys.argv.pop(1)
+
+def read(lines):  # the worker dies after sending two documents, or hangs before one
+    for n, doc in enumerate(parse(lines)):
+        if os.getpid() != parent:
+            if how == "dies" and n == 2:
+                os.kill(os.getpid(), signal.SIGKILL)
+            if how == "hangs":
+                time.sleep(120)
+        yield doc
+
+cli.iter_conllu = read
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize("how", ["dies", "hangs"])
+def test_a_worker_that_stops_ends_the_run(tmp_path, how):
+    # a worker that dies is an error; one that hangs is killed once the gold
+    # side fails, so neither run waits on it
+    [(_, docs)] = random_corpus(300, SynthConfig(seed=6)).datasets
+    gold, pred = tmp_path / "gold.conllu", tmp_path / "pred.conllu"
+    text = serialize_corpus(docs)
+    pred.write_text(text, encoding="utf-8")
+    gold.write_text(text if how == "dies" else text.replace("\t", " ", 1), encoding="utf-8")
+    src = str(Path(corefkit.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", STOPPING_WORKER, how, "evaluate",
+                           "--gold", str(gold), "--pred", str(pred)],
+                          capture_output=True, text=True, timeout=60, env=env)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == (
+        f"error: {pred}: the process reading it ended with status -9 before the end "
+        "of the file\n" if how == "dies" else
+        f"error: {gold}: line 3: expected 10 tab-separated columns, got 9\n")
 
 
 @pytest.mark.parametrize("between", ["", SISTER_CONLLU], ids=["adjacent", "apart"])

@@ -118,6 +118,23 @@ def test_interleaved_parts_match_oldest_open():
     assert frags == [((1, 1), (3, 3)), ((2, 2), (4, 4))]
 
 
+def test_close_takes_the_latest_open_even_when_an_earlier_one_equals_it():
+    # "(e5" and "(e5-" read alike, around "(e5-1"; each close takes the latest
+    # open, so "(e5-1" closes second and "(e5" last, on "d"
+    text = """\
+# newdoc id = d
+# sent_id = s1
+1\ta\t_\t_\t_\t_\t0\t_\t_\t_
+2\tb\t_\t_\t_\t_\t3\t_\t_\tEntity=(e5(e5-1(e5-
+3\tc\t_\t_\t_\t_\t1\t_\t_\tEntity=e5)e5)
+4\td\t_\t_\t_\t_\t3\t_\t_\tEntity=e5)
+
+"""
+    [chain] = parse_conllu(text)[0].chains.values()
+    assert sorted((m.fragments, m.head) for m in chain.mentions) == [
+        (((2, 3),), (2, 0)), (((2, 3),), (3, 0)), (((2, 4),), (3, 0))]
+
+
 CROSSING = """\
 # newdoc id = d
 # sent_id = s1
