@@ -895,6 +895,24 @@ def test_evaluate_reads_alike_in_a_worker_and_in_process(tmp_path, monkeypatch, 
         "conll_f1", "100.00", "100.00", "100.00"]
 
 
+def test_evaluate_starts_its_worker_before_reading_the_gold(gold_path, monkeypatch, capsys):
+    log, lines, fork = [], cli._lines, os.fork
+
+    def logged_lines(path):
+        log.append("read")
+        return lines(path)
+
+    def logged_fork():
+        pid = fork()
+        log.append("fork")  # the worker's own log is a copy, not this one
+        return pid
+
+    monkeypatch.setattr(cli, "_lines", logged_lines)
+    monkeypatch.setattr(os, "fork", logged_fork)
+    assert run("evaluate", "--gold", gold_path, "--pred", gold_path) == 0
+    assert log == ["fork", "read"]
+
+
 def test_evaluate_reads_in_process_when_no_process_can_be_forked(gold_path, monkeypatch,
                                                                   capsys):
     assert run("evaluate", "--gold", gold_path, "--pred", gold_path, "--table") == 0
