@@ -15,8 +15,9 @@ commands read one document at a time, so their memory should not follow the
 corpus. This process imports nothing from corefkit and writes the corpora in
 a child, so its own small footprint is all a child can inherit.
 
-``evaluate`` parses each prediction file in a worker process that it forks
-and reaps. The peak that ``os.wait4`` reports for a command covers those
+``evaluate`` parses a prediction file of ``corefkit.workers.MIN_BYTES`` or
+more (1 MiB; about 1.9 MB at 1000 documents) in a worker process that it
+forks and reaps. The peak that ``os.wait4`` reports for a command covers those
 workers too: on Linux it is the largest peak of the process and of every
 descendant it reaped (the largest, not their sum). So ``evaluate``'s figure
 is the peak of whichever of its processes peaked highest: a process of

@@ -21,16 +21,15 @@ import argparse
 import dataclasses
 import itertools
 import json
-import os
 import shutil
 import sys
 import tempfile
 import threading
 from collections.abc import Iterator
-from contextlib import contextmanager, nullcontext, suppress
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 from pathlib import Path
-from typing import NoReturn, TextIO
+from typing import TextIO
 
 from . import metrics
 from .align import clean as clean_output
@@ -231,113 +230,6 @@ def _read_documents(path: str, docs: Iterator[Document] | None = None) -> Iterat
         raise ConlluError(f"{name}: {exc}") from exc
 
 
-class _Worker:
-    """A forked child that reads one file as ``_read_documents`` would
-    (``iter_conllu`` over ``_lines``, every check included) and sends down a
-    pipe each document's id, chains and warnings as it is read, then None,
-    or the error that stopped it. It runs at most a pipe's worth ahead of
-    ``documents``. Sentences are not sent: pickling them costs as much as
-    parsing them."""
-
-    def __init__(self, path: str):
-        fd_in, fd_out = os.pipe()
-        try:
-            self.pid = os.fork()
-        except OSError:
-            os.close(fd_in)
-            os.close(fd_out)
-            raise
-        if self.pid == 0:
-            os.close(fd_in)
-            self._send(path, fd_out)
-        os.close(fd_out)
-        self.status: int | None = None
-        self.pipe = open(fd_in, "rb")
-
-    @staticmethod
-    def _send(path: str, fd: int) -> NoReturn:
-        """The child's whole life: it ends in ``os._exit``, so it never
-        returns into the parent's frames to run their ``finally`` blocks or
-        flush their buffers a second time."""
-        code = 1
-        try:
-            import gc
-            import pickle
-            gc.freeze()  # the collector leaves the parent's objects, and so their pages, alone
-            with open(fd, "wb") as pipe:
-                try:
-                    for doc in iter_conllu(_lines(path)):
-                        pickle.dump((doc.doc_id, doc.chains, doc.warnings), pipe)
-                        pipe.flush()
-                    end = None
-                except Exception as exc:  # the parent raises it where it reads it
-                    end = exc
-                pickle.dump(end, pipe)
-            code = 0
-        finally:
-            os._exit(code)
-
-    def documents(self) -> Iterator[Document]:
-        """Each document as it arrives, without sentences; the error the
-        child met is raised here, and a child that ends early is a
-        ``ConlluError``."""
-        import pickle
-        while True:
-            try:
-                item = pickle.load(self.pipe)
-            except (EOFError, pickle.UnpicklingError):
-                raise ConlluError(f"the process reading it ended with status {self.reap()} "
-                                  "before the end of the file") from None
-            if item is None:
-                self.reap()
-                return
-            if isinstance(item, Exception):
-                raise item
-            doc_id, chains, warnings = item
-            yield Document(doc_id, [], chains, warnings=warnings)
-
-    def reap(self) -> int:
-        """Waits for the child to end; its exit code, negative for a signal."""
-        if self.status is None:
-            self.status = os.waitstatus_to_exitcode(os.waitpid(self.pid, 0)[1])
-        return self.status
-
-    def close(self) -> None:
-        """Stops the child if it is still running, and reaps it."""
-        self.pipe.close()
-        if self.status is None:
-            import signal
-            os.kill(self.pid, signal.SIGKILL)
-        self.reap()
-
-
-@contextmanager
-def _read_in_workers(paths: list[str]) -> Iterator[list[Iterator[Document]]]:
-    """The documents of each file, as ``_read_documents`` gives them. Each
-    file but stdin is parsed by a ``_Worker`` started here, so it is read on
-    another core while this process goes on. Each forwarded item is handled
-    (its warnings printed, its id checked, its error raised) only when it is
-    consumed, so output and exit status are those of reading in process.
-    Without ``os.fork``, or with another thread alive (a forked child would
-    hold only this thread, and any lock another one held), or if no process
-    can be had, a file is read in process. The workers are stopped and
-    reaped when the block ends."""
-    workers: list[_Worker] = []
-    streams = []
-    try:
-        for path in paths:
-            worker = None
-            if path != "-" and hasattr(os, "fork") and threading.active_count() == 1:
-                with suppress(OSError):
-                    worker = _Worker(path)
-                    workers.append(worker)
-            streams.append(_read_documents(path, worker and worker.documents()))
-        yield streams
-    finally:
-        for worker in workers:
-            worker.close()
-
-
 @contextmanager
 def _in_document(path: str, doc: Document) -> Iterator[None]:
     """Names the file and the document in a ``FormatError`` raised inside."""
@@ -462,11 +354,13 @@ def cmd_evaluate(args) -> int:
         if unpaired:
             raise UsageError("no --pred file shares the stem of --gold "
                              + ", ".join(unpaired))
-    # the documents are read as they are scored (metrics.conll_f1), the
-    # predictions in workers started before the first gold document is read
-    with _read_in_workers(args.pred) as preds:
+    # the documents are read as they are scored (metrics.conll_f1), a large
+    # prediction file in a worker started before the first gold document is read
+    from .workers import forked_readers
+    with forked_readers(args.pred, lambda p: iter_conllu(_lines(p))) as preds:
         gold = Corpus([(_dataset_id(p), _read_documents(p)) for p in args.gold])
-        pred = Corpus([(_dataset_id(p), docs) for p, docs in zip(args.pred, preds)])
+        pred = Corpus([(_dataset_id(p), _read_documents(p, docs))
+                       for p, docs in zip(args.pred, preds)])
         if len(args.gold) == 1 and len(args.pred) == 1:
             pred = Corpus([(gold.datasets[0][0], pred.datasets[0][1])])
         report = metrics.conll_f1(gold, pred)

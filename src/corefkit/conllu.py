@@ -25,7 +25,8 @@ from __future__ import annotations
 import itertools
 import re
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields as dataclass_fields
+from operator import attrgetter
 
 
 class ConlluError(ValueError):
@@ -98,9 +99,10 @@ class Mention:
     def __reduce__(self):
         # pickled as one constructor call: the frozen dataclass default sets
         # each field through a Python-level loop, which doubles the load time
-        return Mention, (self.chain_id, self.sent_index, self.fragments, self.head,
-                         self.is_zero, self.raw_fields)
+        return Mention, _mention_args(self)
 
+
+_mention_args = attrgetter(*(f.name for f in dataclass_fields(Mention)))  # all of them, in order
 
 @dataclass
 class Chain:

@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 import corefkit
-from corefkit import cli, metrics, pipeline
+from corefkit import cli, metrics, pipeline, workers
 from corefkit.cli import JobConfig, UsageError, build_backend, main
 from corefkit.conllu import (Corpus, Document, parse_conllu, serialize_conllu,
                              serialize_corpus)
@@ -762,10 +762,10 @@ def test_jobs_bound_documents_in_flight_and_read_ahead(tmp_path, monkeypatch, ca
 
 @contextmanager
 def reading(mode):
-    """Within, evaluate reads its --pred files in forked workers ("worker")
-    or in process ("in-process", forced by a thread kept alive meanwhile);
-    yields the pids forked. On leaving, checks that no child process is left
-    behind."""
+    """Within, evaluate reads its --pred files, small ones too, in forked
+    workers ("worker") or in process ("in-process", forced by a thread kept
+    alive meanwhile); yields the pids forked. On leaving, checks that no
+    child process is left behind."""
     forked, fork, stop = [], os.fork, threading.Event()
 
     def counted():
@@ -779,6 +779,7 @@ def reading(mode):
     try:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(os, "fork", counted)
+            mp.setattr(workers, "MIN_BYTES", 0)
             yield forked
     finally:
         stop.set()
@@ -791,12 +792,12 @@ def reading(mode):
 
 def evaluate(mode, *argv):
     """The exit code of ``evaluate ARGV`` run as ``reading(mode)`` sets; a
-    worker run forks once for each --pred file but stdin."""
+    worker run forks once for each --pred file but stdin and missing ones."""
     with reading(mode) as forked:
         code = run("evaluate", *argv)
     preds = list(itertools.takewhile(lambda a: not a.startswith("-") or a == "-",
                                      argv[argv.index("--pred") + 1:]))
-    assert len(forked) == (mode == "worker") * sum(p != "-" for p in preds)
+    assert len(forked) == (mode == "worker") * sum(map(os.path.isfile, preds))
     return code
 
 
@@ -909,8 +910,28 @@ def test_evaluate_starts_its_worker_before_reading_the_gold(gold_path, monkeypat
 
     monkeypatch.setattr(cli, "_lines", logged_lines)
     monkeypatch.setattr(os, "fork", logged_fork)
+    monkeypatch.setattr(workers, "MIN_BYTES", 0)
     assert run("evaluate", "--gold", gold_path, "--pred", gold_path) == 0
     assert log == ["fork", "read"]
+
+
+def test_evaluate_forks_only_for_a_file_of_at_least_min_bytes(gold_path, monkeypatch,
+                                                                capsys):
+    size, forked, fork = os.path.getsize(gold_path), [], os.fork
+
+    def counted():
+        forked.append(fork())
+        return forked[-1]
+
+    monkeypatch.setattr(os, "fork", counted)
+    outputs = []
+    for min_bytes, forks in ((workers.MIN_BYTES, 0), (size + 1, 0), (size, 1)):
+        monkeypatch.setattr(workers, "MIN_BYTES", min_bytes)
+        forked.clear()
+        assert run("evaluate", "--gold", gold_path, "--pred", gold_path, "--table") == 0
+        assert len(forked) == forks, min_bytes
+        outputs.append(capsys.readouterr())
+    assert outputs[0] == outputs[1] == outputs[2]
 
 
 def test_evaluate_reads_in_process_when_no_process_can_be_forked(gold_path, monkeypatch,
@@ -922,13 +943,14 @@ def test_evaluate_reads_in_process_when_no_process_can_be_forked(gold_path, monk
         raise BlockingIOError(11, "Resource temporarily unavailable")
 
     monkeypatch.setattr(os, "fork", refused)
+    monkeypatch.setattr(workers, "MIN_BYTES", 0)
     assert run("evaluate", "--gold", gold_path, "--pred", gold_path, "--table") == 0
     assert capsys.readouterr() == expected
 
 
 STOPPING_WORKER = """\
 import os, signal, sys, time
-from corefkit import cli
+from corefkit import cli, workers
 
 parse, parent, how = cli.iter_conllu, os.getpid(), sys.argv.pop(1)
 
@@ -941,7 +963,7 @@ def read(lines):  # the worker dies after sending two documents, or hangs before
                 time.sleep(120)
         yield doc
 
-cli.iter_conllu = read
+cli.iter_conllu, workers.MIN_BYTES = read, 0
 sys.exit(cli.main(sys.argv[1:]))
 """
 

@@ -1,4 +1,6 @@
 """CoNLL-U reader/writer: bracket grammar, empty nodes, round trips."""
+import dataclasses
+import pickle
 import random
 import re
 
@@ -134,6 +136,14 @@ def test_close_takes_the_latest_open_even_when_an_earlier_one_equals_it():
     assert sorted((m.fragments, m.head) for m in chain.mentions) == [
         (((2, 3),), (2, 0)), (((2, 3),), (3, 0)), (((2, 4),), (3, 0))]
 
+
+
+def test_mention_pickles_with_every_field():
+    m = Mention("e7", 3, ((1, 2), (4, 4)), (2, 1), is_zero=True, raw_fields="2-x")
+    # each field differs from its default, so none can come back as one
+    assert all(getattr(m, f.name) != f.default for f in dataclasses.fields(Mention))
+    back = pickle.loads(pickle.dumps(m))
+    assert back == m and type(back) is Mention
 
 CROSSING = """\
 # newdoc id = d
