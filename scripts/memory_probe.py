@@ -15,14 +15,17 @@ commands read one document at a time, so their memory should not follow the
 corpus. This process imports nothing from corefkit and writes the corpora in
 a child, so its own small footprint is all a child can inherit.
 
-``evaluate`` parses a prediction file of ``corefkit.workers.MIN_BYTES`` or
-more (1 MiB; about 1.9 MB at 1000 documents) in a worker process that it
-forks and reaps. The peak that ``os.wait4`` reports for a command covers those
-workers too: on Linux it is the largest peak of the process and of every
-descendant it reaped (the largest, not their sum). So ``evaluate``'s figure
-is the peak of whichever of its processes peaked highest: a process of
-14 MB that forks and reaps a child touching 120 MB reads as 130 MB (Linux
-6.18).
+Both probe sizes are over ``corefkit.workers.MIN_BYTES`` (1 MiB; the gold
+and the prediction are about 1.9 MB at 1000 documents), so every command but
+``annotate`` and ``decode`` forks at both: ``evaluate`` parses the prediction
+in a worker process, and ``export-train`` and ``convert`` deal the gold's
+documents out to one process per CPU, forking a worker for each but the
+first. Each command reaps its workers. The peak that ``os.wait4`` reports for
+a command covers those workers too: on Linux it is the largest peak of the
+process and of every descendant it reaped (the largest, not their sum). So
+each of those figures is the peak of whichever of the command's processes
+peaked highest: a process of 14 MB that forks and reaps a child touching
+120 MB reads as 130 MB (Linux 6.18).
 """
 import argparse
 import os

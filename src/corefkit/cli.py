@@ -25,11 +25,11 @@ import shutil
 import sys
 import tempfile
 import threading
-from collections.abc import Iterator
-from contextlib import contextmanager, nullcontext
+from collections.abc import Callable, Iterator
+from contextlib import closing, contextmanager, nullcontext
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TextIO
+from typing import Any, TextIO
 
 from . import metrics
 from .align import clean as clean_output
@@ -231,12 +231,27 @@ def _read_documents(path: str, docs: Iterator[Document] | None = None) -> Iterat
 
 
 @contextmanager
-def _in_document(path: str, doc: Document) -> Iterator[None]:
-    """Names the file and the document in a ``FormatError`` raised inside."""
-    try:
-        yield
-    except FormatError as exc:
-        raise FormatError(f"{_shown(path)}: document {doc.doc_id!r}: {exc}") from exc
+def _each_document(path: str, fn: Callable[[Document], Any]) -> Iterator[Iterator[Any]]:
+    """``fn`` of each document of one file, in file order, as
+    ``_read_documents`` reads them; a ``FormatError`` names the file and the
+    document. A large file's documents are dealt out to forked workers, each
+    of which parses and runs ``fn`` on its own (``workers.dealt``)."""
+    from .workers import dealt
+
+    def named(doc: Document) -> Any:
+        try:
+            return fn(doc)
+        except FormatError as exc:
+            raise FormatError(f"{_shown(path)}: document {doc.doc_id!r}: {exc}") from exc
+
+    def values(docs) -> Iterator[Any]:
+        for done in _read_documents(path, docs):
+            if isinstance(done.value, Exception):
+                raise done.value
+            yield done.value
+
+    with dealt(path, _lines, lambda lines: iter_conllu(lines), named) as docs:
+        yield values(docs)
 
 
 # -- commands --------------------------------------------------------------------
@@ -244,24 +259,26 @@ def _in_document(path: str, doc: Document) -> Iterator[None]:
 def cmd_convert(args) -> int:
     fmt = Format(args.format)
 
+    def text(doc: Document) -> tuple[str, str]:
+        annotated = build_events(doc.sentences, doc.mentions(), fmt)
+        idmap = IdMap()
+        # convert output numbers chains from 1; prompts number them from 0
+        return doc.doc_id, render(annotated, index=lambda c: idmap.assign(c) + 1)
+
     def rendered() -> Iterator[tuple[str, str]]:
         for path in args.input:
-            for doc in _read_documents(path):
-                with _in_document(path, doc):
-                    annotated = build_events(doc.sentences, doc.mentions(), fmt)
-                idmap = IdMap()
-                # convert output numbers chains from 1; prompts number them from 0
-                yield doc.doc_id, render(annotated, index=lambda c: idmap.assign(c) + 1)
+            with _each_document(path, text) as texts:
+                yield from texts
 
-    blocks = rendered()
-    # a second document means headers; it is looked for only once the first
-    # is rendered, so the first fault in file order is the one reported
-    ahead = list(itertools.islice(blocks, 2))
-    with _output(args.output) as out:
-        for n, (doc_id, text) in enumerate(itertools.chain(ahead, blocks)):
-            out.write(("\n" if n else "") + (f"# doc = {doc_id}\n" if len(ahead) > 1 else "")
-                      + text)
-        out.write("\n")
+    with closing(rendered()) as blocks:
+        # a second document means headers; it is looked for only once the
+        # first is rendered, so the first fault in file order is the one reported
+        ahead = list(itertools.islice(blocks, 2))
+        with _output(args.output) as out:
+            for n, (doc_id, text) in enumerate(itertools.chain(ahead, blocks)):
+                out.write(("\n" if n else "") + (f"# doc = {doc_id}\n" if len(ahead) > 1 else "")
+                          + text)
+            out.write("\n")
     return 0
 
 
@@ -389,11 +406,14 @@ def cmd_stats(args) -> int:
 
 def cmd_export_train(args) -> int:
     cfg = pipeline_config(load_job_config(args.config, vars(args)))
+
+    def pairs(doc: Document) -> str:
+        return "".join(p.to_json() + "\n" for p in export_training_pairs(doc, cfg))
+
     with _output(args.output) as out:
         for path in args.input:
-            for doc in _read_documents(path):
-                with _in_document(path, doc):
-                    out.writelines(p.to_json() + "\n" for p in export_training_pairs(doc, cfg))
+            with _each_document(path, pairs) as texts:
+                out.writelines(texts)
     return 0
 
 

@@ -382,6 +382,14 @@ def _assemble_mentions(entity_events, sent: Sentence, sent_index: int, doc: Docu
             f"not completed within sentence {sent.sent_id!r}")
 
 
+def is_doc_header(comment: str) -> bool:
+    """Whether a comment line, given as its text after the ``#`` stripped,
+    opens a document (``# newdoc id = ...``). The reader and
+    ``corefkit.workers``, which deals a file's documents out to processes,
+    both ask this, so they agree on where each one starts."""
+    return comment.startswith("newdoc id")
+
+
 def iter_conllu(lines: Iterable[str]) -> Iterator[Document]:
     """Read CoNLL-U lines (as ``str.splitlines`` gives them, numbered from 1)
     and yield each ``# newdoc id`` document once the next header or the end
@@ -408,7 +416,7 @@ def iter_conllu(lines: Iterable[str]) -> Iterator[Document]:
     for line_no, line in enumerate(itertools.chain(lines, ("", "# newdoc id")), start=1):
         if line[:1] == "#":
             body = line[1:].strip()
-            if not body.startswith("newdoc id"):
+            if not is_doc_header(body):
                 if doc is None:
                     continue  # file preamble, e.g. "# global.columns = ..."
                 if not (doc.sentences or tokens or empties or mwt_ranges or sent_id or comments

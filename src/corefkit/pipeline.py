@@ -547,7 +547,3 @@ def _read_jsonl(path: str, prompts: bool = True
             yield line_no, start, TrainingPair(rec["doc_id"], rec["window_index"],
                                                rec["prompt"] if prompts else None,
                                                rec["completion"])
-
-
-def load_pairs(path: str) -> list[TrainingPair]:
-    return [pair for _, _, pair in _read_jsonl(path)]

@@ -1,21 +1,34 @@
 """Reading CoNLL-U files in forked worker processes.
 
-``evaluate`` reads each ``--pred`` file in a child forked before the first
-gold document is read, so gold and prediction are parsed on two cores. Only
-``evaluate`` imports this module, so no other command pays for it.
+Three commands import this module, when they run; no other pays for it:
+
+- ``evaluate`` reads each ``--pred`` file in a child forked before the first
+  gold document is read (``forked_readers``), so gold and prediction are
+  parsed on two cores.
+- ``export-train`` and ``convert`` deal a file's documents out round-robin
+  to one share per CPU (``dealt``). The parent takes share 0 and forks a
+  worker for each other share. Every process reads every line of the file
+  and blanks those of the documents that are not its own, so the reader
+  parses only its own documents, with every check, message and line number
+  it has. Each process turns its documents into text, and only that text
+  crosses a pipe.
+
+A file is read in one process where ``_forks_for`` says so, and when no
+process can be forked.
 """
 from __future__ import annotations
 
 import gc
+import itertools
 import os
 import pickle
 import signal
 import threading
-from collections.abc import Callable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 from contextlib import contextmanager, suppress
-from typing import NoReturn
+from typing import Any, NamedTuple, NoReturn
 
-from .conllu import ConlluError, Document
+from .conllu import ConlluError, Document, is_doc_header
 
 # A smaller file is read in process. A worker still saves time there (a
 # third of evaluate on a 230 KB pair), but evaluate then ends within the
@@ -25,13 +38,12 @@ MIN_BYTES = 1 << 20
 
 
 class _Worker:
-    """A forked child that runs ``read(path)`` and sends down a pipe each
-    document's id, chains and warnings as it is read, then None, or the
-    error that stopped it. It runs at most a pipe's worth ahead of
-    ``documents``. Sentences are not sent: pickling them costs as much as
-    parsing them."""
+    """A forked child that sends each item of ``produce()`` down a pipe as
+    it is made, then None, or the exception that stopped it, pickled with
+    its type, message and ``line``. It runs at most a pipe's worth ahead of
+    ``items``."""
 
-    def __init__(self, path: str, read: Callable[[str], Iterator[Document]]):
+    def __init__(self, produce: Callable[[], Iterable[Any]]):
         fd_in, fd_out = os.pipe()
         try:
             self.pid = os.fork()
@@ -41,13 +53,13 @@ class _Worker:
             raise
         if self.pid == 0:
             os.close(fd_in)
-            self._send(read, path, fd_out)
+            self._send(produce, fd_out)
         os.close(fd_out)
         self.status: int | None = None
         self.pipe = open(fd_in, "rb")
 
     @staticmethod
-    def _send(read: Callable[[str], Iterator[Document]], path: str, fd: int) -> NoReturn:
+    def _send(produce: Callable[[], Iterable[Any]], fd: int) -> NoReturn:
         """The child's whole life: it ends in ``os._exit``, so it never
         returns into the parent's frames to run their ``finally`` blocks or
         flush their buffers a second time."""
@@ -56,8 +68,8 @@ class _Worker:
             gc.freeze()  # the collector leaves the parent's objects, and so their pages, alone
             with open(fd, "wb") as pipe:
                 try:
-                    for doc in read(path):
-                        pickle.dump((doc.doc_id, doc.chains, doc.warnings), pipe)
+                    for item in produce():
+                        pickle.dump(item, pipe)
                         pipe.flush()
                     end = None
                 except Exception as exc:  # the parent raises it where it reads it
@@ -67,10 +79,9 @@ class _Worker:
         finally:
             os._exit(code)
 
-    def documents(self) -> Iterator[Document]:
-        """Each document as it arrives, without sentences; the error the
-        child met is raised here, and a child that ends early is a
-        ``ConlluError``."""
+    def items(self) -> Iterator[Any]:
+        """Each item as it arrives; the error the child met is raised here,
+        and a child that ends early is a ``ConlluError``."""
         while True:
             try:
                 item = pickle.load(self.pipe)
@@ -82,8 +93,7 @@ class _Worker:
                 return
             if isinstance(item, Exception):
                 raise item
-            doc_id, chains, warnings = item
-            yield Document(doc_id, [], chains, warnings=warnings)
+            yield item
 
     def reap(self) -> int:
         """Waits for the child to end; its exit code, negative for a signal."""
@@ -100,7 +110,7 @@ class _Worker:
 
 
 def _forks_for(path: str) -> bool:
-    """Whether ``path`` is read in a worker: not stdin, at least
+    """Whether ``path`` is read with workers: not stdin, at least
     ``MIN_BYTES`` long, and ``os.fork`` there with no other thread alive (a
     forked child would hold only this thread, and any lock another one
     held). A file that cannot be stat'ed is left to the reader to report."""
@@ -117,8 +127,10 @@ def forked_readers(paths: list[str], read: Callable[[str], Iterator[Document]]
                    ) -> Iterator[list[Iterator[Document] | None]]:
     """For each path, the documents of ``read(path)`` as a worker started
     here sends them, or None where the file is to be read in process (see
-    ``_forks_for``; also when no process can be had). The workers are
-    stopped and reaped when the block ends."""
+    ``_forks_for``; also when no process can be had). A worker sends each
+    document's id, chains and warnings, not its sentences: pickling them
+    costs as much as parsing them. The workers are stopped and reaped when
+    the block ends."""
     workers: list[_Worker] = []
     streams: list[Iterator[Document] | None] = []
     try:
@@ -126,10 +138,104 @@ def forked_readers(paths: list[str], read: Callable[[str], Iterator[Document]]
             stream = None
             if _forks_for(path):
                 with suppress(OSError):
-                    workers.append(_Worker(path, read))
-                    stream = workers[-1].documents()
+                    workers.append(_Worker(lambda path=path: (
+                        (d.doc_id, d.chains, d.warnings) for d in read(path))))
+                    stream = (Document(doc_id, [], chains, warnings=warnings)
+                              for doc_id, chains, warnings in workers[-1].items())
             streams.append(stream)
         yield streams
     finally:
         for worker in workers:
             worker.close()
+
+
+class Done(NamedTuple):
+    """A document as its share hands it on: its id and parse warnings, and
+    what the share's function made of it, or the exception it raised."""
+
+    doc_id: str
+    warnings: list[str]
+    value: Any
+
+
+def _shares() -> int:
+    """How many shares a file's documents are dealt into: one per CPU this
+    process may run on."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+
+
+def _deal(lines: Iterable[str], share: int, shares: int, fault: list[Exception]
+          ) -> Iterator[str]:
+    """``lines`` with every line of another share's document made blank (a
+    blank line only ends a sentence), so line numbers stay. Document k,
+    counted from 0, is share ``k % shares``'s; the preamble before the first
+    is share 0's. An error from ``lines`` met in this share's own text is
+    raised; met in another share's document, it goes into ``fault`` and the
+    lines end, so the share's last document, whole by then, is still read,
+    as a reader of the whole file would have read it."""
+    docs, mine = 0, share == 0
+    try:
+        for line in lines:
+            if line[:1] == "#" and is_doc_header(line[1:].strip()):
+                mine = docs % shares == share
+                docs += 1
+            yield line if mine else ""
+    except Exception as exc:
+        if mine:
+            raise
+        fault.append(exc)
+
+
+def _share(lines: Iterable[str], parse: Callable[[Iterable[str]], Iterator[Document]],
+           fn: Callable[[Document], Any], share: int, shares: int) -> Iterator[Done]:
+    """``fn`` of each document of one share, in file order; a document whose
+    ``fn`` fails is the share's last. One share reads ``lines`` as they are."""
+    fault: list[Exception] = []
+    for doc in parse(lines if shares == 1 else _deal(lines, share, shares, fault)):
+        try:
+            value = fn(doc)
+        except Exception as exc:  # raised when this document's turn comes
+            yield Done(doc.doc_id, doc.warnings, exc)
+            return
+        yield Done(doc.doc_id, doc.warnings, value)
+    if fault:
+        raise fault[0]
+
+
+@contextmanager
+def dealt(path: str, lines: Callable[[str], Iterable[str]],
+          parse: Callable[[Iterable[str]], Iterator[Document]],
+          fn: Callable[[Document], Any]) -> Iterator[Iterator[Done]]:
+    """``fn`` of each document of ``parse(lines(path))``, in file order, as
+    ``Done`` items. Where ``_forks_for(path)``, the documents are dealt into
+    ``_shares()`` shares: the caller's process reads share 0 and a forked
+    worker each other one (all in process if a fork fails). The shares are
+    pulled in turn, one document each, only as the caller asks, so a
+    fault is met in file order. The workers are stopped and reaped when the
+    block ends."""
+    shares = _shares() if _forks_for(path) else 1
+    workers: list[_Worker] = []
+    try:
+        try:
+            for share in range(1, shares):
+                workers.append(_Worker(lambda share=share: _share(
+                    lines(path), parse, fn, share, shares)))
+        except OSError:
+            for worker in workers:
+                worker.close()
+            workers, shares = [], 1
+        streams = [_share(lines(path), parse, fn, 0, shares),
+                   *(worker.items() for worker in workers)]
+        yield _in_turn(streams)
+    finally:
+        for worker in workers:
+            worker.close()
+
+
+def _in_turn(streams: list[Iterator[Done]]) -> Iterator[Done]:
+    """One item from each stream in turn, until one of them ends."""
+    for stream in itertools.cycle(streams):
+        done = next(stream, None)
+        if done is None:
+            return
+        yield done

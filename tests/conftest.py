@@ -14,6 +14,7 @@ import pytest
 from hypothesis import settings
 
 from corefkit.conllu import Chain, Document, Mention, Sentence, Token
+from corefkit.pipeline import TrainingPair, _read_jsonl
 
 settings.register_profile("suite", max_examples=60, deadline=None)
 settings.load_profile("suite")
@@ -163,3 +164,9 @@ def serving():
 def loopback():
     with serving() as server:
         yield server
+
+
+def read_pairs(path) -> list[TrainingPair]:
+    """Every training pair of a JSONL file, read as ``OracleBackend`` reads
+    its records."""
+    return [pair for _, _, pair in _read_jsonl(str(path))]

@@ -25,12 +25,11 @@ from corefkit.metrics import (antecedent_cdf, b_cubed, ceaf_e, conll_f1,
                               density, muc, phi4)
 from corefkit.pipeline import (OracleBackend, PipelineConfig, annotate_corpus,
                                export_training_pairs, iter_windows,
-                               load_pairs, mentions_to_document,
-                               slice_annotated)
+                               mentions_to_document, slice_annotated)
 from corefkit.reindex import IdAllocator, localize, globalize
 from corefkit.synth import SynthConfig
 
-from conftest import GOLDEN, SISTER_IDMAP, make_sister_doc
+from conftest import GOLDEN, SISTER_IDMAP, make_sister_doc, read_pairs
 
 ALL_FORMATS = [Format.CRAC, Format.EXPLICIT, Format.MINIMAL, Format.HEADWORD]
 
@@ -394,7 +393,7 @@ def test_criterion_8_determinism(capsys, tmp_path):
         replay.write_text("\n".join(
             json.dumps({"doc_id": p.doc_id, "window_index": p.window_index,
                         "completion": p.completion})
-            for p in load_pairs(str(pairs))) + "\n", encoding="utf-8")
+            for p in read_pairs(pairs)) + "\n", encoding="utf-8")
         pred = tmp_path / f"pred{r}.conllu"
         assert cli_main(["annotate", str(gold), "--backend", "replay",
                          "--replay", str(replay), "--format", "minimal",

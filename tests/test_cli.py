@@ -20,9 +20,9 @@ from corefkit.cli import JobConfig, UsageError, build_backend, main
 from corefkit.conllu import (Corpus, Document, parse_conllu, serialize_conllu,
                              serialize_corpus)
 from corefkit.synth import SynthConfig, random_corpus, random_document
-from corefkit.pipeline import EmptyBackend, HttpBackend, OracleBackend, load_pairs
+from corefkit.pipeline import EmptyBackend, HttpBackend, OracleBackend
 
-from conftest import GOLDEN, SISTER_CONLLU, make_sister_doc
+from conftest import GOLDEN, SISTER_CONLLU, make_sister_doc, read_pairs
 
 
 @pytest.fixture
@@ -190,7 +190,7 @@ def test_export_train_then_oracle_closure(gold_path, tmp_path, capsys):
     pairs_path = tmp_path / "pairs.jsonl"
     assert run("export-train", gold_path, "--format", "headword",
                "-o", str(pairs_path)) == 0
-    [pair] = load_pairs(str(pairs_path))
+    [pair] = read_pairs(pairs_path)
     assert pair.completion == ("When Lison <ent0> visits her <ent0> sister"
                                " <ent1> , brings <zero0> flowers.")
 
@@ -553,7 +553,7 @@ def replay_backend(path):
     (replay_backend, {"doc_id": "d", "completion": "c"}, "window_index must be int, not null"),
     (replay_backend, ["d", 0, "c"], "is not a JSON object"),
     (replay_backend, '{"doc_id": "d"', "invalid JSON"),
-    (load_pairs, {"doc_id": "d", "window_index": 0, "prompt": None, "completion": "c"},
+    (read_pairs, {"doc_id": "d", "window_index": 0, "prompt": None, "completion": "c"},
      "prompt must be str, not null"),
 ])
 def test_backend_record_fields_are_type_checked(tmp_path, load, record, complaint):
@@ -761,11 +761,12 @@ def test_jobs_bound_documents_in_flight_and_read_ahead(tmp_path, monkeypatch, ca
 
 
 @contextmanager
-def reading(mode):
+def reading(mode, shares=2):
     """Within, evaluate reads its --pred files, small ones too, in forked
     workers ("worker") or in process ("in-process", forced by a thread kept
-    alive meanwhile); yields the pids forked. On leaving, checks that no
-    child process is left behind."""
+    alive meanwhile); export-train and convert likewise deal each file out
+    to ``shares`` shares, or read it in process. Yields the pids forked. On
+    leaving, checks that no child process is left behind."""
     forked, fork, stop = [], os.fork, threading.Event()
 
     def counted():
@@ -780,6 +781,7 @@ def reading(mode):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(os, "fork", counted)
             mp.setattr(workers, "MIN_BYTES", 0)
+            mp.setattr(workers, "_shares", lambda: shares)
             yield forked
     finally:
         stop.set()
@@ -990,6 +992,119 @@ def test_a_worker_that_stops_ends_the_run(tmp_path, how):
         f"error: {gold}: line 3: expected 10 tab-separated columns, got 9\n")
 
 
+CROSSING = ("# newdoc id = x\n# sent_id = s1\n" + "".join(
+    f"{i}\t{w}\t_\t_\t_\t_\t{int(i > 1)}\t_\t_\tEntity={entity}\n"
+    for i, (w, entity) in enumerate(zip("abcd", ["(e1", "(e2", "e1)", "e2)"]), start=1)) + "\n")
+
+
+@pytest.mark.parametrize("shares", [2, 3])
+def test_export_and_convert_read_alike_dealt_out_and_in_process(tmp_path, monkeypatch,
+                                                                capsys, shares):
+    [(_, docs)] = random_corpus(300, SynthConfig(seed=6)).datasets
+    text = serialize_corpus(docs)
+    # document k is share k % shares's: the caller's process reads share 0
+    header = [f"# newdoc id = {d.doc_id}\n" for d in docs]
+
+    def malformed(*ks):  # a row of two columns opens each document named
+        out = text
+        for k in ks:
+            out = out.replace(header[k], header[k] + "1\tx\n")
+        return out
+
+    warned = [ZERO_BRACKET.replace("= z\n", f"= z{k}\n") for k in range(4)]
+    # one document of ~90 KB, so its end is read in a later block than its header
+    big = serialize_conllu(random_document("big", SynthConfig(sentences=(400, 400)),
+                                           random.Random(6)))
+    files = {
+        "gold": text,
+        # a worker's document first, then the caller's; then the other way round
+        "worker-first": malformed(1, 2 * shares),
+        "caller-first": malformed(shares, shares + 1),
+        "preamble": "# global.columns = ID FORM\n1\tx\t_\t_\t_\t_\t0\t_\t_\t_\n\n" + text,
+        # the caller's document `shares` and the next, a worker's, share an id
+        "repeated": text.replace(header[shares + 1], header[shares]),
+        "warned": "".join(warned) + text,
+        # not UTF-8 at the end of a worker's document: the warned document
+        # before it, the caller's, is whole once the worker's header is read
+        "latin1": warned[0] + big + "# caf\xe9\n" + text,
+        "crossing": text.replace(header[1], CROSSING + header[1]) + "1\tx\n",
+        # the caller fails late, while a worker waits on a full pipe
+        "late": malformed(120),
+    }
+    assert len(text.encode()) > 1 << 17  # more than a pipe holds
+    assert len(big.encode()) > 1 << 16  # more than a read block
+    paths = {}
+    for name, body in files.items():
+        paths[name] = tmp_path / f"{name}.conllu"
+        paths[name].write_bytes(body.encode("latin-1" if name == "latin1" else "utf-8"))
+    seen = {}
+    for name, path in paths.items():
+        for command in (("export-train",), ("convert", "--format", "minimal")):
+            results = []
+            for mode in ("worker", "in-process"):
+                with reading(mode, shares) as forked:
+                    code = run(*command, str(path))
+                assert len(forked) == (mode == "worker") * (shares - 1)
+                captured = capsys.readouterr()
+                results.append((code, captured.out, captured.err))
+            assert results[0] == results[1], (name, command)
+            seen[name, command[0]] = results[0]
+    for command in ("export-train", "convert"):
+        codes = {name: seen[name, command][0] for name in files}
+        assert codes == {name: 0 if name in ("gold", "warned") else 2 for name in files}
+        err = {name: seen[name, command][2] for name in files}
+
+        def row(k):  # the malformed row's line in its file
+            return files[f"{k}"].splitlines().index("1\tx") + 1
+
+        assert err["worker-first"] == (f"error: {paths['worker-first']}: line "
+                                       f"{row('worker-first')}: expected 10 tab-separated "
+                                       "columns, got 2\n")
+        assert err["caller-first"] == (f"error: {paths['caller-first']}: line "
+                                       f"{row('caller-first')}: expected 10 tab-separated "
+                                       "columns, got 2\n")
+        assert err["preamble"] == (f"error: {paths['preamble']}: line 3: sentence before "
+                                   "any '# newdoc id' header\n")
+        assert err["repeated"] == (f"error: {paths['repeated']}: document id "
+                                   f"{docs[shares].doc_id!r} appears more than once\n")
+        warning = ": z{}/s1: mention bracket on empty node 1.1 approximated to surface span\n"
+        assert err["warned"] == "".join(f"warning: {paths['warned']}" + warning.format(k)
+                                        for k in range(4))
+        assert err["latin1"].startswith(f"warning: {paths['latin1']}" + warning.format(0)
+                                        + f"error: cannot read {paths['latin1']}: 'utf-8' codec")
+        assert err["crossing"].startswith(f"error: {paths['crossing']}: document 'x': "
+                                          "crossing mentions")
+        assert err["late"] == (f"error: {paths['late']}: line {row('late')}: expected 10 "
+                               "tab-separated columns, got 2\n")
+    assert seen["gold", "export-train"][1] == "".join(
+        p.to_json() + "\n" for d in docs for p in pipeline.export_training_pairs(
+            d, pipeline.PipelineConfig()))
+
+
+def test_export_reads_in_process_when_a_fork_fails(tmp_path, monkeypatch, capsys):
+    [(_, docs)] = random_corpus(30, SynthConfig(seed=6)).datasets
+    path = tmp_path / "corpus.conllu"
+    path.write_text(serialize_corpus(docs), encoding="utf-8")
+    assert run("export-train", str(path)) == 0
+    expected = capsys.readouterr()
+    forked, fork = [], os.fork
+
+    def second_fails():  # the first worker is started, then stopped again
+        if forked:
+            raise BlockingIOError(11, "Resource temporarily unavailable")
+        forked.append(fork())
+        return forked[-1]
+
+    monkeypatch.setattr(os, "fork", second_fails)
+    monkeypatch.setattr(workers, "MIN_BYTES", 0)
+    monkeypatch.setattr(workers, "_shares", lambda: 3)
+    assert run("export-train", str(path)) == 0
+    assert capsys.readouterr() == expected
+    assert len(forked) == 1
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 @pytest.mark.parametrize("between", ["", SISTER_CONLLU], ids=["adjacent", "apart"])
 @pytest.mark.parametrize("command", [("export-train",), ("convert", "--format", "minimal")],
                          ids=lambda c: c[0])
@@ -1054,7 +1169,7 @@ def test_replay_runs_are_deterministic(gold_path, tmp_path):
     replay.write_text("\n".join(
         json.dumps({"doc_id": p.doc_id, "window_index": p.window_index,
                     "completion": p.completion})
-        for p in load_pairs(str(pairs_path))) + "\n", encoding="utf-8")
+        for p in read_pairs(pairs_path)) + "\n", encoding="utf-8")
     outs = []
     for i in range(2):
         out = tmp_path / f"run{i}.conllu"

@@ -11,10 +11,10 @@ from corefkit.cli import main
 from corefkit.conllu import serialize_corpus
 from corefkit.pipeline import (BackendError, HttpBackend, PermanentBackendError,
                                PipelineConfig, annotate_document,
-                               export_training_pairs, load_pairs)
+                               export_training_pairs)
 from corefkit.synth import SynthConfig, random_corpus
 
-from conftest import serving
+from conftest import read_pairs, serving
 
 
 @pytest.fixture
@@ -30,7 +30,7 @@ def test_jobs_keep_requests_in_flight_concurrently(loopback, tmp_path):
         8, SynthConfig(seed=6, sentences=(2, 14)), seed=6).datasets[0][1]), encoding="utf-8")
     pairs = tmp_path / "pairs.jsonl"
     assert main(["export-train", str(corpus), "-o", str(pairs)]) == 0
-    loopback.gold = {p.prompt: p.completion for p in load_pairs(str(pairs))}
+    loopback.gold = {p.prompt: p.completion for p in read_pairs(pairs)}
 
     def annotate(jobs):
         out = tmp_path / f"jobs{jobs}.conllu"

@@ -18,13 +18,13 @@ from corefkit.pipeline import (PRESETS, BackendError, EmptyBackend,
                                PermanentBackendError, PipelineConfig, TrainingPair,
                                annotate_corpus, annotate_document,
                                build_prompt, completion_of,
-                               export_training_pairs, iter_windows, load_pairs,
+                               export_training_pairs, iter_windows,
                                mentions_to_document, slice_annotated,
                                truncate_context, write_pairs)
 from corefkit.reindex import IdMap, localize
 from corefkit.synth import SynthConfig, random_corpus, random_document
 
-from conftest import SISTER_CONLLU, make_sister_doc
+from conftest import SISTER_CONLLU, make_sister_doc, read_pairs
 
 FIXTURE_PROMPT = (
     "TASK: COREFERENCE ANNOTATION\n"
@@ -611,7 +611,7 @@ def test_pairs_round_trip_through_jsonl(tmp_path, sister_doc):
     pairs = export_training_pairs(sister_doc, PipelineConfig())
     path = tmp_path / "pairs.jsonl"
     write_pairs(str(path), pairs)
-    assert load_pairs(str(path)) == pairs
+    assert read_pairs(path) == pairs
     rec = json.loads(path.read_text().splitlines()[0])
     assert set(rec) == {"doc_id", "window_index", "prompt", "completion"}
 
