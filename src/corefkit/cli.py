@@ -230,12 +230,11 @@ def _read_documents(path: str, docs: Iterator[Document] | None = None) -> Iterat
         raise ConlluError(f"{name}: {exc}") from exc
 
 
-@contextmanager
-def _each_document(path: str, fn: Callable[[Document], Any]) -> Iterator[Iterator[Any]]:
-    """``fn`` of each document of one file, in file order, as
-    ``_read_documents`` reads them; a ``FormatError`` names the file and the
-    document. A large file's documents are dealt out to forked workers, each
-    of which parses and runs ``fn`` on its own (``workers.dealt``)."""
+def _each_document(path: str, fn: Callable[[Document], Any]):
+    """A block giving ``fn`` of each document of one file, in file order, as
+    ``_read_documents`` reads them, a ``FormatError`` naming the file and the
+    document; a large file's documents are dealt out to forked workers
+    (``workers.dealt``)."""
     from .workers import dealt
 
     def named(doc: Document) -> Any:
@@ -244,14 +243,8 @@ def _each_document(path: str, fn: Callable[[Document], Any]) -> Iterator[Iterato
         except FormatError as exc:
             raise FormatError(f"{_shown(path)}: document {doc.doc_id!r}: {exc}") from exc
 
-    def values(docs) -> Iterator[Any]:
-        for done in _read_documents(path, docs):
-            if isinstance(done.value, Exception):
-                raise done.value
-            yield done.value
-
-    with dealt(path, _lines, lambda lines: iter_conllu(lines), named) as docs:
-        yield values(docs)
+    return dealt(path, _lines, lambda lines: iter_conllu(lines), named,
+                 lambda docs: _read_documents(path, docs))
 
 
 # -- commands --------------------------------------------------------------------

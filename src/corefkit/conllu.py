@@ -383,10 +383,8 @@ def _assemble_mentions(entity_events, sent: Sentence, sent_index: int, doc: Docu
 
 
 def is_doc_header(comment: str) -> bool:
-    """Whether a comment line, given as its text after the ``#`` stripped,
-    opens a document (``# newdoc id = ...``). The reader and
-    ``corefkit.workers``, which deals a file's documents out to processes,
-    both ask this, so they agree on where each one starts."""
+    """Whether a comment (its text after ``#``, stripped) opens a document;
+    the reader and ``workers._deal`` both ask this."""
     return comment.startswith("newdoc id")
 
 

@@ -149,7 +149,7 @@ def forked_readers(paths: list[str], read: Callable[[str], Iterator[Document]]
             worker.close()
 
 
-class Done(NamedTuple):
+class _Done(NamedTuple):
     """A document as its share hands it on: its id and parse warnings, and
     what the share's function made of it, or the exception it raised."""
 
@@ -164,15 +164,16 @@ def _shares() -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
 
 
-def _deal(lines: Iterable[str], share: int, shares: int, fault: list[Exception]
+def _deal(lines: Iterable[str], share: int, shares: int, fault: list[ConlluError]
           ) -> Iterator[str]:
     """``lines`` with every line of another share's document made blank (a
     blank line only ends a sentence), so line numbers stay. Document k,
     counted from 0, is share ``k % shares``'s; the preamble before the first
-    is share 0's. An error from ``lines`` met in this share's own text is
-    raised; met in another share's document, it goes into ``fault`` and the
-    lines end, so the share's last document, whole by then, is still read,
-    as a reader of the whole file would have read it."""
+    is share 0's. A ``ConlluError`` from ``lines`` (a file that cannot be
+    read) met in this share's own text is raised; met in another share's
+    document, it goes into ``fault`` and the lines end, so the share's last
+    document, whole by then, is still read, as a reader of the whole file
+    would have read it."""
     docs, mine = 0, share == 0
     try:
         for line in lines:
@@ -180,24 +181,24 @@ def _deal(lines: Iterable[str], share: int, shares: int, fault: list[Exception]
                 mine = docs % shares == share
                 docs += 1
             yield line if mine else ""
-    except Exception as exc:
+    except ConlluError as exc:
         if mine:
             raise
         fault.append(exc)
 
 
 def _share(lines: Iterable[str], parse: Callable[[Iterable[str]], Iterator[Document]],
-           fn: Callable[[Document], Any], share: int, shares: int) -> Iterator[Done]:
+           fn: Callable[[Document], Any], share: int, shares: int) -> Iterator[_Done]:
     """``fn`` of each document of one share, in file order; a document whose
     ``fn`` fails is the share's last. One share reads ``lines`` as they are."""
-    fault: list[Exception] = []
+    fault: list[ConlluError] = []
     for doc in parse(lines if shares == 1 else _deal(lines, share, shares, fault)):
         try:
             value = fn(doc)
         except Exception as exc:  # raised when this document's turn comes
-            yield Done(doc.doc_id, doc.warnings, exc)
+            yield _Done(doc.doc_id, doc.warnings, exc)
             return
-        yield Done(doc.doc_id, doc.warnings, value)
+        yield _Done(doc.doc_id, doc.warnings, value)
     if fault:
         raise fault[0]
 
@@ -205,14 +206,16 @@ def _share(lines: Iterable[str], parse: Callable[[Iterable[str]], Iterator[Docum
 @contextmanager
 def dealt(path: str, lines: Callable[[str], Iterable[str]],
           parse: Callable[[Iterable[str]], Iterator[Document]],
-          fn: Callable[[Document], Any]) -> Iterator[Iterator[Done]]:
-    """``fn`` of each document of ``parse(lines(path))``, in file order, as
-    ``Done`` items. Where ``_forks_for(path)``, the documents are dealt into
-    ``_shares()`` shares: the caller's process reads share 0 and a forked
-    worker each other one (all in process if a fork fails). The shares are
-    pulled in turn, one document each, only as the caller asks, so a
-    fault is met in file order. The workers are stopped and reaped when the
-    block ends."""
+          fn: Callable[[Document], Any],
+          check: Callable[[Iterator[_Done]], Iterator[_Done]]) -> Iterator[Iterator[Any]]:
+    """``fn`` of each document of ``parse(lines(path))``, in file order.
+    Where ``_forks_for(path)``, the documents are dealt into ``_shares()``
+    shares: the caller's process reads share 0 and a forked worker each
+    other one (all in process if a fork fails). The shares are pulled in
+    turn, one document each, only as the caller asks, so a fault is met in
+    file order. Each document passes ``check`` (it has ``doc_id`` and
+    ``warnings``) before ``fn``'s error on it is raised. The workers are
+    stopped and reaped when the block ends."""
     shares = _shares() if _forks_for(path) else 1
     workers: list[_Worker] = []
     try:
@@ -226,16 +229,24 @@ def dealt(path: str, lines: Callable[[str], Iterable[str]],
             workers, shares = [], 1
         streams = [_share(lines(path), parse, fn, 0, shares),
                    *(worker.items() for worker in workers)]
-        yield _in_turn(streams)
+        yield _values(check(_in_turn(streams)))
     finally:
         for worker in workers:
             worker.close()
 
 
-def _in_turn(streams: list[Iterator[Done]]) -> Iterator[Done]:
+def _in_turn(streams: list[Iterator[_Done]]) -> Iterator[_Done]:
     """One item from each stream in turn, until one of them ends."""
     for stream in itertools.cycle(streams):
         done = next(stream, None)
         if done is None:
             return
         yield done
+
+
+def _values(docs: Iterable[_Done]) -> Iterator[Any]:
+    """Each item's value; the error ``fn`` raised on it is raised here."""
+    for done in docs:
+        if isinstance(done.value, Exception):
+            raise done.value
+        yield done.value

@@ -1028,7 +1028,7 @@ def test_export_and_convert_read_alike_dealt_out_and_in_process(tmp_path, monkey
         # before it, the caller's, is whole once the worker's header is read
         "latin1": warned[0] + big + "# caf\xe9\n" + text,
         "crossing": text.replace(header[1], CROSSING + header[1]) + "1\tx\n",
-        # the caller fails late, while a worker waits on a full pipe
+        # the caller fails late, while a worker waits on a full pipe (below)
         "late": malformed(120),
     }
     assert len(text.encode()) > 1 << 17  # more than a pipe holds
@@ -1076,9 +1076,15 @@ def test_export_and_convert_read_alike_dealt_out_and_in_process(tmp_path, monkey
                                           "crossing mentions")
         assert err["late"] == (f"error: {paths['late']}: line {row('late')}: expected 10 "
                                "tab-separated columns, got 2\n")
-    assert seen["gold", "export-train"][1] == "".join(
-        p.to_json() + "\n" for d in docs for p in pipeline.export_training_pairs(
-            d, pipeline.PipelineConfig()))
+    pairs = seen["gold", "export-train"][1]
+    assert pairs == "".join(p.to_json() + "\n" for d in docs for p in
+                            pipeline.export_training_pairs(d, pipeline.PipelineConfig()))
+    # each worker has more than a pipe holds left to send when the caller fails
+    index, left = {d.doc_id: k for k, d in enumerate(docs)}, [0] * shares
+    for line in pairs.splitlines(keepends=True):
+        k = index[json.loads(line)["doc_id"]]
+        left[k % shares] += len(line.encode()) if k > 120 else 0
+    assert min(left[1:]) > 1 << 16
 
 
 def test_export_reads_in_process_when_a_fork_fails(tmp_path, monkeypatch, capsys):
