@@ -25,11 +25,11 @@ import shutil
 import sys
 import tempfile
 import threading
-from collections.abc import Callable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 from contextlib import closing, contextmanager, nullcontext
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, TextIO
+from typing import TextIO
 
 from . import metrics
 from .align import clean as clean_output
@@ -230,14 +230,14 @@ def _read_documents(path: str, docs: Iterator[Document] | None = None) -> Iterat
         raise ConlluError(f"{name}: {exc}") from exc
 
 
-def _each_document(path: str, fn: Callable[[Document], Any]):
-    """A block giving ``fn`` of each document of one file, in file order, as
-    ``_read_documents`` reads them, a ``FormatError`` naming the file and the
-    document; a large file's documents are dealt out to forked workers
-    (``workers.dealt``)."""
+def _each_document(path: str, fn: Callable[[Document], Iterable[str]]):
+    """A block giving ``(doc_id, fn(doc))`` for each document of one file, in
+    file order, as ``_read_documents`` reads them, a ``FormatError`` naming
+    the file and the document; a large file's documents are dealt out to
+    forked workers (``workers.dealt``)."""
     from .workers import dealt
 
-    def named(doc: Document) -> Any:
+    def named(doc: Document) -> Iterable[str]:
         try:
             return fn(doc)
         except FormatError as exc:
@@ -252,15 +252,15 @@ def _each_document(path: str, fn: Callable[[Document], Any]):
 def cmd_convert(args) -> int:
     fmt = Format(args.format)
 
-    def text(doc: Document) -> tuple[str, str]:
+    def as_text(doc: Document) -> list[str]:
         annotated = build_events(doc.sentences, doc.mentions(), fmt)
         idmap = IdMap()
         # convert output numbers chains from 1; prompts number them from 0
-        return doc.doc_id, render(annotated, index=lambda c: idmap.assign(c) + 1)
+        return [render(annotated, index=lambda c: idmap.assign(c) + 1)]
 
-    def rendered() -> Iterator[tuple[str, str]]:
+    def rendered() -> Iterator[tuple[str, list[str]]]:
         for path in args.input:
-            with _each_document(path, text) as texts:
+            with _each_document(path, as_text) as texts:
                 yield from texts
 
     with closing(rendered()) as blocks:
@@ -268,7 +268,7 @@ def cmd_convert(args) -> int:
         # first is rendered, so the first fault in file order is the one reported
         ahead = list(itertools.islice(blocks, 2))
         with _output(args.output) as out:
-            for n, (doc_id, text) in enumerate(itertools.chain(ahead, blocks)):
+            for n, (doc_id, [text]) in enumerate(itertools.chain(ahead, blocks)):
                 out.write(("\n" if n else "") + (f"# doc = {doc_id}\n" if len(ahead) > 1 else "")
                           + text)
             out.write("\n")
@@ -400,13 +400,14 @@ def cmd_stats(args) -> int:
 def cmd_export_train(args) -> int:
     cfg = pipeline_config(load_job_config(args.config, vars(args)))
 
-    def pairs(doc: Document) -> str:
-        return "".join(p.to_json() + "\n" for p in export_training_pairs(doc, cfg))
+    def pairs(doc: Document) -> Iterator[str]:
+        return (p.to_json() + "\n" for p in export_training_pairs(doc, cfg))
 
     with _output(args.output) as out:
         for path in args.input:
             with _each_document(path, pairs) as texts:
-                out.writelines(texts)
+                for _, lines in texts:
+                    out.writelines(lines)
     return 0
 
 

@@ -151,11 +151,11 @@ def forked_readers(paths: list[str], read: Callable[[str], Iterator[Document]]
 
 class _Done(NamedTuple):
     """A document as its share hands it on: its id and parse warnings, and
-    what the share's function made of it, or the exception it raised."""
+    the text the share's function made of it, or the exception it raised."""
 
     doc_id: str
     warnings: list[str]
-    value: Any
+    value: Iterable[str] | Exception
 
 
 def _shares() -> int:
@@ -188,13 +188,16 @@ def _deal(lines: Iterable[str], share: int, shares: int, fault: list[ConlluError
 
 
 def _share(lines: Iterable[str], parse: Callable[[Iterable[str]], Iterator[Document]],
-           fn: Callable[[Document], Any], share: int, shares: int) -> Iterator[_Done]:
+           fn: Callable[[Document], Iterable[str]], share: int, shares: int,
+           sent: bool = False) -> Iterator[_Done]:
     """``fn`` of each document of one share, in file order; a document whose
-    ``fn`` fails is the share's last. One share reads ``lines`` as they are."""
+    ``fn`` fails is the share's last. One share reads ``lines`` as they are.
+    A share ``sent`` down a pipe lists each document's text; otherwise it is
+    left for the caller to consume as it writes, so no more of it is held."""
     fault: list[ConlluError] = []
     for doc in parse(lines if shares == 1 else _deal(lines, share, shares, fault)):
         try:
-            value = fn(doc)
+            value = list(fn(doc)) if sent else fn(doc)
         except Exception as exc:  # raised when this document's turn comes
             yield _Done(doc.doc_id, doc.warnings, exc)
             return
@@ -206,9 +209,11 @@ def _share(lines: Iterable[str], parse: Callable[[Iterable[str]], Iterator[Docum
 @contextmanager
 def dealt(path: str, lines: Callable[[str], Iterable[str]],
           parse: Callable[[Iterable[str]], Iterator[Document]],
-          fn: Callable[[Document], Any],
-          check: Callable[[Iterator[_Done]], Iterator[_Done]]) -> Iterator[Iterator[Any]]:
-    """``fn`` of each document of ``parse(lines(path))``, in file order.
+          fn: Callable[[Document], Iterable[str]],
+          check: Callable[[Iterator[_Done]], Iterator[_Done]]
+          ) -> Iterator[Iterator[tuple[str, Iterable[str]]]]:
+    """``(doc_id, fn(doc))`` for each document of ``parse(lines(path))``, in
+    file order; ``fn`` gives the document's text in pieces.
     Where ``_forks_for(path)``, the documents are dealt into ``_shares()``
     shares: the caller's process reads share 0 and a forked worker each
     other one (all in process if a fork fails). The shares are pulled in
@@ -222,7 +227,7 @@ def dealt(path: str, lines: Callable[[str], Iterable[str]],
         try:
             for share in range(1, shares):
                 workers.append(_Worker(lambda share=share: _share(
-                    lines(path), parse, fn, share, shares)))
+                    lines(path), parse, fn, share, shares, sent=True)))
         except OSError:
             for worker in workers:
                 worker.close()
@@ -244,9 +249,9 @@ def _in_turn(streams: list[Iterator[_Done]]) -> Iterator[_Done]:
         yield done
 
 
-def _values(docs: Iterable[_Done]) -> Iterator[Any]:
-    """Each item's value; the error ``fn`` raised on it is raised here."""
+def _values(docs: Iterable[_Done]) -> Iterator[tuple[str, Iterable[str]]]:
+    """Each item's id and text; the error ``fn`` raised on it is raised here."""
     for done in docs:
         if isinstance(done.value, Exception):
             raise done.value
-        yield done.value
+        yield done.doc_id, done.value

@@ -42,12 +42,15 @@ def test_convert_single_document(gold_path, tmp_path, capsys):
 
 
 def test_convert_many_documents_get_headers(gold_path, tmp_path, capsys):
-    other = tmp_path / "other.conllu"
-    other.write_text(SISTER_CONLLU.replace("demo", "demo2"), encoding="utf-8")
-    assert run("convert", gold_path, str(other), "--format", "minimal") == 0
+    others = [tmp_path / f"other{i}.conllu" for i in (2, 3)]
+    for i, other in enumerate(others, start=2):
+        other.write_text(SISTER_CONLLU.replace("demo", f"demo{i}"), encoding="utf-8")
+    assert run("convert", gold_path, *map(str, others), "--format", "minimal") == 0
     out = capsys.readouterr().out
     assert out.startswith("# doc = demo\n")
-    assert "# doc = demo2\n" in out
+    # the third file is read after the first two are written
+    assert out.count(GOLDEN["minimal"]) == 3
+    assert "# doc = demo2\n" in out and "# doc = demo3\n" in out
 
 
 def test_convert_reads_stdin(monkeypatch, capsys):
