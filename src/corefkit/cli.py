@@ -331,10 +331,13 @@ def cmd_annotate(args) -> int:
     backend = build_backend(job)
     docs = (doc for path in args.input for doc in _read_documents(path))
     windows = skipped = 0
+    from .workers import written  # a large input's output is written by a forked writer
     # the output is written before the diagnostics, as it leaves the inner block first
-    with _output(args.diagnostics) as diags, _output(args.output) as out:
+    with _output(args.diagnostics) as diags, _output(args.output) as out, written(
+            args.input, lambda p: iter_conllu(_lines(p)), out,
+            lambda pred: out.write(serialize_conllu(pred))) as write:
         for pred, reports in annotate_documents(docs, backend, cfg, jobs=job.jobs):
-            out.write(serialize_conllu(pred))
+            write(pred)
             windows += len(reports)
             skipped += sum(not r.annotated for r in reports)
             if diags is not None:

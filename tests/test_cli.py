@@ -3,6 +3,7 @@ import io
 import itertools
 import json
 import os
+import pickle
 import random
 import socket
 import subprocess
@@ -768,7 +769,8 @@ def reading(mode, shares=2):
     """Within, evaluate reads its --pred files, small ones too, in forked
     workers ("worker") or in process ("in-process", forced by a thread kept
     alive meanwhile); export-train and convert likewise deal each file out
-    to ``shares`` shares, or read it in process. Yields the pids forked. On
+    to ``shares`` shares, or read it in process, and annotate writes its
+    output from a forked writer, or in process. Yields the pids forked. On
     leaving, checks that no child process is left behind."""
     forked, fork, stop = [], os.fork, threading.Event()
 
@@ -916,6 +918,7 @@ def test_evaluate_starts_its_worker_before_reading_the_gold(gold_path, monkeypat
     monkeypatch.setattr(cli, "_lines", logged_lines)
     monkeypatch.setattr(os, "fork", logged_fork)
     monkeypatch.setattr(workers, "MIN_BYTES", 0)
+    monkeypatch.setattr(workers, "_shares", lambda: 2)
     assert run("evaluate", "--gold", gold_path, "--pred", gold_path) == 0
     assert log == ["fork", "read"]
 
@@ -929,6 +932,7 @@ def test_evaluate_forks_only_for_a_file_of_at_least_min_bytes(gold_path, monkeyp
         return forked[-1]
 
     monkeypatch.setattr(os, "fork", counted)
+    monkeypatch.setattr(workers, "_shares", lambda: 2)
     outputs = []
     for min_bytes, forks in ((workers.MIN_BYTES, 0), (size + 1, 0), (size, 1)):
         monkeypatch.setattr(workers, "MIN_BYTES", min_bytes)
@@ -968,7 +972,7 @@ def read(lines):  # the worker dies after sending two documents, or hangs before
                 time.sleep(120)
         yield doc
 
-cli.iter_conllu, workers.MIN_BYTES = read, 0
+cli.iter_conllu, workers.MIN_BYTES, workers._shares = read, 0, lambda: 2
 sys.exit(cli.main(sys.argv[1:]))
 """
 
@@ -1112,6 +1116,204 @@ def test_export_reads_in_process_when_a_fork_fails(tmp_path, monkeypatch, capsys
     assert len(forked) == 1
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+def test_annotate_writes_alike_forked_and_in_process(tmp_path, capsys):
+    [(_, docs)] = random_corpus(300, SynthConfig(p_zero=0.2, p_discontinuous=0.1,
+                                                 seed=6)).datasets
+    [(_, others)] = random_corpus(20, SynthConfig(seed=7), dataset="other").datasets
+    text, header = serialize_corpus(docs), [f"# newdoc id = {d.doc_id}\n" for d in docs]
+    warned = [ZERO_BRACKET.replace("= z\n", f"= z{k}\n") for k in range(4)]
+    big = serialize_conllu(random_document("big", SynthConfig(sentences=(400, 400)),
+                                           random.Random(6)))
+    files = {
+        "gold": text,
+        "other": serialize_corpus(others),
+        # a warning in each of four documents
+        "warned": "".join(warned) + text,
+        # a malformed row in document 280, once the writer has been sent more
+        # than a pipe holds (asserted below)
+        "late": text.replace(header[280], header[280] + "1\tx\n"),
+        # not UTF-8 after a ~90 KB document, read in a later block than its header
+        "latin1": warned[0] + big + "# caf\xe9\n" + text,
+        "repeated": text.replace(header[11], header[10]),
+    }
+    paths = {}
+    for name, body in files.items():
+        paths[name] = tmp_path / f"{name}.conllu"
+        paths[name].write_bytes(body.encode("latin-1" if name == "latin1" else "utf-8"))
+    gold = str(paths["gold"])
+    pairs = {}
+    for fmt in ("crac", "explicit", "minimal", "headword"):
+        pairs[fmt] = str(tmp_path / f"pairs-{fmt}.jsonl")
+        assert run("export-train", gold, str(paths["other"]), "--format", fmt,
+                   "-o", pairs[fmt]) == 0
+    # the pairs of every other document only: the rest stay unannotated
+    half = tmp_path / "half.jsonl"
+    half.write_text("".join(
+        line for line in Path(pairs["headword"]).read_text("utf-8").splitlines(keepends=True)
+        if int(json.loads(line)["doc_id"].rsplit("d", 1)[1]) % 2), encoding="utf-8")
+
+    def oracle(fmt="headword", source=None):
+        return ("--backend", "oracle", "--oracle", source or pairs[fmt], "--format", fmt)
+
+    cases = {
+        **{fmt: (gold, *oracle(fmt)) for fmt in pairs},
+        "warned": (str(paths["warned"]), "--backend", "empty"),
+        "late": (str(paths["late"]), *oracle()),
+        "latin1": (str(paths["latin1"]), "--backend", "empty"),
+        "repeated": (str(paths["repeated"]), *oracle()),
+        "partial": (gold, *oracle(source=str(half))),
+        "stdout": (gold, *oracle(), "-o", "-"),
+        "two-files": (gold, str(paths["other"]), *oracle()),
+        "jobs": (gold, *oracle(), "--jobs", "2"),
+    }
+    seen = {}
+    for name, argv in cases.items():
+        results = []
+        for mode in ("worker", "in-process"):
+            pred, diags = tmp_path / mode / "pred.conllu", tmp_path / mode / "diags.jsonl"
+            pred.parent.mkdir(exist_ok=True)
+            pred.unlink(missing_ok=True)
+            diags.unlink(missing_ok=True)
+            with reading(mode) as forked:
+                code = run("annotate", *argv, *(() if "-o" in argv else ("-o", str(pred))),
+                           "--diagnostics", str(diags))
+            assert len(forked) == (mode == "worker"), name
+            captured = capsys.readouterr()
+            results.append((code, captured.out, captured.err,
+                            *(p.read_text(encoding="utf-8") if p.exists() else None
+                              for p in (pred, diags))))
+        assert results[0] == results[1], name
+        seen[name] = results[0]
+    assert {name: code for name, (code, *_) in seen.items()} == {
+        "crac": 0, "explicit": 0, "minimal": 0, "headword": 0, "warned": 0, "late": 2,
+        "latin1": 2, "repeated": 2, "partial": 3, "stdout": 0, "two-files": 0, "jobs": 0}
+    # oracle closure, with zero and discontinuous mentions in the gold
+    predicted = seen["headword"][3]
+    assert metrics.conll_f1(Corpus([("gold", docs)]), Corpus([(
+        "gold", parse_conllu(predicted))])).macro_average == pytest.approx(100.0)
+    assert any(m.is_zero for d in docs for m in d.mentions())
+    assert any(len(m.fragments) > 1 for d in docs for m in d.mentions())
+    assert seen["stdout"][1] == seen["jobs"][3] == predicted
+    assert seen["two-files"][3].startswith(predicted)
+    assert [d.doc_id for d in parse_conllu(seen["two-files"][3][len(predicted):])] == [
+        d.doc_id for d in others]
+    warning = ": z{}/s1: mention bracket on empty node 1.1 approximated to surface span\n"
+    assert seen["warned"][2] == "".join(f"warning: {paths['warned']}" + warning.format(k)
+                                        for k in range(4))
+    line = files["late"].splitlines().index("1\tx") + 1
+    assert seen["late"][2:] == (f"error: {paths['late']}: line {line}: expected 10 "
+                                "tab-separated columns, got 2\n", None, None)
+    assert seen["latin1"][2].startswith(f"warning: {paths['latin1']}" + warning.format(0)
+                                        + f"error: cannot read {paths['latin1']}: 'utf-8' codec")
+    assert seen["repeated"][2] == (f"error: {paths['repeated']}: document id "
+                                   f"{docs[10].doc_id!r} appears more than once\n")
+    code, _, err, partial, diagnostics = seen["partial"]
+    assert err.startswith("error: ") and err.endswith(" windows left unannotated\n")
+    assert [d.doc_id for d in parse_conllu(partial)] == [d.doc_id for d in docs]
+    assert "window left unannotated" in diagnostics
+    # the writer is sent more than a pipe holds before the late fault is met
+    assert sum(len(pickle.dumps((d.doc_id, d.mentions()))) for d in docs[:280]) > 1 << 16
+
+
+STOPPING_WRITER = """\
+import os, signal, sys, time
+from corefkit import cli, workers
+
+parse, parent, how = cli.iter_conllu, os.getpid(), sys.argv.pop(1)
+
+def read(lines):  # the writer dies after writing two documents, or hangs before one
+    for n, doc in enumerate(parse(lines)):
+        if os.getpid() != parent:
+            if how == "dies" and n == 2:
+                os.kill(os.getpid(), signal.SIGKILL)
+            if how == "hangs":
+                time.sleep(120)
+        yield doc
+
+cli.iter_conllu, workers.MIN_BYTES, workers._shares = read, 0, lambda: 2
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize("how", ["dies", "hangs"])
+def test_a_writer_that_stops_ends_the_run(tmp_path, how):
+    # a writer that dies is an error; one that hangs is killed once the
+    # caller meets a fault, so neither run waits on it
+    [(_, docs)] = random_corpus(300, SynthConfig(seed=6)).datasets
+    gold, pred = tmp_path / "gold.conllu", tmp_path / "pred.conllu"
+    text = serialize_corpus(docs)
+    bad = f"# newdoc id = {docs[5].doc_id}\n"
+    gold.write_text(text if how == "dies" else text.replace(bad, bad + "1\tx\n"),
+                    encoding="utf-8")
+    src = str(Path(corefkit.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", STOPPING_WRITER, how, "annotate",
+                           str(gold), "--backend", "empty", "-o", str(pred)],
+                          capture_output=True, text=True, timeout=60, env=env)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    line = text.splitlines().index(bad.strip()) + 2
+    assert proc.stderr == (
+        "error: the process writing the output ended with status -9 before the last "
+        "document\n" if how == "dies" else
+        f"error: {gold}: line {line}: expected 10 tab-separated columns, got 2\n")
+    assert not pred.exists()
+
+
+def test_the_writer_checks_each_document_id(tmp_path, monkeypatch, capsys):
+    # the writer reads the input again; a file that reads otherwise the
+    # second time (here, its documents swapped) is an error, not wrong output
+    [(_, docs)] = random_corpus(2, SynthConfig(seed=6)).datasets
+    path, pred = tmp_path / "corpus.conllu", tmp_path / "pred.conllu"
+    path.write_text(serialize_corpus(docs), encoding="utf-8")
+    swapped, parent = serialize_corpus(docs[::-1]).splitlines(), os.getpid()
+    lines = cli._lines
+    monkeypatch.setattr(cli, "_lines", lambda p: lines(p) if os.getpid() == parent
+                        else iter(swapped))
+    with reading("worker") as forked:
+        assert run("annotate", str(path), "--backend", "empty", "-o", str(pred)) == 2
+    assert len(forked) == 1
+    assert capsys.readouterr() == ("", "error: the process writing the output did not "
+                                       f"read document {docs[0].doc_id!r} next\n")
+    assert not pred.exists()
+
+
+def test_annotate_writes_in_process_when_the_fork_fails(tmp_path, monkeypatch, capsys):
+    [(_, docs)] = random_corpus(30, SynthConfig(seed=6)).datasets
+    path = tmp_path / "corpus.conllu"
+    path.write_text(serialize_corpus(docs), encoding="utf-8")
+    assert run("annotate", str(path), "--backend", "empty") == 0
+    expected = capsys.readouterr()
+
+    def refused():
+        raise BlockingIOError(11, "Resource temporarily unavailable")
+
+    monkeypatch.setattr(os, "fork", refused)
+    monkeypatch.setattr(workers, "MIN_BYTES", 0)
+    monkeypatch.setattr(workers, "_shares", lambda: 2)
+    assert run("annotate", str(path), "--backend", "empty") == 0
+    assert capsys.readouterr() == expected
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_no_command_forks_with_one_cpu(tmp_path, monkeypatch, capsys):
+    [(_, docs)] = random_corpus(30, SynthConfig(seed=6)).datasets
+    gold = tmp_path / "gold.conllu"
+    gold.write_text(serialize_corpus(docs), encoding="utf-8")
+    commands = [("export-train", str(gold)), ("convert", str(gold)),
+                ("annotate", str(gold), "--backend", "empty"),
+                ("evaluate", "--gold", str(gold), "--pred", str(gold))]
+    seen = []
+    for shares in (2, 1):
+        with reading("worker", shares) as forked:
+            results = [(run(*argv), *capsys.readouterr()) for argv in commands]
+        assert len(forked) == (shares == 2) * 4
+        seen.append(results)
+    assert seen[0] == seen[1]
+    assert [code for code, _, _ in seen[1]] == [0, 0, 0, 0]
 
 
 @pytest.mark.parametrize("between", ["", SISTER_CONLLU], ids=["adjacent", "apart"])
