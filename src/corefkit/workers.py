@@ -345,18 +345,18 @@ class _Writer(_Worker):
 
 
 @contextmanager
-def written(paths: list[str], docs: Callable[[str], Iterator[Document]], out: TextIO,
+def written(paths: list[str], read: Callable[[str], Iterator[Document]], out: TextIO,
             write: Callable[[Document], object]) -> Iterator[Callable[[Document], object]]:
     """A callable that writes each prediction the block passes it, in order,
     as ``write`` does into ``out``. Where every path is one ``_forks_for``,
-    that is a ``_Writer`` forked here over ``docs`` of each path in turn
+    that is a ``_Writer`` forked here over ``read`` of each path in turn
     (``write`` itself if no process can be had); by the end of a block that
     raises nothing it has written everything. It is stopped and reaped when
     the block ends."""
     writer = None
     if all(map(_forks_for, paths)):
         with suppress(OSError):
-            writer = _Writer(lambda: (doc for path in paths for doc in docs(path)), write, out)
+            writer = _Writer(lambda: (doc for path in paths for doc in read(path)), write, out)
     if writer is None:
         yield write
         return

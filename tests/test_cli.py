@@ -963,7 +963,7 @@ from corefkit import cli, workers
 
 parse, parent, how = cli.iter_conllu, os.getpid(), sys.argv.pop(1)
 
-def read(lines):  # the worker dies after sending two documents, or hangs before one
+def read(lines):  # a worker dies after reading two documents, or hangs before one
     for n, doc in enumerate(parse(lines)):
         if os.getpid() != parent:
             if how == "dies" and n == 2:
@@ -1217,26 +1217,6 @@ def test_annotate_writes_alike_forked_and_in_process(tmp_path, capsys):
     assert sum(len(pickle.dumps((d.doc_id, d.mentions()))) for d in docs[:280]) > 1 << 16
 
 
-STOPPING_WRITER = """\
-import os, signal, sys, time
-from corefkit import cli, workers
-
-parse, parent, how = cli.iter_conllu, os.getpid(), sys.argv.pop(1)
-
-def read(lines):  # the writer dies after writing two documents, or hangs before one
-    for n, doc in enumerate(parse(lines)):
-        if os.getpid() != parent:
-            if how == "dies" and n == 2:
-                os.kill(os.getpid(), signal.SIGKILL)
-            if how == "hangs":
-                time.sleep(120)
-        yield doc
-
-cli.iter_conllu, workers.MIN_BYTES, workers._shares = read, 0, lambda: 2
-sys.exit(cli.main(sys.argv[1:]))
-"""
-
-
 @pytest.mark.parametrize("how", ["dies", "hangs"])
 def test_a_writer_that_stops_ends_the_run(tmp_path, how):
     # a writer that dies is an error; one that hangs is killed once the
@@ -1250,7 +1230,7 @@ def test_a_writer_that_stops_ends_the_run(tmp_path, how):
     src = str(Path(corefkit.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-c", STOPPING_WRITER, how, "annotate",
+    proc = subprocess.run([sys.executable, "-c", STOPPING_WORKER, how, "annotate",
                            str(gold), "--backend", "empty", "-o", str(pred)],
                           capture_output=True, text=True, timeout=60, env=env)
     assert (proc.returncode, proc.stdout) == (2, "")
