@@ -115,12 +115,6 @@ class _Worker:
         self.reap()
 
 
-def _shares() -> int:
-    """How many shares a file's documents are dealt into: one per CPU this
-    process may run on."""
-    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-
-
 def _forks_for(path: str) -> bool:
     """Whether ``path`` is read with workers: not stdin, at least
     ``MIN_BYTES`` long, a second CPU to run on, and ``os.fork`` there with no
@@ -170,6 +164,12 @@ class _Done(NamedTuple):
     doc_id: str
     warnings: list[str]
     value: Iterable[str] | Exception
+
+
+def _shares() -> int:
+    """How many shares a file's documents are dealt into: one per CPU this
+    process may run on."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
 
 
 def _deal(lines: Iterable[str], share: int, shares: int, fault: list[ConlluError]
