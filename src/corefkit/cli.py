@@ -329,13 +329,14 @@ def cmd_annotate(args) -> int:
     if job.timeout > threading.TIMEOUT_MAX:  # a socket cannot wait that long
         raise UsageError(f"timeout must be <= {threading.TIMEOUT_MAX:.0f}")
     backend = build_backend(job)
-    docs = (doc for path in args.input for doc in _read_documents(path))
     windows = skipped = 0
-    from .workers import written  # a large input's output is written by a forked writer
+    from .workers import written  # a large input is read and written by a forked writer
     # the output is written before the diagnostics, as it leaves the inner block first
     with _output(args.diagnostics) as diags, _output(args.output) as out, written(
             args.input, lambda p: iter_conllu(_lines(p)), out,
-            lambda pred: out.write(serialize_conllu(pred))) as write:
+            lambda pred: out.write(serialize_conllu(pred))) as (inputs, write):
+        docs = (doc for path, given in zip(args.input, inputs)
+                for doc in _read_documents(path, given))
         for pred, reports in annotate_documents(docs, backend, cfg, jobs=job.jobs):
             write(pred)
             windows += len(reports)

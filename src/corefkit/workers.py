@@ -12,10 +12,11 @@ Four commands import this module, when they run; no other pays for it:
   parses only its own documents, with every check, message and line number
   it has. Each process turns its documents into text, and only that text
   crosses a pipe.
-- ``annotate`` writes its predictions from a forked writer (``written``):
-  the writer reads the input files again, and the command sends it each
-  prediction's mentions, so the output is made on a second core and no
-  text crosses a pipe.
+- ``annotate`` has a forked writer (``written``) read its input files,
+  each once, and write its predictions. The writer sends the command only
+  the words annotation reads of each document, and the command sends back
+  each prediction's mentions, so the parsing and the output are done on a
+  second core and no text crosses a pipe.
 
 A file is read in one process where ``_forks_for`` says so, and when no
 process can be forked.
@@ -28,11 +29,12 @@ import os
 import pickle
 import signal
 import threading
+from collections import deque
 from collections.abc import Callable, Iterable, Iterator
 from contextlib import contextmanager, suppress
-from typing import Any, NamedTuple, NoReturn, TextIO
+from typing import Any, BinaryIO, NamedTuple, NoReturn, TextIO
 
-from .conllu import ConlluError, Document, is_doc_header
+from .conllu import ConlluError, Document, Sentence, Token, is_doc_header
 from .pipeline import mentions_to_document
 
 # A smaller file is read in process. A worker still saves time there (a
@@ -278,22 +280,60 @@ def _off_the_callers_cpu() -> None:
         os.sched_setaffinity(0, os.sched_getaffinity(0) - {cpu})
 
 
+# what the writer sends the caller after the documents of each input file
+_EOF = "end of file"
+
+
+class _Fault(NamedTuple):
+    """The error the writer's reader raised, sent where it was met."""
+
+    error: Exception
+
+
+class _Stopped(Exception):
+    """What ended a writer, met where the caller reads documents; ``written``
+    raises ``error`` itself, so no file's name is put on it."""
+
+    def __init__(self, error: Exception):
+        self.error = error
+
+
+def _words(doc: Document) -> tuple:
+    """What annotation reads of ``doc``: its id and warnings, and for each
+    sentence its id, forms, governors and empty nodes' (position, sub_index)."""
+    return doc.doc_id, doc.warnings, [
+        (s.sent_id, [t.form for t in s.tokens], [t.dep_head for t in s.tokens],
+         [(t.position, t.sub_index) for t in s.empty_nodes]) for s in doc.sentences]
+
+
+def _rebuilt(doc_id: str, warnings: list[str], sentences: list[tuple]) -> Document:
+    """The document of ``_words``: enough to annotate, not to write."""
+    return Document(doc_id, [
+        Sentence(sent_id, list(map(Token, itertools.count(1), forms, heads)),
+                 [Token(position, "_", 0, True, sub) for position, sub in empties])
+        for sent_id, forms, heads, empties in sentences], warnings=warnings)
+
+
 class _Writer(_Worker):
-    """A forked child that writes the predictions the caller sends it: for
-    each ``(doc_id, mentions)``, ``write(mentions_to_document(doc, mentions))``
-    of the next document of ``docs()``, its own reading of the input, which
-    must have that id. It writes into ``out``'s file through the descriptor
-    it shares with the caller, and sends nothing back but its end: so no text
-    crosses a pipe, and only one pipe can fill."""
+    """A forked child that reads the input files, each once, and writes the
+    predictions the caller sends back. Its main thread reads with ``read``,
+    holds each document and sends the caller its ``_words``, ``_EOF`` after
+    each file, or a ``_Fault``. A thread started in the child takes each
+    ``(doc_id, mentions)`` the caller sends and writes
+    ``write(mentions_to_document(doc, mentions))`` of the oldest document
+    held, which must have that id, into ``out``'s file through the descriptor
+    it shares with the caller. Each pipe always has a reader, so neither one
+    can stay full, and no text crosses a pipe."""
 
-    ENDED = "the process writing the output ended with status {} before the last document"
+    ENDED = ("the process reading the input and writing the output ended with status {} "
+             "before its end")
 
-    def __init__(self, docs: Callable[[], Iterator[Document]],
+    def __init__(self, paths: list[str], read: Callable[[str], Iterator[Document]],
                  write: Callable[[Document], object], out: TextIO):
         out.flush()  # the child would write what is buffered a second time
         fd_in, fd_out = os.pipe()
         try:
-            super().__init__(lambda: self._serve(fd_in, fd_out, docs, write, out))
+            super().__init__(lambda: self._serve(fd_in, fd_out, paths, read, write, out))
         except OSError:
             os.close(fd_out)
             raise
@@ -302,27 +342,74 @@ class _Writer(_Worker):
         self.requests = open(fd_out, "wb")
 
     @staticmethod
-    def _serve(fd_in: int, fd_out: int, docs: Callable[[], Iterator[Document]],
-               write: Callable[[Document], object], out: TextIO) -> tuple[()]:
-        """The child's work; it ends at the caller's None."""
+    def _serve(fd_in: int, fd_out: int, paths: list[str],
+               read: Callable[[str], Iterator[Document]],
+               write: Callable[[Document], object], out: TextIO) -> Iterator[Any]:
+        """The child's work; it ends once its writing half has."""
         os.close(fd_out)  # so a caller that is gone is an end of file here
         _off_the_callers_cpu()
-        read = docs()
-        with open(fd_in, "rb") as requests:
-            doc = next(read, None)  # read while the caller annotates it
-            while (request := pickle.load(requests)) is not None:
-                doc_id, mentions = request
-                if doc is None or doc.doc_id != doc_id:
-                    raise ConlluError(f"the process writing the output did not read "
-                                      f"document {doc_id!r} next")
-                write(mentions_to_document(doc, mentions))
-                doc = next(read, None)
-        out.flush()
-        return ()
+        held: deque[Document] = deque()
+        failed: list[Exception] = []
+        writing = threading.Thread(target=_Writer._write_back,
+                                   args=(open(fd_in, "rb"), held, write, out, failed))
+        writing.start()
+        yield from _Writer._read(paths, read, held, failed)
+        writing.join()
+        if failed:
+            raise failed[0]
+
+    @staticmethod
+    def _read(paths: list[str], read: Callable[[str], Iterator[Document]],
+              held: deque[Document], failed: list[Exception]) -> Iterator[Any]:
+        """The child's reading half: what it sends the caller, until the
+        input ends, the reader fails or the writing half has."""
+        try:
+            for path in paths:
+                for doc in read(path):
+                    if failed:
+                        return
+                    held.append(doc)  # before the caller can send its prediction
+                    yield _words(doc)
+                yield _EOF
+        except Exception as exc:  # the caller raises it as its own reader would
+            yield _Fault(exc)
+
+    @staticmethod
+    def _write_back(requests: BinaryIO, held: deque[Document],
+                    write: Callable[[Document], object], out: TextIO,
+                    failed: list[Exception]) -> None:
+        """The child's writing half, on a thread of its own: it ends at the
+        caller's None, or at its first fault, left in ``failed``, and closes
+        ``requests`` either way, so a caller that sends more finds no reader."""
+        try:
+            with requests:
+                while (request := pickle.load(requests)) is not None:
+                    doc_id, mentions = request
+                    if not held or held[0].doc_id != doc_id:
+                        raise ConlluError(f"the prediction of document {doc_id!r} "
+                                          "came out of order")
+                    write(mentions_to_document(held.popleft(), mentions))
+                out.flush()
+        except Exception as exc:
+            failed.append(exc)
+
+    def documents(self) -> Iterator[Document]:
+        """The documents of the next input file as the writer reads them; its
+        reader's error is raised as it is, and anything else that ends the
+        writer as ``_Stopped``."""
+        try:
+            while type(item := pickle.load(self.pipe)) is tuple:
+                yield _rebuilt(*item)
+        except (EOFError, pickle.UnpicklingError):
+            item = ConlluError(self.ENDED.format(self.reap()))
+        if isinstance(item, _Fault):
+            raise item.error
+        if item != _EOF:
+            raise _Stopped(item)
 
     def send(self, pred: Document) -> None:
         """Hands ``pred`` on as its id and mentions, chain by chain; a writer
-        that has ended raises what ended it."""
+        that has stopped raises what stopped it."""
         try:
             pickle.dump((pred.doc_id, [m for c in pred.chains.values() for m in c.mentions]),
                         self.requests)
@@ -346,22 +433,27 @@ class _Writer(_Worker):
 
 @contextmanager
 def written(paths: list[str], read: Callable[[str], Iterator[Document]], out: TextIO,
-            write: Callable[[Document], object]) -> Iterator[Callable[[Document], object]]:
-    """A callable that writes each prediction the block passes it, in order,
-    as ``write`` does into ``out``. Where every path is one ``_forks_for``,
-    that is a ``_Writer`` forked here over ``read`` of each path in turn
-    (``write`` itself if no process can be had); by the end of a block that
-    raises nothing it has written everything. It is stopped and reaped when
-    the block ends."""
+            write: Callable[[Document], object]
+            ) -> Iterator[tuple[list[Iterator[Document] | None], Callable[[Document], object]]]:
+    """``(inputs, send)``: for each path, the documents to annotate, or None
+    where the caller is to read the file itself; and a callable that writes
+    each prediction the block passes it, in order, as ``write`` does into
+    ``out``. Where every path is one ``_forks_for``, a ``_Writer`` forked here
+    reads each path once with ``read`` and writes the predictions (all is done
+    in process if no process can be had); by the end of a block that raises
+    nothing it has written everything. It is stopped and reaped when the
+    block ends."""
     writer = None
     if all(map(_forks_for, paths)):
         with suppress(OSError):
-            writer = _Writer(lambda: (doc for path in paths for doc in read(path)), write, out)
+            writer = _Writer(paths, read, write, out)
     if writer is None:
-        yield write
+        yield [None] * len(paths), write
         return
     try:
-        yield writer.send
+        yield [writer.documents() for _ in paths], writer.send
         writer.finish()
+    except _Stopped as stopped:
+        raise stopped.error from None
     finally:
         writer.close()

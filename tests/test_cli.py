@@ -961,7 +961,8 @@ STOPPING_WORKER = """\
 import os, signal, sys, time
 from corefkit import cli, workers
 
-parse, parent, how = cli.iter_conllu, os.getpid(), sys.argv.pop(1)
+parse, serialize = cli.iter_conllu, cli.serialize_conllu
+parent, how = os.getpid(), sys.argv.pop(1)
 
 def read(lines):  # a worker dies after reading two documents, or hangs before one
     for n, doc in enumerate(parse(lines)):
@@ -972,9 +973,24 @@ def read(lines):  # a worker dies after reading two documents, or hangs before o
                 time.sleep(120)
         yield doc
 
-cli.iter_conllu, workers.MIN_BYTES, workers._shares = read, 0, lambda: 2
+def write(doc):  # or hangs before it writes one; any other HOW runs as it is
+    if how == "hangs writing" and os.getpid() != parent:
+        time.sleep(120)
+    return serialize(doc)
+
+cli.iter_conllu, cli.serialize_conllu = read, write
+workers.MIN_BYTES, workers._shares = 0, lambda: 2
 sys.exit(cli.main(sys.argv[1:]))
 """
+
+
+def stopping_worker(how, *argv, timeout=60):
+    """``corefkit ARGV`` run by STOPPING_WORKER in a fresh process."""
+    src = str(Path(corefkit.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-c", STOPPING_WORKER, how, *argv],
+                          capture_output=True, text=True, timeout=timeout, env=env)
 
 
 @pytest.mark.parametrize("how", ["dies", "hangs"])
@@ -986,12 +1002,7 @@ def test_a_worker_that_stops_ends_the_run(tmp_path, how):
     text = serialize_corpus(docs)
     pred.write_text(text, encoding="utf-8")
     gold.write_text(text if how == "dies" else text.replace("\t", " ", 1), encoding="utf-8")
-    src = str(Path(corefkit.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-c", STOPPING_WORKER, how, "evaluate",
-                           "--gold", str(gold), "--pred", str(pred)],
-                          capture_output=True, text=True, timeout=60, env=env)
+    proc = stopping_worker(how, "evaluate", "--gold", str(gold), "--pred", str(pred))
     assert (proc.returncode, proc.stdout) == (2, "")
     assert proc.stderr == (
         f"error: {pred}: the process reading it ended with status -9 before the end "
@@ -1219,45 +1230,123 @@ def test_annotate_writes_alike_forked_and_in_process(tmp_path, capsys):
 
 @pytest.mark.parametrize("how", ["dies", "hangs"])
 def test_a_writer_that_stops_ends_the_run(tmp_path, how):
-    # a writer that dies is an error; one that hangs is killed once the
-    # caller meets a fault, so neither run waits on it
+    # one process reads the input and writes the output: one that dies while
+    # reading is an error, and one whose writing half hangs is killed once
+    # the caller meets the fault its reading half sent, so neither run waits
     [(_, docs)] = random_corpus(300, SynthConfig(seed=6)).datasets
     gold, pred = tmp_path / "gold.conllu", tmp_path / "pred.conllu"
     text = serialize_corpus(docs)
     bad = f"# newdoc id = {docs[5].doc_id}\n"
     gold.write_text(text if how == "dies" else text.replace(bad, bad + "1\tx\n"),
                     encoding="utf-8")
-    src = str(Path(corefkit.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-c", STOPPING_WORKER, how, "annotate",
-                           str(gold), "--backend", "empty", "-o", str(pred)],
-                          capture_output=True, text=True, timeout=60, env=env)
+    proc = stopping_worker("dies" if how == "dies" else "hangs writing", "annotate",
+                           str(gold), "--backend", "empty", "-o", str(pred))
     assert (proc.returncode, proc.stdout) == (2, "")
     line = text.splitlines().index(bad.strip()) + 2
     assert proc.stderr == (
-        "error: the process writing the output ended with status -9 before the last "
-        "document\n" if how == "dies" else
+        "error: the process reading the input and writing the output ended with "
+        "status -9 before its end\n" if how == "dies" else
         f"error: {gold}: line {line}: expected 10 tab-separated columns, got 2\n")
     assert not pred.exists()
 
 
 def test_the_writer_checks_each_document_id(tmp_path, monkeypatch, capsys):
-    # the writer reads the input again; a file that reads otherwise the
-    # second time (here, its documents swapped) is an error, not wrong output
+    # the writer writes each prediction over the oldest document it holds; a
+    # caller that sends them out of order (here, the first two swapped) is an
+    # error, not wrong output
     [(_, docs)] = random_corpus(2, SynthConfig(seed=6)).datasets
     path, pred = tmp_path / "corpus.conllu", tmp_path / "pred.conllu"
     path.write_text(serialize_corpus(docs), encoding="utf-8")
-    swapped, parent = serialize_corpus(docs[::-1]).splitlines(), os.getpid()
-    lines = cli._lines
-    monkeypatch.setattr(cli, "_lines", lambda p: lines(p) if os.getpid() == parent
-                        else iter(swapped))
+    annotate = cli.annotate_documents
+
+    def swapped(*args, **kwargs):
+        first, second = annotate(*args, **kwargs)
+        return iter([second, first])
+
+    monkeypatch.setattr(cli, "annotate_documents", swapped)
     with reading("worker") as forked:
         assert run("annotate", str(path), "--backend", "empty", "-o", str(pred)) == 2
     assert len(forked) == 1
-    assert capsys.readouterr() == ("", "error: the process writing the output did not "
-                                       f"read document {docs[0].doc_id!r} next\n")
+    assert capsys.readouterr() == ("", f"error: the prediction of document "
+                                       f"{docs[1].doc_id!r} came out of order\n")
     assert not pred.exists()
+
+
+@pytest.mark.parametrize("fmt", ["crac", "explicit", "minimal", "headword"])
+def test_the_words_a_writer_sends_annotate_as_the_whole_document(fmt):
+    # the caller annotates what the writer sends of each document, not the
+    # document itself: the oracle finds the same mentions and reports on both
+    [(_, docs)] = random_corpus(40, SynthConfig(p_zero=0.2, p_discontinuous=0.1,
+                                                seed=6)).datasets
+    cfg = pipeline.PipelineConfig(fmt=fmt, sentences_per_batch=2, context_budget=40)
+    backend = OracleBackend([p for d in docs for p in pipeline.export_training_pairs(d, cfg)])
+    zeros = 0
+    for doc in docs:
+        light = workers._rebuilt(*pickle.loads(pickle.dumps(workers._words(doc))))
+        assert [[(t.position, t.form, t.dep_head) for t in s.tokens] for s in light.sentences] \
+            == [[(t.position, t.form, t.dep_head) for t in s.tokens] for s in doc.sentences]
+        pred, reports = pipeline.annotate_document(doc, backend, cfg)
+        light_pred, light_reports = pipeline.annotate_document(light, backend, cfg)
+        assert light_pred.mentions() == pred.mentions()
+        assert [[(t.position, t.sub_index) for t in s.empty_nodes]
+                for s in light_pred.sentences] == [
+            [(t.position, t.sub_index) for t in s.empty_nodes] for s in pred.sentences]
+        assert light_reports == reports
+        assert all(r.annotated for r in reports)
+        zeros += sum(m.is_zero for m in pred.mentions())
+    assert zeros and any(len(m.fragments) > 1 for d in docs for m in d.mentions())
+
+
+def test_the_writer_and_its_caller_never_wait_on_each_other(tmp_path, capsys):
+    # each of two documents is more than a pipe holds, both as the words the
+    # writer sends and as the mentions sent back: forked, at one job and at
+    # four, annotate ends, and writes what it writes in process
+    cfg = SynthConfig(sentences=(1500, 1500), chains=(100, 100), mentions_per_chain=(20, 30),
+                      p_zero=0.2, p_discontinuous=0.1)
+    docs = [random_document(f"big{k}", cfg, random.Random(k)) for k in (1, 2)]
+    gold, pairs = tmp_path / "gold.conllu", tmp_path / "pairs.jsonl"
+    gold.write_text(serialize_corpus(docs), encoding="utf-8")
+    assert run("export-train", str(gold), "-o", str(pairs)) == 0
+    argv = ("annotate", str(gold), "--backend", "oracle", "--oracle", str(pairs))
+    with reading("in-process") as forked:
+        assert run(*argv, "-o", str(tmp_path / "expected.conllu")) == 0
+    assert not forked
+    expected = (tmp_path / "expected.conllu").read_text(encoding="utf-8")
+    assert capsys.readouterr() == ("", "")
+    for doc, predicted in zip(docs, parse_conllu(expected)):
+        assert len(pickle.dumps(workers._words(doc))) > 1 << 16
+        assert len(pickle.dumps((doc.doc_id, predicted.mentions()))) > 1 << 16
+    for jobs in ("1", "4"):
+        out = tmp_path / f"jobs{jobs}.conllu"
+        proc = stopping_worker("as it is", *argv, "--jobs", jobs, "-o", str(out))
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "", "")
+        assert out.read_text(encoding="utf-8") == expected, jobs
+
+
+def test_annotate_reads_each_input_once(tmp_path, monkeypatch, capsys):
+    # forked, the writer is the only reader: the calling process never runs it
+    [(_, docs)] = random_corpus(30, SynthConfig(seed=6)).datasets
+    paths = [tmp_path / "a.conllu", tmp_path / "b.conllu"]
+    for path, part in zip(paths, (docs[:20], docs[20:])):
+        path.write_text(serialize_corpus(part), encoding="utf-8")
+    log, parse = tmp_path / "reads.log", cli.iter_conllu
+
+    def counted(lines):
+        with open(log, "a", encoding="utf-8") as fh:
+            fh.write(f"{os.getpid()}\n")
+        return parse(lines)
+
+    monkeypatch.setattr(cli, "iter_conllu", counted)
+    seen = []
+    for mode in ("worker", "in-process"):
+        log.write_text("", encoding="utf-8")
+        with reading(mode) as forked:
+            assert run("annotate", *map(str, paths), "--backend", "empty") == 0
+        reader = forked[0] if mode == "worker" else os.getpid()
+        assert log.read_text(encoding="utf-8").split() == [str(reader)] * len(paths)
+        seen.append(capsys.readouterr())
+    assert seen[0] == seen[1]
+    assert [d.doc_id for d in parse_conllu(seen[0].out)] == [d.doc_id for d in docs]
 
 
 def test_annotate_writes_in_process_when_the_fork_fails(tmp_path, monkeypatch, capsys):
