@@ -973,11 +973,13 @@ def read(lines):  # a worker dies after reading two documents, or hangs before o
                 time.sleep(120)
         yield doc
 
-def write(doc):  # or hangs before it writes one; any other HOW runs as it is
+def write(doc):  # or hangs before it writes one
     if how == "hangs writing" and os.getpid() != parent:
         time.sleep(120)
     return serialize(doc)
 
+if how == "switches often":  # threads take turns every microsecond; else runs as it is
+    sys.setswitchinterval(1e-6)
 cli.iter_conllu, cli.serialize_conllu = read, write
 workers.MIN_BYTES, workers._shares = 0, lambda: 2
 sys.exit(cli.main(sys.argv[1:]))
@@ -1300,7 +1302,8 @@ def test_the_words_a_writer_sends_annotate_as_the_whole_document(fmt):
 def test_the_writer_and_its_caller_never_wait_on_each_other(tmp_path, capsys):
     # each of two documents is more than a pipe holds, both as the words the
     # writer sends and as the mentions sent back: forked, at one job and at
-    # four, annotate ends, and writes what it writes in process
+    # four, with threads that take turns often, annotate ends, and writes
+    # what it writes in process
     cfg = SynthConfig(sentences=(1500, 1500), chains=(100, 100), mentions_per_chain=(20, 30),
                       p_zero=0.2, p_discontinuous=0.1)
     docs = [random_document(f"big{k}", cfg, random.Random(k)) for k in (1, 2)]
@@ -1318,7 +1321,7 @@ def test_the_writer_and_its_caller_never_wait_on_each_other(tmp_path, capsys):
         assert len(pickle.dumps((doc.doc_id, predicted.mentions()))) > 1 << 16
     for jobs in ("1", "4"):
         out = tmp_path / f"jobs{jobs}.conllu"
-        proc = stopping_worker("as it is", *argv, "--jobs", jobs, "-o", str(out))
+        proc = stopping_worker("switches often", *argv, "--jobs", jobs, "-o", str(out))
         assert (proc.returncode, proc.stdout, proc.stderr) == (0, "", "")
         assert out.read_text(encoding="utf-8") == expected, jobs
 
