@@ -986,13 +986,13 @@ sys.exit(cli.main(sys.argv[1:]))
 """
 
 
-def stopping_worker(how, *argv, timeout=60):
+def stopping_worker(how, *argv):
     """``corefkit ARGV`` run by STOPPING_WORKER in a fresh process."""
     src = str(Path(corefkit.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
     return subprocess.run([sys.executable, "-c", STOPPING_WORKER, how, *argv],
-                          capture_output=True, text=True, timeout=timeout, env=env)
+                          capture_output=True, text=True, timeout=60, env=env)
 
 
 @pytest.mark.parametrize("how", ["dies", "hangs"])
