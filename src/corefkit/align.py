@@ -5,10 +5,14 @@ Three stages:
   1. anchor_align: tokens unique in both sequences become candidate anchors;
      a longest strictly-increasing subsequence keeps them monotonic; the
      procedure recurses into the gaps with uniqueness recomputed locally.
+     A gap with one token on a side takes no such pass: that token anchors
+     exactly where it occurs once on the other side.
   2. expand_and_fuzzy: anchors grow over runs of string-equal neighbours,
      then leftover gap tokens are paired greedily in order when their
-     normalized character edit similarity clears a threshold.
-  3. clean: decode the model output, align its tokens against the input,
+     normalized character edit similarity clears a threshold. A candidate
+     whose lengths or shared characters bound it below is not measured.
+  3. clean: decode the model output (a word that does not open like a tag
+     is read without the tag pattern), align its tokens against the input,
      and project the tag events across, each span whole. An output whose
      tokens equal the input's maps each token to itself without aligning.
      The returned token sequence is the input's, exactly; events that
@@ -17,8 +21,8 @@ Three stages:
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections import Counter
 from dataclasses import dataclass
+from itertools import accumulate
 
 from .diag import Diagnostic
 from .formats import OPEN, SPAN, AnnotatedText, Format, TagEvent, decode
@@ -43,9 +47,16 @@ def edit_similarity(a: str, b: str) -> float:
     if a == b:
         return 1.0
     la, lb = len(a), len(b)
-    if la == 0 or lb == 0:
-        return 0.0
-    prev = list(range(lb + 1))
+    longest = max(la, lb)
+    # the distance is that of what lies between the ends the two share
+    start = 0
+    while start < la and start < lb and a[start] == b[start]:
+        start += 1
+    end = 0
+    while end < la - start and end < lb - start and a[la - 1 - end] == b[lb - 1 - end]:
+        end += 1
+    a, b = a[start:la - end], b[start:lb - end]
+    prev = list(range(len(b) + 1))
     for i, ca in enumerate(a, 1):
         left = i
         cur = [i]
@@ -61,36 +72,38 @@ def edit_similarity(a: str, b: str) -> float:
             left = diag
             cur.append(left)
         prev = cur
-    return 1.0 - prev[lb] / max(la, lb)
+    return 1.0 - prev[-1] / longest
 
 
-def similarity_bound(a: str, b: str, threshold: float, counts: dict[str, Counter]) -> float:
-    """An upper bound on ``edit_similarity(a, b)``, cheaper than the distance.
+def _code(word: str, slots: dict[tuple[str, int], int]) -> int:
+    """``word``'s characters as bits, one per (character, occurrence) pair,
+    numbered in ``slots``; two words share as many characters, counted with
+    multiplicity, as their codes share bits."""
+    code, seen = 0, {}
+    for c in word:
+        k = seen[c] = seen.get(c, -1) + 1
+        code |= 1 << (slots.get((c, k)) or slots.setdefault((c, k), len(slots) + 1))
+    return code
+
+
+def similarity_bound(a: str, b: str, threshold: float, slots: dict[tuple[str, int], int]) -> float:
+    """An upper bound on ``edit_similarity(a, b)``, cheaper than the distance,
+    which ``expand_and_fuzzy`` computes inline.
 
     The distance is at least the length gap, and at least the longer length
-    minus the characters the two share, counted with multiplicity. Each
-    bound goes through ``edit_similarity``'s own expression, so it is never
-    below the similarity, even in floating point. The length bound is
-    returned alone when it already misses ``threshold``. ``counts`` caches
-    each string's character counts.
+    minus the characters the two share (the bits their ``_code``s share).
+    Each bound goes through ``edit_similarity``'s own expression, so it is
+    never below the similarity, even in floating point. The length bound is
+    returned alone when it already misses ``threshold``.
     """
     if a == b:
         return 1.0
     la, lb = len(a), len(b)
-    if la == 0 or lb == 0:
-        return 0.0
     longest = max(la, lb)
     bound = 1.0 - abs(la - lb) / longest
     if bound < threshold:
         return bound
-    ca = counts.get(a) or counts.setdefault(a, Counter(a))
-    cb = counts.get(b) or counts.setdefault(b, Counter(b))
-    shared = 0
-    for c, n in ca.items():
-        m = cb.get(c)
-        if m:
-            shared += n if n < m else m
-    return 1.0 - (longest - shared) / longest
+    return 1.0 - (longest - (_code(a, slots) & _code(b, slots)).bit_count()) / longest
 
 
 def _unique_anchor_pairs(inp, out, ilo, ihi, olo, ohi):
@@ -103,15 +116,16 @@ def _unique_anchor_pairs(inp, out, ilo, ihi, olo, ohi):
     for o in range(olo, ohi):
         tok = out[o]
         seen_out[tok] = -1 if tok in seen_out else o
-    pairs = [(i, seen_out[tok]) for tok, i in seen_in.items()
-             if i >= 0 and seen_out.get(tok, -1) >= 0]
-    pairs.sort()
-    return pairs
+    # in input order: a unique token's first occurrence is its only one
+    return [(i, seen_out[tok]) for tok, i in seen_in.items()
+            if i >= 0 and seen_out.get(tok, -1) >= 0]
 
 
 def _lis_pairs(pairs):
     """Longest strictly increasing subsequence over the second coordinate
     (patience algorithm); input is sorted by the first coordinate."""
+    if all(p[1] < q[1] for p, q in zip(pairs, pairs[1:])):
+        return pairs  # already increasing, as it mostly is
     tails: list[int] = []   # out-index of the smallest tail per length
     tails_at: list[int] = []
     back: list[int] = [-1] * len(pairs)
@@ -124,8 +138,6 @@ def _lis_pairs(pairs):
             tails[k] = o
             tails_at[k] = idx
         back[idx] = tails_at[k - 1] if k else -1
-    if not tails_at:
-        return []
     out = []
     idx = tails_at[-1]
     while idx != -1:
@@ -138,10 +150,15 @@ def _lis_pairs(pairs):
 def anchor_align(input_tokens: list[str], output_tokens: list[str]) -> Alignment:
     """Hierarchical unique-token anchoring (monotonic in both coordinates)."""
     matched: list[tuple[int, int]] = []  # (in_idx, out_idx)
-    work = [(0, len(input_tokens), 0, len(output_tokens))]
+    work = [(0, len(input_tokens), 0, len(output_tokens))] if input_tokens and output_tokens else []
     while work:
         ilo, ihi, olo, ohi = work.pop()
-        if ilo >= ihi or olo >= ohi:
+        if ihi - ilo == 1 or ohi - olo == 1:
+            # a side of one token: it anchors where it occurs once on the other
+            if ihi - ilo == 1 and output_tokens[olo:ohi].count(input_tokens[ilo]) == 1:
+                matched.append((ilo, output_tokens.index(input_tokens[ilo], olo, ohi)))
+            elif ohi - olo == 1 and input_tokens[ilo:ihi].count(output_tokens[olo]) == 1:
+                matched.append((input_tokens.index(output_tokens[olo], ilo, ihi), olo))
             continue
         kept = _lis_pairs(_unique_anchor_pairs(input_tokens, output_tokens,
                                                ilo, ihi, olo, ohi))
@@ -149,10 +166,10 @@ def anchor_align(input_tokens: list[str], output_tokens: list[str]) -> Alignment
             continue
         matched.extend(kept)
         prev_i, prev_o = ilo, olo
-        for i, o in kept:
-            work.append((prev_i, i, prev_o, o))
+        for i, o in kept + [(ihi, ohi)]:
+            if prev_i < i and prev_o < o:
+                work.append((prev_i, i, prev_o, o))
             prev_i, prev_o = i + 1, o + 1
-        work.append((prev_i, ihi, prev_o, ohi))
     # monotonic, so ascending by input index is ascending by output index
     matched.sort()
     return Alignment([(o, i, ANCHOR) for i, o in matched])
@@ -164,13 +181,13 @@ def expand_and_fuzzy(al: Alignment, input_tokens: list[str], output_tokens: list
     tokens greedily in order by edit similarity. The first candidate of
     an output token, usually its match, is measured at once; a later one
     whose ``similarity_bound`` misses the threshold is skipped unmeasured."""
-    bounds = [(-1, -1)] + [(o, i) for o, i, _ in al.pairs] + [(len(output_tokens), len(input_tokens))]
-
+    anchors = [(-1, -1, ANCHOR), *al.pairs, (len(output_tokens), len(input_tokens), ANCHOR)]
     expanded: list[tuple[int, int, str]] = []
-    gaps: list[tuple[int, int, int, int]] = []  # olo, ohi, ilo, ihi (exclusive)
-    for (o1, i1), (o2, i2) in zip(bounds, bounds[1:]):
+    fuzzy: list[tuple[int, int, str]] = []
+    for (o1, i1, _), (hi_o, hi_i, _) in zip(anchors, anchors[1:]):
         lo_o, lo_i = o1 + 1, i1 + 1
-        hi_o, hi_i = o2, i2
+        if lo_o == hi_o or lo_i == hi_i:
+            continue  # no gap, or one with nothing to pair
         while lo_o < hi_o and lo_i < hi_i and output_tokens[lo_o] == input_tokens[lo_i]:
             expanded.append((lo_o, lo_i, EXPANDED))
             lo_o += 1
@@ -179,23 +196,29 @@ def expand_and_fuzzy(al: Alignment, input_tokens: list[str], output_tokens: list
             hi_o -= 1
             hi_i -= 1
             expanded.append((hi_o, hi_i, EXPANDED))
-        gaps.append((lo_o, hi_o, lo_i, hi_i))
-
-    fuzzy: list[tuple[int, int, str]] = []
-    counts: dict[str, Counter] = {}
-    for lo_o, hi_o, lo_i, hi_i in gaps:
+        # ``similarity_bound`` inline, on the gap's input codes made once
+        slots: dict[tuple[str, int], int] = {}
+        codes = [_code(t, slots) for t in input_tokens[lo_i:hi_i]] if hi_i - lo_i > 1 else ()
         floor = lo_i
-        for o in range(lo_o, hi_o):
-            a = output_tokens[o]
+        for o, a in enumerate(output_tokens[lo_o:hi_o], lo_o):
+            la, code = len(a), 0
             for i in range(floor, hi_i):
                 b = input_tokens[i]
-                if (i == floor or similarity_bound(a, b, fuzzy_threshold, counts) >= fuzzy_threshold) \
-                        and edit_similarity(a, b) >= fuzzy_threshold:
+                if i > floor and la:
+                    lb = len(b)
+                    longest = la if la > lb else lb
+                    if 1.0 - abs(la - lb) / longest < fuzzy_threshold:
+                        continue
+                    code = code or _code(a, slots)
+                    if 1.0 - (longest - (code & codes[i - lo_i]).bit_count()) / longest \
+                            < fuzzy_threshold:
+                        continue
+                if edit_similarity(a, b) >= fuzzy_threshold:
                     fuzzy.append((o, i, FUZZY))
                     floor = i + 1
                     break
 
-    return Alignment(sorted(al.pairs + expanded + fuzzy))
+    return Alignment(sorted(al.pairs + expanded + fuzzy) if expanded or fuzzy else al.pairs)
 
 
 def align_tokens(input_tokens: list[str], output_tokens: list[str],
@@ -219,12 +242,8 @@ def clean(input_text: str, model_output: str, fmt: Format | str,
     """
     fmt = Format(fmt)
     input_tokens = input_text.split()
-    breaks = []
-    count = 0
-    lines = [ln for ln in input_text.splitlines() if ln.split()]
-    for ln in lines[:-1]:
-        count += len(ln.split())
-        breaks.append(count)
+    # where each line with a token, but the last, ends
+    breaks = list(accumulate(filter(None, map(len, map(str.split, input_text.splitlines())))))[:-1]
 
     decoded, diags = decode(model_output, fmt)
     n = len(input_tokens)

@@ -577,7 +577,8 @@ def _atom_pattern(fmt: Format) -> re.Pattern:
 
 
 _ATOMS = {fmt: _atom_pattern(fmt) for fmt in TAGS}
-_CRAC_ITEM = re.compile(r"\[e(\d+)\]\Z|\[e(\d+)\Z|e(\d+)\]\Z")
+_SPLIT = {fmt for fmt, tags in TAGS.items() if " " in "".join(tags.values())}  # two-atom tags
+_CRAC_ITEM = re.compile(r"\[e(?P<single>\d+)\]|\[e(?P<open>\d+)|e(?P<close>\d+)\]")
 
 
 class _Decoder:
@@ -630,8 +631,23 @@ class _Decoder:
             return
         self.events.append(TagEvent(kind, chain, len(self.tokens) - 1))
 
-    def token(self, form: str):
-        self.tokens.append(form)
+    def tag(self, m: re.Match):
+        """A tag that the atom pattern matched; one whose id has more digits
+        than ``int`` reads is words instead, with a diagnostic."""
+        kind = m.lastgroup
+        try:
+            chain = int(m[kind]) if kind != CLOSE else None
+        except ValueError:
+            n = len(self.tokens)
+            self.diags.append(Diagnostic("decode", "tag id too long; read as text", n))
+            self.tokens += m[0].split()
+            return
+        if kind == OPEN:
+            self.open(chain)
+        elif kind == CLOSE:
+            self.close()
+        else:
+            self.after_tag(kind, chain)
 
     def finish(self) -> tuple[AnnotatedText, list[Diagnostic]]:
         last = len(self.tokens) - 1
@@ -648,26 +664,14 @@ class _Decoder:
 
 def _decode_crac_atom(dec: _Decoder, atom: str) -> None:
     form, sep, ann = atom.rpartition("|")
-    items = ann.split(",") if sep else None
-    parsed = []
-    if items and form:
-        for item in items:
-            m = _CRAC_ITEM.match(item)
-            if not m or m.end() != len(item):
-                parsed = None
-                break
-            single, op, cl = m.groups()
-            if single is not None:
-                parsed.append(("single", int(single)))
-            elif op is not None:
-                parsed.append(("open", int(op)))
-            else:
-                parsed.append(("close", int(cl)))
-    else:
+    items = [_CRAC_ITEM.fullmatch(item) for item in ann.split(",")] if sep and form else [None]
+    try:
+        parsed = [(m.lastgroup, int(m[m.lastgroup])) for m in items] if all(items) else None
+    except ValueError:  # an id past int()'s digit limit: the atom is a word
+        dec.diags.append(Diagnostic("decode", "tag id too long; read as text", len(dec.tokens)))
         parsed = None
-
     if parsed is None:
-        dec.token(atom)
+        dec.tokens.append(atom)
         return
     if form == "##":
         for kind, k in parsed:
@@ -685,7 +689,7 @@ def _decode_crac_atom(dec: _Decoder, atom: str) -> None:
     singles = [k for kind, k in parsed if kind == "single"]
     for k in singles:
         dec.open(k)
-    dec.token(form)
+    dec.tokens.append(form)
     for k in reversed(singles):
         dec.close(k)
     for kind, k in parsed:
@@ -701,29 +705,34 @@ def decode(text: str, fmt: Format) -> tuple[AnnotatedText, list[Diagnostic]]:
     breaks."""
     fmt = Format(fmt)
     dec = _Decoder(fmt)
+    tokens = dec.tokens
     raw_breaks: list[int] = []
-    if fmt is Format.CRAC:
-        for line in text.splitlines():
-            raw_breaks.append(len(dec.tokens))
-            for atom in line.split():
-                _decode_crac_atom(dec, atom)
-    else:
-        # one walk over the whole text, so that an explicit tag may span lines
+    if fmt in _SPLIT:
+        # one walk over the whole text, so that a tag of two atoms may span lines
         text = "\n".join(text.splitlines())
         end = 0
         for m in _ATOMS[fmt].finditer(text):
             if text.find("\n", end, m.start()) >= 0:
-                raw_breaks.append(len(dec.tokens))
+                raw_breaks.append(len(tokens))
             end = m.end()
-            kind = m.lastgroup
-            if kind is None:
-                dec.token(m[0])
-            elif kind == OPEN:
-                dec.open(int(m[kind]))
-            elif kind == CLOSE:
-                dec.close()
+            if m.lastgroup:
+                dec.tag(m)
             else:
-                dec.after_tag(kind, int(m[kind]))
+                tokens.append(m[0])
+    else:
+        for line in text.splitlines():
+            raw_breaks.append(len(tokens))
+            if fmt is Format.CRAC:
+                for atom in line.split():
+                    _decode_crac_atom(dec, atom)
+            else:
+                for atom in line.split():
+                    # each tag of these formats is one atom that opens so
+                    m = atom[0] == "<" and _ATOMS[fmt].fullmatch(atom)
+                    if m and m.lastgroup:
+                        dec.tag(m)
+                    else:
+                        tokens.append(atom)
     annotated, diags = dec.finish()
     annotated.breaks = tuple(sorted(
         {b for b in raw_breaks if 0 < b < len(annotated.tokens)}))
