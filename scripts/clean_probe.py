@@ -37,7 +37,7 @@ def main(argv=None) -> int:
     start = time.perf_counter()
     cleaned, _ = clean(" ".join(source), " ".join(completion), args.format)
     took = time.perf_counter() - start
-    print(f"clean of {args.words} disjoint words: {took:.2f} s")
+    print(f"clean of {args.words} disjoint words, {args.format}: {took:.2f} s")
     if cleaned.tokens != source:
         print("the cleaned tokens are not the input tokens")
         return 1

@@ -638,8 +638,8 @@ class _Decoder:
         try:
             chain = int(m[kind]) if kind != CLOSE else None
         except ValueError:
-            n = len(self.tokens)
-            self.diags.append(Diagnostic("decode", "tag id too long; read as text", n))
+            self.diags.append(Diagnostic("decode", "tag id too long; read as text",
+                                         len(self.tokens)))
             self.tokens += m[0].split()
             return
         if kind == OPEN:
@@ -699,10 +699,10 @@ def _decode_crac_atom(dec: _Decoder, atom: str) -> None:
 
 def decode(text: str, fmt: Format) -> tuple[AnnotatedText, list[Diagnostic]]:
     """Parse wire text tolerantly; never fails. Unparseable tag-like atoms
-    become ordinary tokens; a close with no open and a pair around no token
-    are dropped with diagnostics, and an open never closed closes at the
-    last token (see ``_Decoder``). Line boundaries come back as token
-    breaks."""
+    become ordinary tokens (a tag with an id past ``int``'s digit limit with
+    a diagnostic); a close with no open and a pair around no token are
+    dropped with diagnostics, and an open never closed closes at the last
+    token (see ``_Decoder``). Line boundaries come back as token breaks."""
     fmt = Format(fmt)
     dec = _Decoder(fmt)
     tokens = dec.tokens

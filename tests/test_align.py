@@ -1,8 +1,10 @@
 """Repairing noisy model output: anchoring, fuzzy matching, tag projection."""
+import bisect
 import random
+from collections import Counter
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from corefkit import align
 from corefkit.align import (align_tokens, anchor_align, clean, edit_similarity,
@@ -257,3 +259,140 @@ def test_one_token_off_completion_is_aligned(monkeypatch, fmt):
     cleaned, _ = clean(source, wire, fmt)
     assert len(calls) == 1
     assert cleaned.tokens == source.split() and cleaned.events
+
+
+# -- differential oracle -------------------------------------------------------
+# A frozen copy of the aligner as it stood before small gaps and per-gap
+# character codes: the dict-and-LIS pass on every gap and a Counter-based
+# bound. A change that alters alignment on purpose updates this copy and
+# says so.
+
+def _oracle_unique_pairs(inp, out, ilo, ihi, olo, ohi):
+    seen_in, seen_out = {}, {}
+    for i in range(ilo, ihi):
+        seen_in[inp[i]] = -1 if inp[i] in seen_in else i
+    for o in range(olo, ohi):
+        seen_out[out[o]] = -1 if out[o] in seen_out else o
+    return sorted((i, seen_out[tok]) for tok, i in seen_in.items()
+                  if i >= 0 and seen_out.get(tok, -1) >= 0)
+
+
+def _oracle_lis(pairs):
+    tails, tails_at, back = [], [], [-1] * len(pairs)
+    for idx, (_, o) in enumerate(pairs):
+        k = bisect.bisect_left(tails, o)
+        if k == len(tails):
+            tails.append(o)
+            tails_at.append(idx)
+        else:
+            tails[k] = o
+            tails_at[k] = idx
+        back[idx] = tails_at[k - 1] if k else -1
+    out, idx = [], tails_at[-1] if tails_at else -1
+    while idx != -1:
+        out.append(pairs[idx])
+        idx = back[idx]
+    return out[::-1]
+
+
+def _oracle_bound(a, b, threshold, counts):
+    if a == b:
+        return 1.0
+    la, lb = len(a), len(b)
+    if la == 0 or lb == 0:
+        return 0.0
+    longest = max(la, lb)
+    bound = 1.0 - abs(la - lb) / longest
+    if bound < threshold:
+        return bound
+    ca = counts.setdefault(a, Counter(a))
+    cb = counts.setdefault(b, Counter(b))
+    shared = sum(min(n, cb[c]) for c, n in ca.items())
+    return 1.0 - (longest - shared) / longest
+
+
+def _oracle_align(inp, out, threshold=0.5):
+    matched, work = [], [(0, len(inp), 0, len(out))]
+    while work:
+        ilo, ihi, olo, ohi = work.pop()
+        if ilo >= ihi or olo >= ohi:
+            continue
+        kept = _oracle_lis(_oracle_unique_pairs(inp, out, ilo, ihi, olo, ohi))
+        if not kept:
+            continue
+        matched.extend(kept)
+        prev_i, prev_o = ilo, olo
+        for i, o in kept:
+            work.append((prev_i, i, prev_o, o))
+            prev_i, prev_o = i + 1, o + 1
+        work.append((prev_i, ihi, prev_o, ohi))
+    anchors = [(o, i, "anchor") for i, o in sorted(matched)]
+    bounds = [(-1, -1)] + [(o, i) for o, i, _ in anchors] + [(len(out), len(inp))]
+    expanded, gaps = [], []
+    for (o1, i1), (o2, i2) in zip(bounds, bounds[1:]):
+        lo_o, lo_i, hi_o, hi_i = o1 + 1, i1 + 1, o2, i2
+        while lo_o < hi_o and lo_i < hi_i and out[lo_o] == inp[lo_i]:
+            expanded.append((lo_o, lo_i, "expanded"))
+            lo_o += 1
+            lo_i += 1
+        while hi_o > lo_o and hi_i > lo_i and out[hi_o - 1] == inp[hi_i - 1]:
+            hi_o -= 1
+            hi_i -= 1
+            expanded.append((hi_o, hi_i, "expanded"))
+        gaps.append((lo_o, hi_o, lo_i, hi_i))
+    fuzzy, counts = [], {}
+    for lo_o, hi_o, lo_i, hi_i in gaps:
+        floor = lo_i
+        for o in range(lo_o, hi_o):
+            for i in range(floor, hi_i):
+                if (i == floor or _oracle_bound(out[o], inp[i], threshold, counts) >= threshold) \
+                        and _textbook_similarity(out[o], inp[i]) >= threshold:
+                    fuzzy.append((o, i, "fuzzy"))
+                    floor = i + 1
+                    break
+    return sorted(anchors + expanded + fuzzy)
+
+
+@st.composite
+def _perturbed(draw):
+    """A synth document's words and a ``perturb``ed copy of them, over
+    synth's small vocabulary, where a word repeats often."""
+    doc = random_document("d", SynthConfig(seed=draw(st.integers(0, 10_000))))
+    words = [t.form for s in doc.sentences for t in s.tokens]
+    rate = draw(st.sampled_from([0.03, 0.1, 0.3]))
+    out = perturb(" ".join(words), random.Random(draw(st.integers(0, 10_000))), rate, rate, rate)
+    return words, out.split()
+
+
+_word = st.text("abcdefghijklmnopqrstuvwxyz", min_size=1, max_size=9)
+
+
+@st.composite
+def _off_target(draw):
+    """Words and a completion whose words are none of them."""
+    words = draw(st.lists(_word, max_size=40))
+    return words, draw(st.lists(_word.filter(lambda w: w not in words), max_size=40))
+
+
+@st.composite
+def _small_alphabet(draw):
+    """Token lists over 3 to 5 letters: gaps of one token on a side abound."""
+    letters = st.sampled_from("abcde"[:draw(st.integers(3, 5))])
+    return draw(st.lists(letters, max_size=30)), draw(st.lists(letters, max_size=30))
+
+
+@given(case=st.one_of(_perturbed(), _off_target(), _small_alphabet()),
+       threshold=st.sampled_from([0.0, 0.3, 0.5, 0.8, 1.0]))
+@settings(max_examples=300)
+def test_alignment_equals_the_frozen_oracle(case, threshold):
+    inp, out = case
+    assert align_tokens(inp, out, threshold).pairs == _oracle_align(inp, out, threshold)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_alignment_equals_the_frozen_oracle_on_perturbed_documents(seed):
+    rng = random.Random(seed)
+    doc = random_document("d", SynthConfig(seed=seed, sentences=(20, 30)))
+    words = [t.form for s in doc.sentences for t in s.tokens]
+    out = perturb(" ".join(words), rng).split()
+    assert align_tokens(words, out).pairs == _oracle_align(words, out)

@@ -1462,6 +1462,36 @@ def test_replay_runs_are_deterministic(gold_path, tmp_path):
     assert outs[0] == outs[1]
 
 
+@pytest.mark.parametrize("fmt", ["crac", "explicit", "minimal", "headword"])
+def test_annotate_reads_a_tag_id_past_the_int_digit_limit_as_text(tmp_path, fmt):
+    gold = tmp_path / "gold.conllu"
+    [(_, docs)] = random_corpus(3, SynthConfig(seed=1)).datasets
+    gold.write_text(serialize_corpus(docs), encoding="utf-8")
+    pairs_path = tmp_path / "pairs.jsonl"
+    assert run("export-train", str(gold), "--format", fmt, "-o", str(pairs_path)) == 0
+    pairs = read_pairs(pairs_path)
+    long_tag = {"crac": "x|[e{}]", "explicit": "<ent id=COREF_{}>"}.get(fmt, "<ent{}>")
+    outs = []
+    for spoiled in (False, True):
+        replay = tmp_path / f"replay{spoiled}.jsonl"
+        replay.write_text("".join(json.dumps({
+            "doc_id": p.doc_id, "window_index": p.window_index,
+            "completion": (long_tag.format("9" * 5000) + " " if spoiled and not k else "")
+            + p.completion}) + "\n" for k, p in enumerate(pairs)), encoding="utf-8")
+        out, diags = tmp_path / f"pred{spoiled}.conllu", tmp_path / f"diags{spoiled}.jsonl"
+        assert run("annotate", str(gold), "--format", fmt, "--backend", "replay",
+                   "--replay", str(replay), "-o", str(out), "--diagnostics", str(diags)) == 0
+        outs.append((parse_conllu(out.read_text(encoding="utf-8")), diags.read_text()))
+    (clean_docs, clean_diags), (docs_read, diags_read) = outs
+    assert "tag id too long" not in clean_diags
+    assert "tag id too long; read as text" in diags_read
+    # only the first window's completion was spoiled: the other documents
+    # are annotated as without it
+    assert len(pairs) > 3 and len(docs_read) == 3
+    assert [d.chains for d in docs_read[1:]] == [d.chains for d in clean_docs[1:]]
+    assert all(d.chains for d in docs_read)
+
+
 def test_module_entry_point_runs_as_subprocess(gold_path):
     # the child imports the same corefkit as this test, installed or not
     src = str(Path(corefkit.__file__).resolve().parents[1])

@@ -5,6 +5,7 @@ import random
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from corefkit import formats
 from corefkit.conllu import Sentence, Token
 from corefkit.formats import (CLOSE, OPEN, SPAN, TAGS, ZERO, AnnotatedText, Format,
                               FormatError, TagEvent, apply_idmap, build_events,
@@ -261,3 +262,77 @@ def test_render_matches_per_token_reference_on_perturbed_output(seed, fmt):
     noisy = perturb(wire, random.Random(seed), p_drop=0.2, p_dup=0.2, p_typo=0.2)
     decoded, _ = decode(noisy, fmt)
     assert render(decoded) == _render_per_token(decoded)
+
+
+# -- decoding: the whole-text walk as oracle -----------------------------------
+
+def _walk_decode(text, fmt):
+    """The whole-text walk every tag format decoded by before the one-atom
+    formats read their lines word by word: kept as the oracle for those."""
+    dec = formats._Decoder(fmt)
+    raw_breaks = []
+    text = "\n".join(text.splitlines())
+    end = 0
+    for m in formats._ATOMS[fmt].finditer(text):
+        if text.find("\n", end, m.start()) >= 0:
+            raw_breaks.append(len(dec.tokens))
+        end = m.end()
+        kind = m.lastgroup
+        if kind is None:
+            dec.tokens.append(m[0])
+        elif kind == OPEN:
+            dec.open(int(m[kind]))
+        elif kind == CLOSE:
+            dec.close()
+        else:
+            dec.after_tag(kind, int(m[kind]))
+    annotated, diags = dec.finish()
+    annotated.breaks = tuple(sorted({b for b in raw_breaks if 0 < b < len(annotated.tokens)}))
+    return annotated, diags
+
+
+# every separator that str.split or str.splitlines treats specially, and some
+# that neither does
+_SEPARATORS = [" ", "  ", "\n", "\r\n", "\r", "\n\n", "\t", "\v", "\f", "\x1c", "\x1d",
+               "\x1e", "\x1f", "\x85", "\xa0", " ", "　", " ", " "]
+_PIECES = ["river", "x", "<ent1>", "<ent23>", "</ent>", "<zero4>", "<ent3>x", "x</ent>",
+           "<ent²>", "<ent٣>", "<zero>", "<ent 1>", "</ent>>", "<", "<<ent1>", "​"]
+
+
+@given(pieces=st.lists(st.tuples(st.sampled_from(_PIECES), st.sampled_from(_SEPARATORS)),
+                       max_size=30),
+       lead=st.sampled_from(["", " ", "\n", "\r\n"]),
+       fmt=st.sampled_from([Format.MINIMAL, Format.HEADWORD]))
+@settings(max_examples=400)
+def test_one_atom_formats_decode_as_the_whole_text_walk(pieces, lead, fmt):
+    text = lead + "".join(piece + sep for piece, sep in pieces)
+    assert decode(text, fmt) == _walk_decode(text, fmt)
+
+
+def test_one_atom_tags_decide_the_word_by_word_reading():
+    # minimal and headword read words one at a time because each of their
+    # tags is a single atom that opens with "<"
+    for fmt in (Format.MINIMAL, Format.HEADWORD):
+        assert all(" " not in t and t.startswith("<") for t in TAGS[fmt].values())
+    assert any(" " in t for t in TAGS[Format.EXPLICIT].values())
+
+
+# an id of more digits than int() reads (4,300 by default)
+_LONG_ID = "9" * 5000
+
+
+@pytest.mark.parametrize("fmt, text, tokens, at", [
+    (Format.MINIMAL, f"<ent1> a </ent> <ent{_LONG_ID}> b",
+     ["a", f"<ent{_LONG_ID}>", "b"], 1),
+    (Format.HEADWORD, f"a <ent1> b <zero{_LONG_ID}>", ["a", "b", f"<zero{_LONG_ID}>"], 2),
+    (Format.EXPLICIT, f"<ent id=COREF_1> a </ent> <ent\nid=COREF_{_LONG_ID}> b",
+     ["a", "<ent", f"id=COREF_{_LONG_ID}>", "b"], 1),
+    (Format.CRAC, f"a|[e1] b|[e{_LONG_ID}]", ["a", f"b|[e{_LONG_ID}]"], 1),
+], ids=["minimal", "headword", "explicit", "crac"])
+def test_tag_id_past_the_int_digit_limit_is_read_as_text(fmt, text, tokens, at):
+    annotated, diags = decode(text, fmt)
+    assert annotated.tokens == tokens
+    [(chain, anchor)] = [(ev.chain, ev.anchor) for ev in annotated.events]
+    assert (chain, anchor) == (1, 0)
+    too_long = [d for d in diags if d.message == "tag id too long; read as text"]
+    assert [(d.stage, d.position) for d in too_long] == [("decode", at)]
