@@ -727,7 +727,7 @@ def decode(text: str, fmt: Format) -> tuple[AnnotatedText, list[Diagnostic]]:
                     _decode_crac_atom(dec, atom)
             else:
                 for atom in line.split():
-                    # each tag of these formats is one atom that opens so
+                    # each tag of these formats is one atom, opening with "<"
                     m = atom[0] == "<" and _ATOMS[fmt].fullmatch(atom)
                     if m and m.lastgroup:
                         dec.tag(m)

@@ -357,7 +357,8 @@ def _oracle_align(inp, out, threshold=0.5):
 def _perturbed(draw):
     """A synth document's words and a ``perturb``ed copy of them, over
     synth's small vocabulary, where a word repeats often."""
-    doc = random_document("d", SynthConfig(seed=draw(st.integers(0, 10_000))))
+    doc = random_document("d", SynthConfig(seed=draw(st.integers(0, 10_000)),
+                                           sentences=draw(st.sampled_from([(3, 8), (20, 30)]))))
     words = [t.form for s in doc.sentences for t in s.tokens]
     rate = draw(st.sampled_from([0.03, 0.1, 0.3]))
     out = perturb(" ".join(words), random.Random(draw(st.integers(0, 10_000))), rate, rate, rate)
@@ -388,11 +389,3 @@ def test_alignment_equals_the_frozen_oracle(case, threshold):
     inp, out = case
     assert align_tokens(inp, out, threshold).pairs == _oracle_align(inp, out, threshold)
 
-
-@pytest.mark.parametrize("seed", range(20))
-def test_alignment_equals_the_frozen_oracle_on_perturbed_documents(seed):
-    rng = random.Random(seed)
-    doc = random_document("d", SynthConfig(seed=seed, sentences=(20, 30)))
-    words = [t.form for s in doc.sentences for t in s.tokens]
-    out = perturb(" ".join(words), rng).split()
-    assert align_tokens(words, out).pairs == _oracle_align(words, out)
