@@ -167,9 +167,9 @@ def _output(path: str | None) -> Iterator[TextIO | None]:
     """The one output writer: a temporary file for a command to write its
     output into as it goes, copied to ``path`` (stdout for ``-``) only if
     the block ends without an error. So output takes no memory, and a data
-    error found late leaves none. An unwritable path is a usage error. No
-    ``path``, no file: the block gets None."""
-    if not path:
+    error found late leaves none. An unwritable path, the empty one
+    included, is a usage error. No ``path``, no file: the block gets None."""
+    if path is None:
         yield None
         return
     with tempfile.TemporaryFile("w+", encoding="utf-8", newline="") as spool:

@@ -242,10 +242,11 @@ def test_diagnostics_dash_goes_to_stdout(gold_path, tmp_path, monkeypatch,
     ("stats", ["-o", os.devnull, "--cdf-csv"]),
 ])
 def test_unwritable_output_exits_1(gold_path, tmp_path, capsys, command, flags):
-    target = str(tmp_path / "missing" / "out.jsonl")
-    assert run(command, gold_path, *flags, target) == 1
-    err = capsys.readouterr().err
-    assert err.startswith(f"error: cannot write {target}") and err.count("\n") == 1
+    # an empty path is a path that cannot be written, not "no file"
+    for target in (str(tmp_path / "missing" / "out.jsonl"), ""):
+        assert run(command, gold_path, *flags, target) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write {target}") and err.count("\n") == 1
 
 
 def test_evaluate_json_output(gold_path, capsys):
@@ -1010,6 +1011,28 @@ def test_a_worker_that_stops_ends_the_run(tmp_path, how):
         f"error: {pred}: the process reading it ended with status -9 before the end "
         "of the file\n" if how == "dies" else
         f"error: {gold}: line 3: expected 10 tab-separated columns, got 9\n")
+
+
+@pytest.mark.parametrize("how", ["dies", "hangs"])
+@pytest.mark.parametrize("command", ["export-train", "convert"])
+def test_a_dealt_out_worker_that_stops_ends_the_run(tmp_path, command, how):
+    # the caller reads share 0 and a worker share 1: a worker that dies is
+    # an error, and one that hangs is killed once the caller meets the fault
+    # in its own document 0, so neither run waits on it
+    [(_, docs)] = random_corpus(300, SynthConfig(seed=6)).datasets
+    gold, out = tmp_path / "gold.conllu", tmp_path / "out.txt"
+    text = serialize_corpus(docs)
+    bad = f"# newdoc id = {docs[0].doc_id}\n"
+    gold.write_text(text if how == "dies" else text.replace(bad, bad + "1\tx\n"),
+                    encoding="utf-8")
+    proc = stopping_worker(how, command, str(gold), "-o", str(out))
+    assert (proc.returncode, proc.stdout) == (2, "")
+    line = text.splitlines().index(bad.strip()) + 2
+    assert proc.stderr == (
+        f"error: {gold}: the process reading it ended with status -9 before the end "
+        "of the file\n" if how == "dies" else
+        f"error: {gold}: line {line}: expected 10 tab-separated columns, got 2\n")
+    assert not out.exists()
 
 
 CROSSING = ("# newdoc id = x\n# sent_id = s1\n" + "".join(
