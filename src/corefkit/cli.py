@@ -210,24 +210,32 @@ def _lines(path: str) -> Iterator[str]:
         raise _Unreadable(f"cannot read {_shown(path)}: {exc}") from exc
 
 
-def _read_documents(path: str, docs: Iterator[Document] | None = None) -> Iterator[Document]:
-    """The documents of one file (``docs``, else ``iter_conllu`` over its
-    lines), read one at a time: a repeated id is refused, and each parse
-    warning goes to stderr, as its document is read."""
-    name = _shown(path)
-    ids: set[str] = set()
+def _parsed(path: str, lines: Iterable[str] | None = None) -> Iterator[Document]:
+    """``iter_conllu`` of ``lines`` (by default, those of the file at
+    ``path``), its error on a malformed line naming the file; an unreadable
+    file's error names it already."""
     try:
-        for doc in iter_conllu(_lines(path)) if docs is None else docs:
-            if doc.doc_id in ids:
-                raise ConlluError(f"document id {doc.doc_id!r} appears more than once")
-            ids.add(doc.doc_id)
-            for w in doc.warnings:
-                print(f"warning: {name}: {w}", file=sys.stderr)
-            yield doc
+        yield from iter_conllu(_lines(path) if lines is None else lines)
     except _Unreadable:
         raise
     except ConlluError as exc:
-        raise ConlluError(f"{name}: {exc}") from exc
+        raise ConlluError(f"{_shown(path)}: {exc}") from exc
+
+
+def _read_documents(path: str, docs: Iterator[Document] | None = None) -> Iterator[Document]:
+    """The documents of one file (``docs``, else ``_parsed(path)``), read
+    one at a time: a repeated id is refused, and each parse warning goes to
+    stderr, as its document is read. An error ``docs`` raises passes as it
+    is: a forked reader's names its file, or no file where it reads none."""
+    name = _shown(path)
+    ids: set[str] = set()
+    for doc in _parsed(path) if docs is None else docs:
+        if doc.doc_id in ids:
+            raise ConlluError(f"{name}: document id {doc.doc_id!r} appears more than once")
+        ids.add(doc.doc_id)
+        for w in doc.warnings:
+            print(f"warning: {name}: {w}", file=sys.stderr)
+        yield doc
 
 
 def _each_document(path: str, fn: Callable[[Document], Iterable[str]]):
@@ -243,7 +251,7 @@ def _each_document(path: str, fn: Callable[[Document], Iterable[str]]):
         except FormatError as exc:
             raise FormatError(f"{_shown(path)}: document {doc.doc_id!r}: {exc}") from exc
 
-    return dealt(path, _lines, lambda lines: iter_conllu(lines), named,
+    return dealt(path, _lines, lambda lines: _parsed(path, lines), named,
                  lambda docs: _read_documents(path, docs))
 
 
@@ -333,7 +341,7 @@ def cmd_annotate(args) -> int:
     from .workers import written  # a large input is read and written by a forked writer
     # the output is written before the diagnostics, as it leaves the inner block first
     with _output(args.diagnostics) as diags, _output(args.output) as out, written(
-            args.input, lambda p: iter_conllu(_lines(p)), out,
+            args.input, _parsed, out,
             lambda pred: out.write(serialize_conllu(pred))) as (inputs, write):
         docs = (doc for path, given in zip(args.input, inputs)
                 for doc in _read_documents(path, given))
@@ -371,7 +379,7 @@ def cmd_evaluate(args) -> int:
     # the documents are read as they are scored (metrics.conll_f1), a large
     # prediction file in a worker started before the first gold document is read
     from .workers import forked_readers
-    with forked_readers(args.pred, lambda p: iter_conllu(_lines(p))) as preds:
+    with forked_readers(args.pred, _parsed) as preds:
         gold = Corpus([(_dataset_id(p), _read_documents(p)) for p in args.gold])
         pred = Corpus([(_dataset_id(p), _read_documents(p, docs))
                        for p, docs in zip(args.pred, preds)])

@@ -10,16 +10,19 @@ Four commands import this module, when they run; no other pays for it:
   worker for each other share. Every process reads every line of the file
   and blanks those of the documents that are not its own, so the reader
   parses only its own documents, with every check, message and line number
-  it has. Each process turns its documents into text, and only that text
-  crosses a pipe.
+  it has. Only each document's text crosses a pipe.
 - ``annotate`` has a forked writer (``written``) read its input files,
   each once, and write its predictions. The writer sends the command only
   the words annotation reads of each document, and the command sends back
-  each prediction's mentions, so the parsing and the output are done on a
-  second core and no text crosses a pipe.
+  each prediction's mentions, so no text crosses a pipe.
 
-A file is read in one process where ``_forks_for`` says so, and when no
-process can be forked.
+Every child sends one stream of pickled messages (``_fork``): a document's
+payload, None at the end of a file, or the exception the child met, at its
+place in file order. One reader (``_Worker.items``) takes the caller through
+it a file at a time. It raises an exception where it meets it, and a child
+that ended early as its ``ended`` error; one that hangs is killed when the
+caller's block ends. A file is read in one process where ``_forks_for`` says
+so, and where no process can be forked (``_fork`` gives None).
 """
 from __future__ import annotations
 
@@ -32,7 +35,7 @@ import threading
 from collections import deque
 from collections.abc import Callable, Iterable, Iterator
 from contextlib import contextmanager, suppress
-from typing import Any, BinaryIO, NamedTuple, NoReturn, TextIO
+from typing import Any, BinaryIO, NamedTuple, TextIO
 
 from .conllu import ConlluError, Document, Sentence, Token, is_doc_header
 from .pipeline import mentions_to_document
@@ -45,63 +48,39 @@ MIN_BYTES = 1 << 20
 
 
 class _Worker:
-    """A forked child that sends each item of ``produce()`` down a pipe as
-    it is made, then None, or the exception that stopped it, pickled with
-    its type, message and ``line``. It runs at most a pipe's worth ahead of
-    ``items``."""
+    """A forked child (``_fork``): the caller's ends of the pipe its stream
+    comes down and of the one it reads ``replies`` from."""
 
-    ENDED = "the process reading it ended with status {} before the end of the file"
-
-    def __init__(self, produce: Callable[[], Iterable[Any]]):
-        fd_in, fd_out = os.pipe()
-        try:
-            self.pid = os.fork()
-        except OSError:
-            os.close(fd_in)
-            os.close(fd_out)
-            raise
-        if self.pid == 0:
-            os.close(fd_in)
-            self._send(produce, fd_out)
-        os.close(fd_out)
+    def __init__(self, pid: int, stream: BinaryIO, replies: BinaryIO,
+                 ended: Callable[[int], str]):
+        self.pid, self.stream, self.replies, self.ended = pid, stream, replies, ended
         self.status: int | None = None
-        self.pipe = open(fd_in, "rb")
-
-    @staticmethod
-    def _send(produce: Callable[[], Iterable[Any]], fd: int) -> NoReturn:
-        """The child's whole life: it ends in ``os._exit``, so it never
-        returns into the parent's frames to run their ``finally`` blocks or
-        flush their buffers a second time."""
-        code = 1
-        try:
-            gc.freeze()  # the collector leaves the parent's objects, and so their pages, alone
-            with open(fd, "wb") as pipe:
-                try:
-                    for item in produce():
-                        pickle.dump(item, pipe)
-                        pipe.flush()
-                    end = None
-                except Exception as exc:  # the parent raises it where it reads it
-                    end = exc
-                pickle.dump(end, pipe)
-            code = 0
-        finally:
-            os._exit(code)
 
     def items(self) -> Iterator[Any]:
-        """Each item as it arrives; the error the child met is raised here,
-        and a child that ends early is a ``ConlluError``."""
+        """The payloads of the stream's next file as they arrive; an
+        exception the child sent is raised here, and a child that ended
+        early is a ``ConlluError`` of ``ended(status)``."""
         while True:
             try:
-                item = pickle.load(self.pipe)
+                item = pickle.load(self.stream)
             except (EOFError, pickle.UnpicklingError):
-                raise ConlluError(self.ENDED.format(self.reap())) from None
+                raise ConlluError(self.ended(self.reap())) from None
             if item is None:
-                self.reap()
                 return
             if isinstance(item, Exception):
                 raise item
             yield item
+
+    def reply(self, message: Any) -> None:
+        """Sends the child ``message``. A child that reads no more has
+        stopped: the rest of its stream says why, and that is raised."""
+        try:
+            pickle.dump(message, self.replies)
+            self.replies.flush()
+        except BrokenPipeError:
+            while True:
+                for _ in self.items():
+                    pass
 
     def reap(self) -> int:
         """Waits for the child to end; its exit code, negative for a signal."""
@@ -111,10 +90,59 @@ class _Worker:
 
     def close(self) -> None:
         """Stops the child if it is still running, and reaps it."""
-        self.pipe.close()
+        with suppress(OSError):  # what a child that is gone left unread
+            self.replies.close()
+        self.stream.close()
         if self.status is None:
             os.kill(self.pid, signal.SIGKILL)
         self.reap()
+
+
+def _fork(produce: Callable[[int], Iterable[Any]], ended: Callable[[int], str]
+          ) -> _Worker | None:
+    """A child forked to send its stream, or None where no process can be
+    had. The child pickles each message of ``produce(fd)`` (``fd`` is where
+    it reads the worker's ``replies``) as it is made, then None, or the
+    exception that stopped ``produce``, with its type, message and ``line``.
+    It ends in ``os._exit``, so it never returns into the caller's frames to
+    run their ``finally`` blocks or flush their buffers a second time."""
+    fds: list[int] = []
+    try:
+        for _ in range(2):
+            fds += os.pipe()
+        pid = os.fork()
+    except OSError:
+        for fd in fds:
+            os.close(fd)
+        return None
+    stream_in, stream_out, replies_in, replies_out = fds
+    if pid == 0:
+        code = 1
+        try:
+            gc.freeze()  # the collector leaves the parent's objects, and so their pages, alone
+            os.close(stream_in)
+            os.close(replies_out)  # so a caller that is gone is an end of file here
+            with open(stream_out, "wb") as pipe:
+                try:
+                    for item in produce(replies_in):
+                        pickle.dump(item, pipe)
+                        pipe.flush()
+                    end = None
+                except Exception as exc:  # the caller raises it where it reads it
+                    end = exc
+                pickle.dump(end, pipe)
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(stream_out)
+    os.close(replies_in)
+    return _Worker(pid, open(stream_in, "rb"), open(replies_out, "wb"), ended)
+
+
+def _reading(path: str) -> Callable[[int], str]:
+    """What a worker reading ``path`` that ends early is reported as."""
+    return lambda status: (f"{path}: the process reading it ended with status {status} "
+                           "before the end of the file")
 
 
 def _forks_for(path: str) -> bool:
@@ -135,37 +163,23 @@ def _forks_for(path: str) -> bool:
 @contextmanager
 def forked_readers(paths: list[str], read: Callable[[str], Iterator[Document]]
                    ) -> Iterator[list[Iterator[Document] | None]]:
-    """For each path, the documents of ``read(path)`` as a worker started
+    """For each path, the documents of ``read(path)`` as a worker forked
     here sends them, or None where the file is to be read in process (see
     ``_forks_for``; also when no process can be had). A worker sends each
     document's id, chains and warnings, not its sentences: pickling them
     costs as much as parsing them. The workers are stopped and reaped when
     the block ends."""
-    workers: list[_Worker] = []
-    streams: list[Iterator[Document] | None] = []
+    workers: list[_Worker | None] = []
     try:
-        for path in paths:
-            stream = None
-            if _forks_for(path):
-                with suppress(OSError):
-                    workers.append(_Worker(lambda path=path: (
-                        (d.doc_id, d.chains, d.warnings) for d in read(path))))
-                    stream = (Document(doc_id, [], chains, warnings=warnings)
-                              for doc_id, chains, warnings in workers[-1].items())
-            streams.append(stream)
-        yield streams
+        workers += (_fork(lambda _, path=path: (
+            (d.doc_id, d.chains, d.warnings) for d in read(path)), _reading(path))
+                    if _forks_for(path) else None for path in paths)
+        yield [worker and (Document(doc_id, [], chains, warnings=warnings)
+                           for doc_id, chains, warnings in worker.items())
+               for worker in workers]
     finally:
-        for worker in workers:
+        for worker in filter(None, workers):
             worker.close()
-
-
-class _Done(NamedTuple):
-    """A document as its share hands it on: its id and parse warnings, and
-    the text the share's function made of it, or the exception it raised."""
-
-    doc_id: str
-    warnings: list[str]
-    value: Iterable[str] | Exception
 
 
 def _shares() -> int:
@@ -174,16 +188,14 @@ def _shares() -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
 
 
-def _deal(lines: Iterable[str], share: int, shares: int, fault: list[ConlluError]
-          ) -> Iterator[str]:
+def _deal(lines: Iterable[str], share: int, shares: int) -> Iterator[str]:
     """``lines`` with every line of another share's document made blank (a
     blank line only ends a sentence), so line numbers stay. Document k,
     counted from 0, is share ``k % shares``'s; the preamble before the first
     is share 0's. A ``ConlluError`` from ``lines`` (a file that cannot be
-    read) met in this share's own text is raised; met in another share's
-    document, it goes into ``fault`` and the lines end, so the share's last
-    document, whole by then, is still read, as a reader of the whole file
-    would have read it."""
+    read) is raised by the share whose text it is met in. Every other share's
+    lines end there, so its last document, whole by then, is still read, as
+    a reader of the whole file would have read it, and comes first in turn."""
     docs, mine = 0, share == 0
     try:
         for line in lines:
@@ -191,41 +203,45 @@ def _deal(lines: Iterable[str], share: int, shares: int, fault: list[ConlluError
                 mine = docs % shares == share
                 docs += 1
             yield line if mine else ""
-    except ConlluError as exc:
+    except ConlluError:
         if mine:
             raise
-        fault.append(exc)
+
+
+class _Text(NamedTuple):
+    """A dealt document's payload: its id, parse warnings and ``fn``'s text."""
+
+    doc_id: str
+    warnings: list[str]
+    text: Iterable[str] | None
 
 
 def _share(lines: Iterable[str], parse: Callable[[Iterable[str]], Iterator[Document]],
-           fn: Callable[[Document], Iterable[str]], share: int, shares: int,
-           sent: bool = False) -> Iterator[_Done]:
-    """``fn`` of each document of one share, in file order; a document whose
-    ``fn`` fails is the share's last. One share reads ``lines`` as they are.
-    A share ``sent`` down a pipe lists each document's text; otherwise it is
-    left for the caller to consume as it writes, so no more of it is held."""
-    fault: list[ConlluError] = []
-    for doc in parse(lines if shares == 1 else _deal(lines, share, shares, fault)):
+           fn: Callable[[Document], Iterable[str]], share: int, shares: int
+           ) -> Iterator[_Text]:
+    """The ``_Text`` of each document of one share, in file order; one share
+    reads ``lines`` as they are. A document whose ``fn`` fails is the share's
+    last: its text is None, and the error follows it."""
+    for doc in parse(lines if shares == 1 else _deal(lines, share, shares)):
         try:
-            value = list(fn(doc)) if sent else fn(doc)
-        except Exception as exc:  # raised when this document's turn comes
-            yield _Done(doc.doc_id, doc.warnings, exc)
-            return
-        yield _Done(doc.doc_id, doc.warnings, value)
-    if fault:
-        raise fault[0]
+            text = fn(doc)
+        except Exception:
+            yield _Text(doc.doc_id, doc.warnings, None)
+            raise
+        yield _Text(doc.doc_id, doc.warnings, text)
 
 
 @contextmanager
 def dealt(path: str, lines: Callable[[str], Iterable[str]],
           parse: Callable[[Iterable[str]], Iterator[Document]],
           fn: Callable[[Document], Iterable[str]],
-          check: Callable[[Iterator[_Done]], Iterator[_Done]]
+          check: Callable[[Iterator[_Text]], Iterator[_Text]]
           ) -> Iterator[Iterator[tuple[str, Iterable[str]]]]:
     """``(doc_id, fn(doc))`` for each document of ``parse(lines(path))``, in
     file order; ``fn`` gives the document's text in pieces.
     Where ``_forks_for(path)``, the documents are dealt into ``_shares()``
-    shares: the caller's process reads share 0 and a forked worker each
+    shares: the caller's process reads share 0, left for the caller to
+    consume as it writes, so no more of it is held, and a forked worker each
     other one (all in process if a fork fails). The shares are pulled in
     turn, one document each, only as the caller asks, so a fault is met in
     file order. Each document passes ``check`` (it has ``doc_id`` and
@@ -234,37 +250,22 @@ def dealt(path: str, lines: Callable[[str], Iterable[str]],
     shares = _shares() if _forks_for(path) else 1
     workers: list[_Worker] = []
     try:
-        try:
-            for share in range(1, shares):
-                workers.append(_Worker(lambda share=share: _share(
-                    lines(path), parse, fn, share, shares, sent=True)))
-        except OSError:
+        workers += itertools.takewhile(bool, (_fork(lambda _, share=share: _share(
+            lines(path), parse, lambda doc: list(fn(doc)), share, shares), _reading(path))
+                                              for share in range(1, shares)))
+        if len(workers) < shares - 1:  # a fork failed: the file is read in one process
             for worker in workers:
                 worker.close()
-            workers, shares = [], 1
-        streams = [_share(lines(path), parse, fn, 0, shares),
+            workers.clear()
+        streams = [_share(lines(path), parse, fn, 0, len(workers) + 1),
                    *(worker.items() for worker in workers)]
-        yield _values(check(_in_turn(streams)))
+        in_turn = itertools.takewhile(bool, (next(s, None) for s in itertools.cycle(streams)))
+        # a document without text is followed in its stream by fn's error on it
+        yield ((doc_id, next(streams[n % len(streams)]) if text is None else text)
+               for n, (doc_id, _, text) in enumerate(check(in_turn)))
     finally:
         for worker in workers:
             worker.close()
-
-
-def _in_turn(streams: list[Iterator[_Done]]) -> Iterator[_Done]:
-    """One item from each stream in turn, until one of them ends."""
-    for stream in itertools.cycle(streams):
-        done = next(stream, None)
-        if done is None:
-            return
-        yield done
-
-
-def _values(docs: Iterable[_Done]) -> Iterator[tuple[str, Iterable[str]]]:
-    """Each item's id and text; the error ``fn`` raised on it is raised here."""
-    for done in docs:
-        if isinstance(done.value, Exception):
-            raise done.value
-        yield done.doc_id, done.value
 
 
 def _off_the_callers_cpu() -> None:
@@ -278,24 +279,6 @@ def _off_the_callers_cpu() -> None:
         with open(f"/proc/{os.getppid()}/stat") as fh:
             cpu = int(fh.read().rsplit(")", 1)[1].split()[36])  # field 39, "processor"
         os.sched_setaffinity(0, os.sched_getaffinity(0) - {cpu})
-
-
-# what the writer sends the caller after the documents of each input file
-_EOF = "end of file"
-
-
-class _Fault(NamedTuple):
-    """The error the writer's reader raised, sent where it was met."""
-
-    error: Exception
-
-
-class _Stopped(Exception):
-    """What ended a writer, met where the caller reads documents; ``written``
-    raises ``error`` itself, so no file's name is put on it."""
-
-    def __init__(self, error: Exception):
-        self.error = error
 
 
 def _words(doc: Document) -> tuple:
@@ -314,121 +297,57 @@ def _rebuilt(doc_id: str, warnings: list[str], sentences: list[tuple]) -> Docume
         for sent_id, forms, heads, empties in sentences], warnings=warnings)
 
 
-class _Writer(_Worker):
-    """A forked child that reads the input files, each once, and writes the
-    predictions the caller sends back. Its main thread reads with ``read``,
-    holds each document and sends the caller its ``_words``, ``_EOF`` after
-    each file, or a ``_Fault``. A thread started in the child takes each
-    ``(doc_id, mentions)`` the caller sends and writes
-    ``write(mentions_to_document(doc, mentions))`` of the oldest document
-    held, which must have that id, into ``out``'s file through the descriptor
-    it shares with the caller. Each pipe always has a reader, so neither one
-    can stay full, and no text crosses a pipe."""
+def _serve(replies: int, paths: list[str], read: Callable[[str], Iterator[Document]],
+           write: Callable[[Document], object], out: TextIO) -> Iterator[Any]:
+    """The writer's stream: the ``_words`` of each document ``read`` gives
+    of each path, and None after each file, or the error met; then one more,
+    empty, file once the thread started here to write back what the caller
+    sends on ``replies`` (``_write_back``) has ended, or why it did."""
+    _off_the_callers_cpu()
+    held: deque[Document] = deque()
+    failed: list[Exception] = []
+    writing = threading.Thread(target=_write_back,
+                               args=(open(replies, "rb"), held, write, out, failed))
+    writing.start()
+    try:
+        for path in paths:
+            for doc in read(path):
+                if failed:  # the writing half has ended: so does reading, with why
+                    raise failed[0]
+                held.append(doc)  # before the caller can send its prediction
+                yield _words(doc)
+            yield None
+    except Exception as exc:  # the caller raises it as its own reader would
+        yield exc
+    writing.join()
+    if failed:
+        raise failed[0]
 
-    ENDED = ("the process reading the input and writing the output ended with status {} "
-             "before its end")
 
-    def __init__(self, paths: list[str], read: Callable[[str], Iterator[Document]],
-                 write: Callable[[Document], object], out: TextIO):
-        out.flush()  # the child would write what is buffered a second time
-        fd_in, fd_out = os.pipe()
-        try:
-            super().__init__(lambda: self._serve(fd_in, fd_out, paths, read, write, out))
-        except OSError:
-            os.close(fd_out)
-            raise
-        finally:
-            os.close(fd_in)
-        self.requests = open(fd_out, "wb")
+def _write_back(replies: BinaryIO, held: deque[Document], write: Callable[[Document], object],
+                out: TextIO, failed: list[Exception]) -> None:
+    """The writer's writing half: for each ``(doc_id, mentions)`` the caller
+    sends, ``write(mentions_to_document(doc, mentions))`` of the oldest
+    document held, which must have that id, into ``out``'s file through the
+    descriptor it shares with the caller. It ends at the caller's None, or at
+    its first fault, left in ``failed``, and closes ``replies`` either way,
+    so a caller that sends more finds no reader."""
+    try:
+        with replies:
+            while (request := pickle.load(replies)) is not None:
+                doc_id, mentions = request
+                if not held or held[0].doc_id != doc_id:
+                    raise ConlluError(f"the prediction of document {doc_id!r} "
+                                      "came out of order")
+                write(mentions_to_document(held.popleft(), mentions))
+            out.flush()
+    except Exception as exc:
+        failed.append(exc)
 
-    @staticmethod
-    def _serve(fd_in: int, fd_out: int, paths: list[str],
-               read: Callable[[str], Iterator[Document]],
-               write: Callable[[Document], object], out: TextIO) -> Iterator[Any]:
-        """The child's work; it ends once its writing half has."""
-        os.close(fd_out)  # so a caller that is gone is an end of file here
-        _off_the_callers_cpu()
-        held: deque[Document] = deque()
-        failed: list[Exception] = []
-        writing = threading.Thread(target=_Writer._write_back,
-                                   args=(open(fd_in, "rb"), held, write, out, failed))
-        writing.start()
-        yield from _Writer._read(paths, read, held, failed)
-        writing.join()
-        if failed:
-            raise failed[0]
 
-    @staticmethod
-    def _read(paths: list[str], read: Callable[[str], Iterator[Document]],
-              held: deque[Document], failed: list[Exception]) -> Iterator[Any]:
-        """The child's reading half: what it sends the caller, until the
-        input ends, the reader fails or the writing half has."""
-        try:
-            for path in paths:
-                for doc in read(path):
-                    if failed:
-                        return
-                    held.append(doc)  # before the caller can send its prediction
-                    yield _words(doc)
-                yield _EOF
-        except Exception as exc:  # the caller raises it as its own reader would
-            yield _Fault(exc)
-
-    @staticmethod
-    def _write_back(requests: BinaryIO, held: deque[Document],
-                    write: Callable[[Document], object], out: TextIO,
-                    failed: list[Exception]) -> None:
-        """The child's writing half, on a thread of its own: it ends at the
-        caller's None, or at its first fault, left in ``failed``, and closes
-        ``requests`` either way, so a caller that sends more finds no reader."""
-        try:
-            with requests:
-                while (request := pickle.load(requests)) is not None:
-                    doc_id, mentions = request
-                    if not held or held[0].doc_id != doc_id:
-                        raise ConlluError(f"the prediction of document {doc_id!r} "
-                                          "came out of order")
-                    write(mentions_to_document(held.popleft(), mentions))
-                out.flush()
-        except Exception as exc:
-            failed.append(exc)
-
-    def documents(self) -> Iterator[Document]:
-        """The documents of the next input file as the writer reads them; its
-        reader's error is raised as it is, and anything else that ends the
-        writer as ``_Stopped``."""
-        try:
-            while type(item := pickle.load(self.pipe)) is tuple:
-                yield _rebuilt(*item)
-        except (EOFError, pickle.UnpicklingError):
-            item = ConlluError(self.ENDED.format(self.reap()))
-        if isinstance(item, _Fault):
-            raise item.error
-        if item != _EOF:
-            raise _Stopped(item)
-
-    def send(self, pred: Document) -> None:
-        """Hands ``pred`` on as its id and mentions, chain by chain; a writer
-        that has stopped raises what stopped it."""
-        try:
-            pickle.dump((pred.doc_id, [m for c in pred.chains.values() for m in c.mentions]),
-                        self.requests)
-            self.requests.flush()
-        except BrokenPipeError:
-            self.finish()  # raises what ended the writer
-
-    def finish(self) -> None:
-        """Sends the end and waits until everything sent has been written."""
-        with suppress(BrokenPipeError):
-            pickle.dump(None, self.requests)
-            self.requests.close()
-        for _ in self.items():
-            pass
-
-    def close(self) -> None:
-        with suppress(OSError):  # what a writer that is gone left unread
-            self.requests.close()
-        super().close()
+# what a writer that ends early is reported as: it reads no one file
+_WRITER_ENDED = ("the process reading the input and writing the output ended with status {} "
+                 "before its end").format
 
 
 @contextmanager
@@ -438,22 +357,28 @@ def written(paths: list[str], read: Callable[[str], Iterator[Document]], out: Te
     """``(inputs, send)``: for each path, the documents to annotate, or None
     where the caller is to read the file itself; and a callable that writes
     each prediction the block passes it, in order, as ``write`` does into
-    ``out``. Where every path is one ``_forks_for``, a ``_Writer`` forked here
-    reads each path once with ``read`` and writes the predictions (all is done
-    in process if no process can be had); by the end of a block that raises
-    nothing it has written everything. It is stopped and reaped when the
-    block ends."""
+    ``out``. Where every path is one ``_forks_for``, a writer forked here
+    (``_serve``) reads each path once with ``read`` and writes the
+    predictions (all in process if no process can be had). Each pipe always
+    has a reader, so neither one can stay full. By the end of a block that
+    raises nothing everything is written. The writer is stopped and reaped
+    when the block ends."""
     writer = None
     if all(map(_forks_for, paths)):
-        with suppress(OSError):
-            writer = _Writer(paths, read, write, out)
+        out.flush()  # the child would write what is buffered a second time
+        writer = _fork(lambda replies: _serve(replies, paths, read, write, out), _WRITER_ENDED)
     if writer is None:
         yield [None] * len(paths), write
         return
+
+    def send(pred: Document) -> None:  # its id and mentions, chain by chain
+        writer.reply((pred.doc_id, [m for c in pred.chains.values() for m in c.mentions]))
+
     try:
-        yield [writer.documents() for _ in paths], writer.send
-        writer.finish()
-    except _Stopped as stopped:
-        raise stopped.error from None
+        yield [(_rebuilt(*words) for words in writer.items()) for _ in paths], send
+        writer.reply(None)
+        writer.replies.close()
+        for _ in writer.items():  # the last file, sent once everything is written
+            pass
     finally:
         writer.close()
