@@ -22,7 +22,9 @@ parses the prediction in a worker process, ``export-train`` and ``convert``
 deal the gold's documents out to one process per CPU, forking a worker for
 each but the first, and ``annotate`` forks a writer that reads the gold
 once, sends the command each document's words and writes the prediction.
-Each command reaps its workers. The peak that ``os.wait4`` reports for
+Every worker sends one stream of messages that the command reads one
+document at a time (``corefkit.workers``), and each command reaps its
+workers. The peak that ``os.wait4`` reports for
 a command covers those workers too: on Linux it is the largest peak of the
 process and of every descendant it reaped (the largest, not their sum). So
 each of those figures is the peak of whichever of the command's processes

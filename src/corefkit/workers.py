@@ -171,9 +171,10 @@ def forked_readers(paths: list[str], read: Callable[[str], Iterator[Document]]
     the block ends."""
     workers: list[_Worker | None] = []
     try:
-        workers += (_fork(lambda _, path=path: (
-            (d.doc_id, d.chains, d.warnings) for d in read(path)), _reading(path))
-                    if _forks_for(path) else None for path in paths)
+        workers += (
+            _fork(lambda _, path=path: ((d.doc_id, d.chains, d.warnings) for d in read(path)),
+                  _reading(path)) if _forks_for(path) else None
+            for path in paths)
         yield [worker and (Document(doc_id, [], chains, warnings=warnings)
                            for doc_id, chains, warnings in worker.items())
                for worker in workers]
@@ -242,29 +243,27 @@ def dealt(path: str, lines: Callable[[str], Iterable[str]],
     Where ``_forks_for(path)``, the documents are dealt into ``_shares()``
     shares: the caller's process reads share 0, left for the caller to
     consume as it writes, so no more of it is held, and a forked worker each
-    other one (all in process if a fork fails). The shares are pulled in
-    turn, one document each, only as the caller asks, so a fault is met in
-    file order. Each document passes ``check`` (it has ``doc_id`` and
-    ``warnings``) before ``fn``'s error on it is raised. The workers are
-    stopped and reaped when the block ends."""
+    other one (the caller's process where no process can be had). The shares
+    are pulled in turn, one document each, only as the caller asks, so a
+    fault is met in file order. Each document passes ``check`` (it has
+    ``doc_id`` and ``warnings``) before ``fn``'s error on it is raised. The
+    workers are stopped and reaped when the block ends."""
     shares = _shares() if _forks_for(path) else 1
-    workers: list[_Worker] = []
+    workers: list[_Worker | None] = []
     try:
-        workers += itertools.takewhile(bool, (_fork(lambda _, share=share: _share(
-            lines(path), parse, lambda doc: list(fn(doc)), share, shares), _reading(path))
-                                              for share in range(1, shares)))
-        if len(workers) < shares - 1:  # a fork failed: the file is read in one process
-            for worker in workers:
-                worker.close()
-            workers.clear()
-        streams = [_share(lines(path), parse, fn, 0, len(workers) + 1),
-                   *(worker.items() for worker in workers)]
+        workers += (
+            _fork(lambda _, share=share: _share(lines(path), parse, lambda doc: list(fn(doc)),
+                                                share, shares), _reading(path))
+            for share in range(1, shares))
+        streams = [_share(lines(path), parse, fn, 0, shares), *(
+            worker.items() if worker else _share(lines(path), parse, fn, share, shares)
+            for share, worker in enumerate(workers, 1))]
         in_turn = itertools.takewhile(bool, (next(s, None) for s in itertools.cycle(streams)))
         # a document without text is followed in its stream by fn's error on it
         yield ((doc_id, next(streams[n % len(streams)]) if text is None else text)
                for n, (doc_id, _, text) in enumerate(check(in_turn)))
     finally:
-        for worker in workers:
+        for worker in filter(None, workers):
             worker.close()
 
 

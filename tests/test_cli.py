@@ -1071,6 +1071,10 @@ def test_export_and_convert_read_alike_dealt_out_and_in_process(tmp_path, monkey
         # before it, the caller's, is whole once the worker's header is read
         "latin1": warned[0] + big + "# caf\xe9\n" + text,
         "crossing": text.replace(header[1], CROSSING + header[1]) + "1\tx\n",
+        # a warning in the sentence before the crossing one: printed before the error
+        "crossing-warned": text.replace(header[1], warned[0].replace("= z0\n", "= zx\n")
+                                        + CROSSING.split("\n", 1)[1].replace("s1", "s2")
+                                        + header[1]),
         # the caller fails late, while a worker waits on a full pipe (below)
         "late": malformed(120),
     }
@@ -1117,6 +1121,9 @@ def test_export_and_convert_read_alike_dealt_out_and_in_process(tmp_path, monkey
                                         + f"error: cannot read {paths['latin1']}: 'utf-8' codec")
         assert err["crossing"].startswith(f"error: {paths['crossing']}: document 'x': "
                                           "crossing mentions")
+        assert err["crossing-warned"].startswith(
+            f"warning: {paths['crossing-warned']}" + warning.format("x")
+            + f"error: {paths['crossing-warned']}: document 'zx': crossing mentions")
         assert err["late"] == (f"error: {paths['late']}: line {row('late')}: expected 10 "
                                "tab-separated columns, got 2\n")
     pairs = seen["gold", "export-train"][1]
@@ -1138,7 +1145,7 @@ def test_export_reads_in_process_when_a_fork_fails(tmp_path, monkeypatch, capsys
     expected = capsys.readouterr()
     forked, fork = [], os.fork
 
-    def second_fails():  # the first worker is started, then stopped again
+    def second_fails():  # the first worker reads share 1; the caller reads share 2
         if forked:
             raise BlockingIOError(11, "Resource temporarily unavailable")
         forked.append(fork())
