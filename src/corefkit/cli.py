@@ -18,6 +18,7 @@ that cannot be read or is not UTF-8 included), 3 backend failure.
 from __future__ import annotations
 
 import argparse
+import codecs
 import dataclasses
 import itertools
 import json
@@ -26,21 +27,27 @@ import sys
 import tempfile
 import threading
 from collections.abc import Callable, Iterable, Iterator
-from contextlib import closing, contextmanager, nullcontext
+from contextlib import closing, contextmanager, nullcontext, suppress
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TextIO
+from typing import TYPE_CHECKING, TextIO
 
-from . import metrics
-from .align import clean as clean_output
 from .conllu import (ConlluError, Corpus, Document, Sentence, Token, iter_conllu,
-                     serialize_conllu)
+                     mentions_to_document, serialize_conllu)
 from .formats import (Format, FormatError, build_events, decode, events_to_mentions,
                       render)
-from .pipeline import (BackendError, EmptyBackend, HttpBackend, ModelBackend,
-                       OracleBackend, PRESETS, PipelineConfig,
-                       annotate_documents, export_training_pairs, mentions_to_document)
-from .reindex import IdMap
+
+# Each command imports the other modules it runs (pipeline, align, reindex,
+# metrics, workers) when it runs, so importing this module loads only conllu
+# and formats besides. perfbench's Tracer.install finds the modules it wraps
+# in sys.modules only because its untraced cycles have run export-train,
+# annotate and evaluate by then.
+if TYPE_CHECKING:
+    from .pipeline import ModelBackend, PipelineConfig
+
+# the --preset choices: pipeline.PRESETS's names, sorted, named here so that
+# no parser needs pipeline
+PRESET_NAMES = ["large-infer", "large-train", "small"]
 
 
 class UsageError(Exception):
@@ -113,6 +120,7 @@ def load_job_config(path: str | None, overrides: dict) -> JobConfig:
 
 
 def pipeline_config(job: JobConfig) -> PipelineConfig:
+    from .pipeline import PRESETS, PipelineConfig
     if job.preset is not None and job.preset not in PRESETS:
         raise UsageError(f"unknown preset {job.preset!r} "
                          f"(choose from {', '.join(sorted(PRESETS))})")
@@ -129,6 +137,7 @@ def pipeline_config(job: JobConfig) -> PipelineConfig:
 
 
 def build_backend(job: JobConfig) -> ModelBackend:
+    from .pipeline import EmptyBackend, HttpBackend, OracleBackend
     if job.backend == "empty":
         return EmptyBackend()
     if job.backend in ("replay", "oracle"):
@@ -159,7 +168,44 @@ def _read_text(path: str, error: type[Exception] = ConlluError) -> str:
     try:
         return sys.stdin.read() if path == "-" else Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
-        raise error(f"cannot read {_shown(path)}: {exc}") from exc
+        raise error(_cannot_read(path, exc)) from exc
+
+
+def _cannot_read(path: str, exc: OSError | UnicodeDecodeError) -> str:
+    """What reading ``path`` (stdin for ``-``) that raised ``exc`` is
+    reported as. Text that is not UTF-8 is named by its first bad byte, and
+    a file also by that byte's line and offset: ``exc`` counts from the start
+    of the block it was decoding, so the file is decoded again to find them."""
+    if not isinstance(exc, UnicodeDecodeError):
+        return f"cannot read {_shown(path)}: {exc}"
+    where = ""
+    if path != "-":
+        with suppress(OSError):
+            exc, where = _first_undecodable(path) or (exc, "")
+    return (f"cannot read {_shown(path)}: '{exc.encoding}' codec can't decode byte "
+            f"0x{exc.object[exc.start]:02x}{where}: {exc.reason}")
+
+
+def _first_undecodable(path: str) -> tuple[UnicodeDecodeError, str] | None:
+    """The first error decoding the file at ``path`` as UTF-8 meets, and
+    where: the line of its first byte, as ``_lines`` counts lines, and its
+    offset in the file; None for a file that decodes."""
+    decoder = codecs.getincrementaldecoder("utf-8")()
+    lines, tail, offset = 0, "", 0  # lines before the last one begun (tail); bytes read
+    with open(path, "rb") as fh:
+        while True:
+            block = fh.read(1 << 16)
+            held = len(decoder.getstate()[0])  # the bytes of a character cut at a block end
+            try:
+                text = decoder.decode(block, final=not block)
+            except UnicodeDecodeError as exc:  # its positions count from the held bytes
+                line = lines + len((tail + exc.object[:exc.start].decode() + "?").splitlines())
+                return exc, f" on line {line}, at byte offset {offset - held + exc.start}"
+            if not block:
+                return None
+            offset += len(block)
+            *done, tail = (tail + text).splitlines(keepends=True) or [""]
+            lines += len(done)
 
 
 @contextmanager
@@ -207,7 +253,7 @@ def _lines(path: str) -> Iterator[str]:
             while block := fh.read(1 << 16):
                 yield from (block + fh.readline()).splitlines()
     except (OSError, UnicodeDecodeError) as exc:
-        raise _Unreadable(f"cannot read {_shown(path)}: {exc}") from exc
+        raise _Unreadable(_cannot_read(path, exc)) from exc
 
 
 def _parsed(path: str, lines: Iterable[str] | None = None) -> Iterator[Document]:
@@ -258,6 +304,7 @@ def _each_document(path: str, fn: Callable[[Document], Iterable[str]]):
 # -- commands --------------------------------------------------------------------
 
 def cmd_convert(args) -> int:
+    from .reindex import IdMap
     fmt = Format(args.format)
 
     def as_text(doc: Document) -> list[str]:
@@ -314,6 +361,7 @@ def cmd_decode(args) -> int:
 
 
 def cmd_clean(args) -> int:
+    from .align import clean as clean_output
     source = _read_text(args.input)
     noisy = _read_text(args.model_output)
     annotated, diags = clean_output(source, noisy, Format(args.format),
@@ -326,6 +374,7 @@ def cmd_clean(args) -> int:
 
 
 def cmd_annotate(args) -> int:
+    from .pipeline import annotate_documents
     job = load_job_config(args.config, vars(args))
     cfg = pipeline_config(job)
     if job.jobs < 1:
@@ -359,6 +408,7 @@ def cmd_annotate(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
+    from . import metrics
     # datasets are keyed by stem (metrics.conll_f1): a second file of one
     # stem on a side would take the first one's place unseen
     for flag, paths in (("--gold", args.gold), ("--pred", args.pred)):
@@ -394,6 +444,7 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_stats(args) -> int:
+    from . import metrics
     gold = Corpus([(_dataset_id(p), list(_read_documents(p))) for p in args.input])
     dens = metrics.density(gold, include_singletons=not args.no_singletons)
     cdf = metrics.antecedent_cdf(gold)
@@ -410,6 +461,7 @@ def cmd_stats(args) -> int:
 
 
 def cmd_export_train(args) -> int:
+    from .pipeline import export_training_pairs
     cfg = pipeline_config(load_job_config(args.config, vars(args)))
 
     def pairs(doc: Document) -> Iterator[str]:
@@ -432,7 +484,7 @@ def _add_format(p, default="headword"):
 
 def _add_pipeline_flags(p):
     p.add_argument("--config", help="JSON file with JobConfig keys")
-    p.add_argument("--preset", choices=sorted(PRESETS), default=None)
+    p.add_argument("--preset", choices=PRESET_NAMES, default=None)
     p.add_argument("--sentences-per-batch", type=int, default=None,
                    dest="sentences_per_batch")
     p.add_argument("--context-budget", type=int, default=None, dest="context_budget")
@@ -530,7 +582,8 @@ def main(argv: list[str] | None = None) -> int:
     except (ConlluError, FormatError, json.JSONDecodeError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except BackendError as exc:
+    # pipeline's BackendError; a run that has not loaded pipeline raised none
+    except getattr(sys.modules.get(f"{__package__}.pipeline"), "BackendError", ()) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

@@ -25,7 +25,7 @@ from __future__ import annotations
 import itertools
 import re
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass, field, fields as dataclass_fields
+from dataclasses import dataclass, field, fields as dataclass_fields, replace
 from operator import attrgetter
 
 
@@ -176,6 +176,24 @@ def mention_head(fragments: tuple[tuple[int, int], ...], sentence: Sentence) -> 
         if tok is not None and tok.dep_head not in inside:
             return (p, 0)
     return (positions[0], 0)
+
+
+def mentions_to_document(doc: Document, mentions: list[Mention]) -> Document:
+    """A prediction document over ``doc``'s sentences; duplicates are kept.
+    Each zero mention gets its empty node: a sentence that lacks one is
+    copied with the node added, so ``doc``'s own sentences never change."""
+    chains: dict[str, Chain] = {}
+    sentences = list(doc.sentences)
+    for m in mentions:
+        chains.setdefault(m.chain_id, Chain(m.chain_id)).mentions.append(m)
+        sent = sentences[m.sent_index]
+        if m.is_zero and all((t.position, t.sub_index) != m.head for t in sent.empty_nodes):
+            nodes = [*sent.empty_nodes, Token(m.head[0], "_", 0, True, m.head[1])]
+            sentences[m.sent_index] = replace(
+                sent, empty_nodes=sorted(nodes, key=lambda t: (t.position, t.sub_index)))
+    for c in chains.values():
+        c.sort()
+    return Document(doc.doc_id, sentences, chains, list(doc.meta))
 
 
 # -- Entity attribute grammar ------------------------------------------------

@@ -25,12 +25,11 @@ import weakref
 from bisect import bisect_left
 from collections import deque
 from collections.abc import Iterable, Iterator
-from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from urllib.parse import urlsplit
 
 from .align import clean
-from .conllu import Chain, Corpus, Document, Mention, Token
+from .conllu import Corpus, Document, Mention, mentions_to_document
 from .diag import Diagnostic
 from .formats import (AnnotatedText, AtomCounts, Format, Layout, _anchor, build_events,
                       cut_at, events_to_mentions, render)
@@ -325,24 +324,6 @@ def _append(acc: AnnotatedText, counts: AtomCounts, piece: AnnotatedText) -> Non
     acc.breaks += [b + offset for b in piece.breaks]
 
 
-def mentions_to_document(doc: Document, mentions: list[Mention]) -> Document:
-    """A prediction document over ``doc``'s sentences; duplicates are kept.
-    Each zero mention gets its empty node: a sentence that lacks one is
-    copied with the node added, so ``doc``'s own sentences never change."""
-    chains: dict[str, Chain] = {}
-    sentences = list(doc.sentences)
-    for m in mentions:
-        chains.setdefault(m.chain_id, Chain(m.chain_id)).mentions.append(m)
-        sent = sentences[m.sent_index]
-        if m.is_zero and all((t.position, t.sub_index) != m.head for t in sent.empty_nodes):
-            nodes = [*sent.empty_nodes, Token(m.head[0], "_", 0, True, m.head[1])]
-            sentences[m.sent_index] = replace(
-                sent, empty_nodes=sorted(nodes, key=lambda t: (t.position, t.sub_index)))
-    for c in chains.values():
-        c.sort()
-    return Document(doc.doc_id, sentences, chains, list(doc.meta))
-
-
 @dataclass
 class WindowReport:
     window_index: int
@@ -448,6 +429,8 @@ def annotate_documents(docs: Iterable[Document], backend: ModelBackend,
         for doc in docs:
             yield annotate_document(doc, backend, cfg)
         return
+    # deferred: it imports logging too, which one document at a time never needs
+    from concurrent.futures import Future, ThreadPoolExecutor
     slots = threading.BoundedSemaphore(2 * jobs)  # one per read, unfinished document
     ahead: deque[Future] = deque()  # submitted and not yet yielded, in input order
     with ThreadPoolExecutor(max_workers=jobs) as pool:

@@ -37,8 +37,8 @@ from collections.abc import Callable, Iterable, Iterator
 from contextlib import contextmanager, suppress
 from typing import Any, BinaryIO, NamedTuple, TextIO
 
-from .conllu import ConlluError, Document, Sentence, Token, is_doc_header
-from .pipeline import mentions_to_document
+from .conllu import (ConlluError, Document, Sentence, Token, is_doc_header,
+                     mentions_to_document)
 
 # A smaller file is read in process. A worker still saves time there (a
 # third of evaluate on a 230 KB pair), but evaluate then ends within the

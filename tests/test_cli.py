@@ -10,7 +10,7 @@ import subprocess
 import sys
 import threading
 import time
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from pathlib import Path
 
 import pytest
@@ -1289,13 +1289,13 @@ def test_the_writer_checks_each_document_id(tmp_path, monkeypatch, capsys):
     [(_, docs)] = random_corpus(2, SynthConfig(seed=6)).datasets
     path, pred = tmp_path / "corpus.conllu", tmp_path / "pred.conllu"
     path.write_text(serialize_corpus(docs), encoding="utf-8")
-    annotate = cli.annotate_documents
+    annotate = pipeline.annotate_documents  # cmd_annotate looks it up there when it runs
 
     def swapped(*args, **kwargs):
         first, second = annotate(*args, **kwargs)
         return iter([second, first])
 
-    monkeypatch.setattr(cli, "annotate_documents", swapped)
+    monkeypatch.setattr(pipeline, "annotate_documents", swapped)
     with reading("worker") as forked:
         assert run("annotate", str(path), "--backend", "empty", "-o", str(pred)) == 2
     assert len(forked) == 1
@@ -1473,6 +1473,49 @@ def test_input_that_is_not_utf8_is_reported(gold_path, tmp_path, monkeypatch, ca
     [line] = captured.err.splitlines()
     name = "<stdin>" if "-" in command else bad
     assert line.startswith(f"error: cannot read {name}: 'utf-8' codec can't decode byte 0xe9")
+
+
+@pytest.mark.parametrize("mode", ["default", "worker"])
+@pytest.mark.parametrize("command", [
+    ("convert", "{bad}"),
+    ("decode", "{bad}"),
+    ("annotate", "{bad}", "--backend", "empty"),
+    ("export-train", "{bad}"),
+    ("evaluate", "--gold", "{gold}", "--pred", "{bad}"),
+    ("stats", "{bad}"),
+    ("clean", "{bad}", "{gold}"),
+], ids=lambda c: c[0])
+def test_input_that_is_not_utf8_is_reported_at_its_line_and_offset(tmp_path, capsys,
+                                                                   command, mode):
+    # past the first 64 KiB block read, the decoder's position counts from the
+    # start of the block; the message names the line and the file offset, read
+    # in process (a file under the default MIN_BYTES) and by a forked reader alike
+    [(_, docs)] = random_corpus(60, SynthConfig(seed=6)).datasets
+    text = serialize_corpus(docs)
+    gold, bad = tmp_path / "gold.conllu", tmp_path / "latin1.conllu"
+    gold.write_text(text, encoding="utf-8")
+    bad.write_bytes((text + "# newdoc id = more\ncaf\xe9\n").encode("latin-1"))
+    offset, line = len(text.encode()) + len("# newdoc id = more\ncaf"), text.count("\n") + 2
+    assert workers.MIN_BYTES > offset > 1 << 16
+    argv = [a.format(bad=bad, gold=gold) for a in command]
+    with reading("worker") if mode == "worker" else nullcontext([]) as forked:
+        assert run(*argv) == 2
+    assert len(forked) == (mode == "worker") * (command[0] in (
+        "convert", "annotate", "export-train", "evaluate"))
+    assert capsys.readouterr() == ("", f"error: cannot read {bad}: 'utf-8' codec can't decode "
+                                       f"byte 0xe9 on line {line}, at byte offset {offset}: "
+                                       "invalid continuation byte\n")
+
+
+def test_stdin_that_is_not_utf8_is_reported_without_a_position(monkeypatch, capsys):
+    # stdin cannot be read again to find the bad byte's place in it
+    [(_, docs)] = random_corpus(60, SynthConfig(seed=6)).datasets
+    body = (serialize_corpus(docs) + "# newdoc id = more\ncaf\xe9\n").encode("latin-1")
+    for command in (("stats", "-"), ("clean", "-", "-")):
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(body), encoding="utf-8"))
+        assert run(*command) == 2
+        assert capsys.readouterr() == ("", "error: cannot read <stdin>: 'utf-8' codec can't "
+                                           "decode byte 0xe9: invalid continuation byte\n")
 
 
 def test_replay_runs_are_deterministic(gold_path, tmp_path):
