@@ -174,12 +174,13 @@ def _read_text(path: str, error: type[Exception] = ConlluError) -> str:
 def _cannot_read(path: str, exc: OSError | UnicodeDecodeError) -> str:
     """What reading ``path`` (stdin for ``-``) that raised ``exc`` is
     reported as. Text that is not UTF-8 is named by its first bad byte, and
-    a file also by that byte's line and offset: ``exc`` counts from the start
-    of the block it was decoding, so the file is decoded again to find them."""
+    a regular file also by that byte's line and offset: ``exc`` counts from
+    the start of the block it was decoding, so the file is decoded again to
+    find them. Stdin or a pipe cannot be read again."""
     if not isinstance(exc, UnicodeDecodeError):
         return f"cannot read {_shown(path)}: {exc}"
     where = ""
-    if path != "-":
+    if path != "-" and Path(path).is_file():
         with suppress(OSError):
             exc, where = _first_undecodable(path) or (exc, "")
     return (f"cannot read {_shown(path)}: '{exc.encoding}' codec can't decode byte "

@@ -1518,6 +1518,26 @@ def test_stdin_that_is_not_utf8_is_reported_without_a_position(monkeypatch, caps
                                            "decode byte 0xe9: invalid continuation byte\n")
 
 
+def test_a_pipe_that_is_not_utf8_is_reported_without_a_position(tmp_path):
+    # a named pipe is read once: the message is stdin's, and nothing waits on
+    # a second reader of the pipe
+    fifo = tmp_path / "corpus.conllu"
+    os.mkfifo(fifo)
+    src = str(Path(corefkit.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    writer = threading.Thread(target=lambda: fifo.write_bytes(
+        SISTER_CONLLU.encode() + b"# newdoc id = more\ncaf\xe9\n"))
+    writer.start()
+    proc = subprocess.run([sys.executable, "-m", "corefkit", "stats", str(fifo)],
+                          capture_output=True, text=True, timeout=60, env=env)
+    writer.join(timeout=10)
+    assert not writer.is_alive()
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        2, "", f"error: cannot read {fifo}: 'utf-8' codec can't decode byte 0xe9: "
+               "invalid continuation byte\n")
+
+
 def test_replay_runs_are_deterministic(gold_path, tmp_path):
     pairs_path = tmp_path / "pairs.jsonl"
     run("export-train", gold_path, "-o", str(pairs_path))

@@ -14,15 +14,21 @@ from corefkit.conllu import serialize_corpus
 from corefkit.pipeline import PRESETS
 from corefkit.synth import SynthConfig, random_corpus
 
-# run in a fresh interpreter: the corefkit modules (and concurrent.futures)
-# loaded by the statement in argv[1], then by cli.main(argv[2:]) if given
+# run in a fresh interpreter: the exit code of cli.main(argv[2:]), if given,
+# and the corefkit modules (and concurrent.futures) loaded by then, after the
+# statement in argv[1]
 PROBE = """import json, sys
 exec(sys.argv[1])
+code = None
 if len(sys.argv) > 2:
     from corefkit import cli
-    assert cli.main(sys.argv[2:]) == 0
-print(json.dumps(sorted(m for m in sys.modules
-                        if m.partition(".")[0] == "corefkit" or m == "concurrent.futures")))
+    try:
+        code = cli.main(sys.argv[2:])
+    except SystemExit as exc:  # --help
+        code = exc.code
+print(json.dumps([code, sorted(m for m in sys.modules
+                               if m.partition(".")[0] == "corefkit"
+                               or m == "concurrent.futures")]))
 """
 
 CLI = {"corefkit", "corefkit.cli", "corefkit.conllu", "corefkit.formats", "corefkit.diag"}
@@ -40,22 +46,35 @@ def files(tmp_path_factory):
     return tmp
 
 
-def loaded(statement: str, *argv: str, cwd: Path | None = None) -> set[str]:
+def loaded(statement: str, *argv: str, cwd: Path | None = None) -> tuple[int | None, set[str]]:
     src = str(Path(corefkit.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, "-c", PROBE, statement, *argv], cwd=cwd, env=env,
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    return set(json.loads(proc.stdout.splitlines()[-1]))
+    code, modules = json.loads(proc.stdout.splitlines()[-1])
+    return code, set(modules)
 
 
 def test_importing_the_package_loads_no_module_of_it():
-    assert loaded("import corefkit") == {"corefkit"}
+    assert loaded("import corefkit") == (None, {"corefkit"})
 
 
 def test_importing_the_cli_loads_only_the_reader_and_the_formats_besides():
-    assert loaded("import corefkit.cli") == CLI
+    assert loaded("import corefkit.cli") == (None, CLI)
+
+
+@pytest.mark.parametrize("argv, code", [
+    (("--help",), 0),
+    (("annotate", "--help"), 0),
+    (("convert", "x", "--format", "bogus"), 1),
+    (("annotate", "x", "--preset", "nope"), 1),
+    (("export-train", "x", "--preset", "nope"), 1),
+])
+def test_help_and_argument_errors_load_nothing_more(argv, code):
+    # the parser, its --format and --preset choices included, needs no module cli does not load
+    assert loaded("pass", *argv) == (code, CLI)
 
 
 @pytest.mark.parametrize("argv, modules", [
@@ -76,7 +95,7 @@ def test_importing_the_cli_loads_only_the_reader_and_the_formats_besides():
 def test_each_command_loads_only_the_modules_it_runs(files, argv, modules):
     # evaluate and stats load no pipeline, align, reindex or synth; one
     # document at a time, nothing loads metrics, synth or concurrent.futures
-    assert loaded("pass", *argv, cwd=files) == CLI | modules
+    assert loaded("pass", *argv, cwd=files) == (0, CLI | modules)
 
 
 def test_every_exported_name_is_its_modules_own():
