@@ -166,9 +166,19 @@ def _read_text(path: str, error: type[Exception] = ConlluError) -> str:
     """The text at ``path`` (stdin for ``-``); an unreadable path or one
     that is not UTF-8 raises ``error``."""
     try:
-        return sys.stdin.read() if path == "-" else Path(path).read_text(encoding="utf-8")
+        return _stdin().read() if path == "-" else Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise error(_cannot_read(path, exc)) from exc
+
+
+def _stdin() -> TextIO:
+    """Stdin, decoded as strict UTF-8 as files are: by the locale, Python
+    may decode it with ``surrogateescape`` (C/POSIX), which lets a byte
+    that is not UTF-8 through. A test's ``StringIO`` is read as it is."""
+    if hasattr(sys.stdin, "reconfigure") and (sys.stdin.encoding, sys.stdin.errors) != (
+            "utf-8", "strict"):  # set once: reconfigure fails after a read
+        sys.stdin.reconfigure(encoding="utf-8", errors="strict")
+    return sys.stdin
 
 
 def _cannot_read(path: str, exc: OSError | UnicodeDecodeError) -> str:
@@ -250,7 +260,7 @@ def _lines(path: str) -> Iterator[str]:
     ``str.splitlines`` gives them, read a block at a time: each block is
     completed to a line end, so no line is split across two."""
     try:
-        with nullcontext(sys.stdin) if path == "-" else open(path, encoding="utf-8") as fh:
+        with nullcontext(_stdin()) if path == "-" else open(path, encoding="utf-8") as fh:
             while block := fh.read(1 << 16):
                 yield from (block + fh.readline()).splitlines()
     except (OSError, UnicodeDecodeError) as exc:

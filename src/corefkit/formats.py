@@ -10,8 +10,8 @@ Four wire grammars over whitespace-delimited atoms:
 
 The tag formats' grammar lives in ``TAGS``, one template per event kind:
 render fills the templates in, decode compiles them into one atom pattern
-per format, and ``AtomCounts`` counts the atoms a rendering would have, so
-context trimming can size a cut without rendering it.
+per format, and ``Layout``, the window walker's context, counts the atoms a
+rendering would have, so it sizes a cut without rendering it.
 
 From the wire reader on, a mention span is one event, ``SPAN`` with its
 first and last token: ``_Decoder`` is the one place that pairs an open tag
@@ -210,36 +210,26 @@ def cut_at(annotated: AnnotatedText, lo: int) -> tuple[int, int]:
     ``lo``: the text opens a line at the cut anyway, and a break there (one
     at 0 included) would only open it with an empty line. Anchors never
     decrease and breaks ascend (see :class:`AnnotatedText`), so both are
-    found by bisection. ``slice_annotated``, ``render`` and
-    ``Layout.fill`` cut by it."""
+    found by bisection. ``slice_annotated`` and ``Layout.fill`` cut by
+    it."""
     return (bisect_left(annotated.events, lo or -1, key=_anchor),
             bisect_right(annotated.breaks, lo))
 
 
-def render(annotated: AnnotatedText, lo: int | None = None,
+def render(annotated: AnnotatedText,
            index: Callable[[int | str], int | str] | None = None) -> str:
-    """Single-space joined atoms, a new line at each of ``breaks``; events
-    anchored outside the text, but for leading ones at -1, render nothing.
-
-    Given a cut ``lo``, it renders tokens ``lo`` on as
-    ``slice_annotated(annotated, lo, n)`` would, without making the slice:
-    the events and breaks that :func:`cut_at` keeps, atoms at
-    ``anchor - lo``. Without one it renders the whole text as it is, a
-    break at 0 (an empty first sentence) as an empty first line and
-    unsorted breaks included. ``index(chain)``, when given, is called once
-    per rendered event, in event order, and its result is shown in place
-    of the chain id, so ``IdMap.assign`` numbers chains by first appearance
-    as ``localize`` does. The text is laid out with a slot for each chain
-    index (:func:`_lay_out`), and the slots filled in (:func:`_fill`)."""
-    events, breaks, words = annotated.events, annotated.breaks, annotated.tokens[lo or 0:]
-    if lo is None:
-        lo = 0
-    else:
-        first_event, first_break = cut_at(annotated, lo)
-        events, breaks = events[first_event:], breaks[first_break:]
-    return _rendered(annotated.fmt, words, events, lo,
-                     sorted({b - lo for b in breaks if 0 <= b - lo < len(words)}),
-                     _shown(events, index))
+    """Single-space joined atoms, a new line at each of ``breaks`` (at 0
+    too: an empty first sentence), in any order; events anchored outside
+    the text, but for leading ones at -1, render nothing. ``index(chain)``,
+    when given, is called once per rendered event, in event order, and its
+    result is shown in place of the chain id, so ``IdMap.assign`` numbers
+    chains by first appearance as ``localize`` does. The text is laid out
+    with a slot for each chain index (:func:`_lay_out`), and the slots
+    filled in (:func:`_fill`)."""
+    words = list(annotated.tokens)
+    return _rendered(annotated.fmt, words, annotated.events, 0,
+                     sorted({b for b in annotated.breaks if 0 <= b < len(words)}),
+                     _shown(annotated.events, index))
 
 
 def _shown(events: Sequence[TagEvent], index) -> list[str]:
@@ -374,110 +364,141 @@ def _rendered(fmt: Format, words: list[str], events: Sequence[TagEvent], lo: int
 
 
 class Layout:
-    """The window walker's accumulator kept rendered, with a slot for each
-    chain index, so that no prompt renders it again.
+    """The window walker's context: the pieces appended so far, their atom
+    counts and their rendering, kept together so that no prompt trims,
+    localizes or renders the context again.
+
+    ``annotated`` holds the pieces as one text, each after the first
+    opening a line. With ``index`` an ``idmap.assign``, ``fill(lo, index)``
+    is ``localize(slice_annotated(annotated, lo, n), idmap)[0].render()``,
+    with Python work that follows the kept events, not the tokens and lines.
+
+    A token is charged its own atoms, those of the zero and head events
+    after it, and those of each span that opens on it; a crac form that is
+    empty or ends in whitespace renders its ``|items`` as an atom of their
+    own, charged to the latest span whose item it carries. Events at -1
+    render ahead of the first token and are counted apart in ``lead``; a
+    later piece's are charged to the token before it. So a suffix cut at
+    token ``c`` renders ``prefix[n] - prefix[c]`` atoms.
 
     ``runs[k]`` is the text ahead of slot ``k``, which shows the chain of
     event ``slots[k]``; ``tail`` holds the text after the last slot, in
-    pieces, so what is added after it is copied once, when the next slot
-    closes it. Offsets into the text count a slot as one character.
-
-    ``extend`` lays out each piece the walker appends to its accumulator,
-    and ``fill`` gives the context from a cut: ``render(acc, cut, index)``,
-    with Python work that follows the kept events, not the tokens and
-    lines. Where runs and tokens start, and how far spans reach, is worked
-    out only when a prompt is cut inside the text (``_settle``), and then
-    only for what was added since.
+    pieces, copied once, when the next slot closes it. Offsets into the
+    text count a slot as one character. Where tokens start is worked out
+    only when a prompt is cut inside the text.
     """
 
     def __init__(self, fmt: Format):
         self.fmt = Format(fmt)
+        self.annotated = AnnotatedText([], [], self.fmt, [])
+        # atoms per event kind as its tags render; crac span items join onto their token
+        tags = {OPEN: "", CLOSE: "", HEAD: "", **TAGS.get(self.fmt, {ZERO: "##|[e{k}]"})}
+        self.atoms = {SPAN: len(f"{tags[OPEN]} {tags[CLOSE]}".split()),
+                      HEAD: len(tags[HEAD].split()), ZERO: len(tags[ZERO].split())}
+        self.lead = 0
+        self.prefix = [0]  # prefix[i]: atoms charged to tokens [0, i)
+        self.reach = [0]   # reach[j]: 1 + the last token of any span among events[:j]
         self.runs: list[str] = []
         self.slots: list[int] = []
         self.tail: list[str] = []
-        self.size = 0      # the text's length
-        self.n_tokens = 0  # tokens laid out
-        self.n_events = 0  # events laid out
-        self.run_starts: list[int] = []  # where runs[k] starts, once settled
-        self.starts = array("q")         # where token i starts, once settled
+        self.size = 0             # the text's length
+        self.run_starts = [0]     # where runs[k] starts, then where the tail does
+        self.starts = array("q")  # where token i starts, once settled
         self.unsettled: list[tuple[int, list[str]]] = []  # (where, words) laid out since
-        self.reach = [0]  # reach[j]: 1 + the last token of any span among events[:j]
 
     def extend(self, piece: AnnotatedText) -> None:
-        """Lay ``piece`` out as appended after the tokens laid out so far:
-        it opens a new line, and its events at -1 follow the last token
-        before it."""
+        """Append ``piece`` after the tokens so far: it opens a new line,
+        and its events at -1 follow the last token before it. One walk over
+        its events shifts them into ``annotated`` and charges them;
+        ``_lay_out`` lays them out."""
+        acc, offset, first = self.annotated, len(self.annotated.tokens), len(self.annotated.events)
+        charged = [len(form.split()) for form in piece.tokens]
+        carried: dict[int, int] = {}  # crac: token -> latest span whose item it carries
+        lead, reach = 0, self.reach[-1]
+        for ev in piece.events:
+            if ev.end is not None:
+                reach = max(reach, ev.end + offset + 1)
+                if self.fmt is Format.CRAC:
+                    # in slot order, the span visited last opened last
+                    carried[ev.anchor] = carried[ev.end] = ev.anchor
+            if ev.anchor < 0:
+                lead += self.atoms[ev.kind]
+            else:
+                charged[ev.anchor] += self.atoms[ev.kind]
+            self.reach.append(reach)
+            acc.events.append(ev.shifted(offset))
+        for token, opened in carried.items():
+            form = piece.tokens[token]
+            if not form or form[-1].isspace():
+                charged[opened] += 1
+        if offset:
+            self.prefix[-1] += lead
+            acc.breaks.append(offset)
+        else:
+            self.lead += lead
+        self.prefix += accumulate(charged, initial=self.prefix.pop())
+        acc.breaks += [b + offset for b in piece.breaks]
+        acc.tokens += piece.tokens
+
         words = list(piece.tokens)
         lines = sorted({b for b in piece.breaks if 0 < b < len(words)})
-        if self.n_tokens:
+        if offset:
             lines.insert(0, 0)
-        text, slots, slot, start = _lay_out(self.fmt, words, piece.events, 0, lines,
-                                            self.n_events, bool(self.n_tokens or self.size))
+        text, slots, slot, start = _lay_out(self.fmt, words, piece.events, 0, lines, first,
+                                            bool(offset or self.size))
         if words:
             self.unsettled.append((self.size + start, words))
-        self.n_tokens += len(words)
-        self.n_events += len(piece.events)
         self.size += len(text)
         if not slots:
             self.tail.append(text)
             return
         runs = text.split(slot)
         self.tail.append(runs[0])
-        self.runs.append("".join(self.tail))
-        self.runs += runs[1:-1]
+        runs[0] = "".join(self.tail)
+        # a run, and the tail, starts one past the slot ahead of it
+        self.run_starts[-1:] = accumulate(map(_plus_one, map(len, runs[:-1])),
+                                          initial=self.run_starts[-1])
+        self.runs += runs[:-1]
         self.tail[:] = runs[-1:]
         self.slots += slots
 
-    def _settle(self, events: Sequence[TagEvent]) -> None:
-        """Work out where each run and token laid out since the last call
-        starts, and how far the spans among ``events``, the accumulator's,
-        reach."""
-        runs, run_starts = self.runs, self.run_starts
-        if len(run_starts) < len(runs):
-            # a run starts one past the slot ahead of it
-            k = len(run_starts)
-            start = run_starts[-1] + len(runs[k - 1]) + 1 if k else 0
-            run_starts += accumulate(map(_plus_one, map(len, runs[k:-1])), initial=start)
-        for where, words in self.unsettled:
-            self.starts.extend(accumulate(map(_plus_one, map(len, words[:-1])), initial=where))
-        self.unsettled.clear()
-        reach = self.reach[-1]
-        for ev in events[len(self.reach) - 1:]:
-            if ev.end is not None:
-                reach = max(reach, ev.end + 1)
-            self.reach.append(reach)
+    def cut(self, budget: int) -> int:
+        """The smallest cut whose suffix renders at most ``budget`` atoms,
+        or the token count when there is none; renders nothing."""
+        n = len(self.prefix) - 1
+        total = self.prefix[n]
+        if n == 0 or self.lead + total <= budget:
+            return 0
+        return bisect_left(self.prefix, total - budget, 1, n)
 
     def _join(self, shown: Sequence[str], first: int, at: int) -> str:
         """The text from offset ``at`` on, slots filled in as ``_fill``
-        fills them; from past 0 it must be settled."""
-        runs, tail = self.runs, "".join(self.tail)
-        if not at:
-            return _fill([*runs, tail], self.slots, shown, first) if runs else tail
-        tail_start = self.run_starts[-1] + len(runs[-1]) + 1 if runs else 0
-        if at >= tail_start:
-            return tail[at - tail_start:]
-        r = bisect_right(self.run_starts, at) - 1
-        return _fill([runs[r][at - self.run_starts[r]:], *runs[r + 1:], tail],
-                     self.slots[r:], shown, first)
+        fills them."""
+        r = bisect_right(self.run_starts, at) - 1  # len(runs): at is in the tail
+        runs = [*self.runs[r:], "".join(self.tail)]
+        runs[0] = runs[0][at - self.run_starts[r]:]
+        return _fill(runs, self.slots[r:], shown, first)
 
-    def fill(self, annotated: AnnotatedText, lo: int,
-             index: Callable[[int | str], int | str] | None = None) -> str:
-        """``render(annotated, lo, index)``, where ``annotated`` holds the
-        pieces laid out so far, appended as the window walker appends them:
-        the layout from token ``lo`` on, with its slots filled in.
+    def fill(self, lo: int, index: Callable[[int | str], int | str] | None = None) -> str:
+        """The context from token ``lo`` on, with its slots filled in: the
+        events and breaks that :func:`cut_at` keeps, each event showing
+        ``index(chain)``, called once per kept event in event order, or its
+        chain.
 
-        ``index`` is called once per kept event, in event order, as render
-        calls it. A span that straddles the cut has its close atom in the
-        layout, so the tokens from ``lo`` to the first one past every such
-        span are laid out anew, as render lays them out."""
-        events = annotated.events
+        A span that straddles the cut has its close atom in the layout, so
+        the tokens from ``lo`` to the first one past every such span are
+        laid out anew, as ``render`` would lay out their slice."""
+        annotated = self.annotated
+        events, n = annotated.events, len(annotated.tokens)
         first, first_break = cut_at(annotated, lo)
         shown = _shown(events[first:], index)
         if lo == 0:
             return self._join(shown, first, 0)
-        if lo >= self.n_tokens:
+        if lo >= n:
             return ""
-        self._settle(events)
+        for where, words in self.unsettled:  # a word starts one past the word ahead of it
+            self.starts.extend(accumulate(map(_plus_one, map(len, words[:-1])), initial=where))
+        self.unsettled.clear()
         clear = max(lo, self.reach[first])  # the first token past every straddling span
         if clear == lo:
             return self._join(shown, first, self.starts[lo])
@@ -486,80 +507,10 @@ class Layout:
         head = _rendered(self.fmt, annotated.tokens[lo:clear],
                          events[first:bisect_left(events, clear, first, key=_anchor)], lo,
                          sorted({b - lo for b in breaks[first_break:last_break]}), shown, first)
-        if clear == self.n_tokens:
+        if clear == n:
             return head
         sep = "\n" if last_break < len(breaks) and breaks[last_break] == clear else " "
         return head + sep + self._join(shown, first, self.starts[clear])
-
-
-# rendered atoms per event kind: one or two per tag template, a span's open
-# and close together; one per crac zero (``##|[eK]``), while crac span and
-# head items join onto their token
-_ATOM_COUNTS: dict[Format, dict[str, int]] = {
-    fmt: {kind: len(template.split()) for kind, template in tags.items()}
-    for fmt, tags in TAGS.items()}
-for _atoms in _ATOM_COUNTS.values():
-    _atoms[SPAN] = _atoms.pop(OPEN, 0) + _atoms.pop(CLOSE, 0)
-_ATOM_COUNTS[Format.CRAC] = {SPAN: 0, HEAD: 0, ZERO: 1}
-
-
-class AtomCounts:
-    """Rendered atoms of a growing :class:`AnnotatedText`, charged to tokens.
-
-    A token is charged its own atoms, those of the zero and head events
-    after it, and those of each span that opens on it. A crac form that is
-    empty or ends in whitespace renders its ``|items`` as an atom of their
-    own when it carries any; that atom is charged to the latest span whose
-    item the form carries. Events anchored at -1 render ahead of the first
-    token and are counted apart in ``lead``. So a suffix cut at token ``c``
-    renders the atoms charged from ``c`` on, which ``prefix`` gives as a
-    difference.
-
-    The counts are exact for every suffix that ``render(acc, cut, index)``
-    renders from the accumulator the window walker builds, with display
-    chain indices numbered by first appearance (the same suffix that
-    ``slice_annotated`` cuts and ``localize`` renumbers).
-    """
-
-    def __init__(self, fmt: Format):
-        self.fmt = Format(fmt)
-        self.atoms = _ATOM_COUNTS[self.fmt]
-        self.lead = 0
-        self.prefix = [0]  # prefix[i]: atoms charged to tokens [0, i)
-
-    def extend(self, piece: AnnotatedText) -> None:
-        """Count ``piece`` as appended after the tokens counted so far. Its
-        events at -1 are charged to the last token before it."""
-        charged = [len(form.split()) for form in piece.tokens]
-        carried: dict[int, int] = {}  # crac: token -> latest span whose item it carries
-        lead = 0
-        for ev in piece.events:
-            if ev.kind == SPAN and self.fmt is Format.CRAC:
-                # in slot order, the span visited last opened last
-                carried[ev.anchor] = carried[ev.end] = ev.anchor
-            if ev.anchor < 0:
-                lead += self.atoms[ev.kind]
-            else:
-                charged[ev.anchor] += self.atoms[ev.kind]
-        for token, opened in carried.items():
-            form = piece.tokens[token]
-            if not form or form[-1].isspace():
-                charged[opened] += 1
-        if len(self.prefix) > 1:
-            self.prefix[-1] += lead
-        else:
-            self.lead += lead
-        for atoms in charged:
-            self.prefix.append(self.prefix[-1] + atoms)
-
-    def cut(self, budget: int) -> int:
-        """The smallest cut whose counted suffix is at most ``budget`` atoms,
-        or the token count when there is none."""
-        n = len(self.prefix) - 1
-        total = self.prefix[n]
-        if n == 0 or self.lead + total <= budget:
-            return 0
-        return bisect_left(self.prefix, total - budget, 1, n)
 
 
 # -- decoding ----------------------------------------------------------------

@@ -31,8 +31,8 @@ from urllib.parse import urlsplit
 from .align import clean
 from .conllu import Corpus, Document, Mention, mentions_to_document
 from .diag import Diagnostic
-from .formats import (AnnotatedText, AtomCounts, Format, Layout, _anchor, build_events,
-                      cut_at, events_to_mentions, render)
+from .formats import (AnnotatedText, Format, Layout, _anchor, build_events, cut_at,
+                      events_to_mentions, render)
 from .reindex import IdAllocator, IdMap, globalize
 
 
@@ -114,10 +114,10 @@ def slice_annotated(annotated: AnnotatedText, lo: int, hi: int) -> AnnotatedText
     """Tokens [lo, hi) with their events, re-anchored to the slice.
 
     What the cut at ``lo`` keeps is :func:`~corefkit.formats.cut_at`'s rule,
-    which ``render`` shares; at ``hi`` a span that ends at or past it is
+    which ``Layout.fill`` shares; at ``hi`` a span that ends at or past it is
     dropped. At a sentence boundary nothing straddles. A cut between tokens,
-    as :func:`truncate_context` makes, can fall inside a mention: its words
-    stay in the slice untagged.
+    as ``Layout.cut`` makes, can fall inside a mention: its words stay in
+    the slice untagged.
     """
     # anchors never decrease and breaks ascend, so hi is bisected as well
     events, breaks = annotated.events, annotated.breaks
@@ -133,25 +133,19 @@ def slice_annotated(annotated: AnnotatedText, lo: int, hi: int) -> AnnotatedText
     )
 
 
-def truncate_context(annotated: AnnotatedText, budget: int,
-                     counts: AtomCounts | None = None) -> AnnotatedText:
+def truncate_context(annotated: AnnotatedText, budget: int) -> AnnotatedText:
     """Largest whole-token suffix whose prompt context is at most ``budget``
     words.
 
     "Words" are whitespace-separated atoms of the suffix as the prompt
     shows it, localized to display chain indices, so inline tags count
     against the budget (two atoms each in the verbose XML form). The cut is
-    the smallest one whose suffix fits by ``counts``, the
-    :class:`AtomCounts` of ``annotated`` (made here when not given), which
-    are exact for the accumulator the window walker builds; finding it
-    renders nothing and takes time logarithmic in the text's length. The
-    walker itself makes no slice: it renders the same suffix from the
-    accumulator with ``render(acc, counts.cut(budget), index)``.
+    ``Layout.cut``'s, of ``annotated`` laid out as one piece; it renders
+    nothing. The window walker's ``Layout`` fills this suffix in itself.
     """
-    if counts is None:
-        counts = AtomCounts(annotated.fmt)
-        counts.extend(annotated)
-    return slice_annotated(annotated, counts.cut(budget), len(annotated.tokens))
+    layout = Layout(annotated.fmt)
+    layout.extend(annotated)
+    return slice_annotated(annotated, layout.cut(budget), len(annotated.tokens))
 
 
 # -- model backends --------------------------------------------------------------
@@ -313,17 +307,6 @@ class HttpBackend(ModelBackend):
 
 # -- annotation loop -------------------------------------------------------------
 
-def _append(acc: AnnotatedText, counts: AtomCounts, piece: AnnotatedText) -> None:
-    """Append ``piece`` to ``acc`` in place and add it to ``acc``'s counts."""
-    counts.extend(piece)
-    offset = len(acc.tokens)
-    acc.tokens += piece.tokens
-    acc.events += [ev.shifted(offset) for ev in piece.events]
-    if offset:
-        acc.breaks.append(offset)
-    acc.breaks += [b + offset for b in piece.breaks]
-
-
 @dataclass
 class WindowReport:
     window_index: int
@@ -338,35 +321,30 @@ def _walk_windows(doc: Document, cfg: PipelineConfig, take) -> None:
     """The one loop over a document's windows, shared by annotation and
     training export so both build the same prompts.
 
-    Each window's prompt holds the annotation accumulated so far, trimmed to
-    the budget and localized, plus the raw batch of sentences [lo, hi),
-    rendered as ``text``. The accumulator is kept rendered as a
-    :class:`~corefkit.formats.Layout`, extended by each window's piece:
-    ``AtomCounts.cut`` gives the cut, and ``Layout.fill`` gives what
-    ``render`` would from there, numbering chains through ``idmap.assign``
-    as it meets them, ``idmap`` being a fresh :class:`IdMap` or, under
-    ``reindex=False``, the document's own; no trimmed or localized copy of
-    the context is made, and the accumulator is not rendered again.
+    Each window's prompt holds the context, the annotation accumulated so
+    far trimmed to the budget and localized, plus ``text``, the raw batch of
+    sentences [lo, hi) rendered. The accumulator is a
+    :class:`~corefkit.formats.Layout`, whose ``cut`` and ``fill`` give the
+    context, numbering chains through ``idmap.assign``: ``idmap`` is a
+    fresh :class:`IdMap` or, under ``reindex=False``, the document's own.
     ``take(w_index, lo, hi, text, prompt, idmap)`` handles the window and
     returns its events, with global chain ids and anchored to the batch;
     they become context for the windows after it.
     """
-    acc = AnnotatedText([], [], cfg.fmt, [])
-    counts = AtomCounts(cfg.fmt)
     layout = Layout(cfg.fmt)
     doc_map = IdMap() if not cfg.reindex else None
     windows = iter_windows(len(doc.sentences), cfg.sentences_per_batch)
+    starts = doc.sentence_starts()
     for w_index, (lo, hi) in enumerate(windows):
-        batch = build_events(doc.sentences[lo:hi], (), cfg.fmt)
+        batch = AnnotatedText([t.form for s in doc.sentences[lo:hi] for t in s.tokens], [],
+                              cfg.fmt, tuple(b - starts[lo] for b in starts[lo + 1:hi]))
         idmap = doc_map if doc_map is not None else IdMap()
-        context = layout.fill(acc, counts.cut(cfg.context_budget), idmap.assign)
+        context = layout.fill(layout.cut(cfg.context_budget), idmap.assign)
         text = batch.render()
         prompt = build_prompt(context, text, cfg.fmt)
         events = take(w_index, lo, hi, text, prompt, idmap)
         if w_index + 1 < len(windows):  # the last window is context for none
-            piece = replace(batch, events=events)
-            _append(acc, counts, piece)
-            layout.extend(piece)
+            layout.extend(replace(batch, events=events))
 
 
 def annotate_document(doc: Document, backend: ModelBackend,

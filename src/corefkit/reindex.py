@@ -2,7 +2,7 @@
 
 Models see small integer indices, documents keep global chain ids. localize
 numbers the chains visible in a context 0..N-1 by first appearance, as
-``IdMap.assign`` does when the window walker passes it to ``formats.render``
+``IdMap.assign`` does when the window walker passes it to ``Layout.fill``
 as the index hook; globalize maps predicted indices back, minting
 deterministic fresh ids (e<max+1> style) for indices the map does not hold,
 in order of first appearance, so repeats of a new index corefer within the

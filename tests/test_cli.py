@@ -1538,6 +1538,22 @@ def test_a_pipe_that_is_not_utf8_is_reported_without_a_position(tmp_path):
                "invalid continuation byte\n")
 
 
+@pytest.mark.parametrize("command", ["stats", "convert"])
+def test_stdin_that_is_not_utf8_is_an_error_under_a_c_locale(command):
+    # a C/POSIX locale has Python decode stdin with surrogateescape, which
+    # lets the bad byte through as a lone surrogate
+    src = str(Path(corefkit.__file__).resolve().parents[1])
+    env = dict(os.environ, LC_ALL="C", PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "corefkit", command, "-"],
+                          input=b"# newdoc id = d\n# sent_id = 1\n"
+                                b"1\tcaf\xe9\t_\t_\t_\t_\t0\troot\t_\t_\n\n",
+                          capture_output=True, timeout=60, env=env)
+    assert (proc.returncode, proc.stdout, proc.stderr.decode()) == (
+        2, b"", "error: cannot read <stdin>: 'utf-8' codec can't decode byte 0xe9: "
+                "invalid continuation byte\n")
+
+
 def test_replay_runs_are_deterministic(gold_path, tmp_path):
     pairs_path = tmp_path / "pairs.jsonl"
     run("export-train", gold_path, "-o", str(pairs_path))

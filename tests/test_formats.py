@@ -8,7 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 from corefkit import formats
 from corefkit.conllu import Sentence, Token
 from corefkit.formats import (CLOSE, OPEN, SPAN, TAGS, ZERO, AnnotatedText, Format,
-                              FormatError, TagEvent, apply_idmap, build_events,
+                              FormatError, Layout, TagEvent, apply_idmap, build_events,
                               decode, encode, events_to_mentions, render)
 from corefkit.synth import SynthConfig, perturb, random_document
 
@@ -243,14 +243,16 @@ def test_render_matches_per_token_reference(annotated):
 
 def test_a_cut_never_opens_with_an_empty_line():
     """Uncut, a break at 0 (an empty first sentence) opens an empty line; a
-    cut, at 0 too, keeps only the breaks above it, and leading zeros only at
-    0."""
+    cut of the walker's layout, at 0 too, keeps only the breaks above it,
+    and leading zeros only at 0."""
     text = AnnotatedText(["a", "b", "c"], [TagEvent("zero", 1, -1), TagEvent("head", 2, 1)],
                          Format.HEADWORD, (0, 1, 2))
     assert render(text) == "<zero1>\na\nb <ent2>\nc"
-    assert render(text, 0) == "<zero1> a\nb <ent2>\nc"
-    assert render(text, 1) == "b <ent2>\nc"
-    assert render(text, 1, index=lambda chain: chain + 5) == "b <ent7>\nc"
+    layout = Layout(Format.HEADWORD)
+    layout.extend(text)
+    assert layout.fill(0) == "<zero1> a\nb <ent2>\nc"
+    assert layout.fill(1) == "b <ent2>\nc"
+    assert layout.fill(1, index=lambda chain: chain + 5) == "b <ent7>\nc"
 
 
 @settings(max_examples=200, deadline=None)

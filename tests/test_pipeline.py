@@ -1,5 +1,6 @@
 """Windowed annotation loop, context trimming, backends, training export."""
 import dataclasses
+import hashlib
 import json
 import sys
 import threading
@@ -10,8 +11,7 @@ from hypothesis import strategies as st
 
 from corefkit import formats, pipeline
 from corefkit.conllu import Corpus, Document, Mention, parse_conllu, serialize_corpus
-from corefkit.formats import (AnnotatedText, AtomCounts, Format, Layout, TagEvent,
-                              build_events, render)
+from corefkit.formats import AnnotatedText, Format, Layout, TagEvent, build_events
 from corefkit.metrics import conll_f1
 from corefkit.pipeline import (PRESETS, BackendError, EmptyBackend,
                                HttpBackend, ModelBackend, OracleBackend,
@@ -180,19 +180,26 @@ def _pieces(draw):
     return fmt, pieces
 
 
+def _walker_layout(fmt, pieces):
+    """A Layout extended by ``pieces``, as the window walker extends it."""
+    layout = Layout(fmt)
+    for piece in pieces:
+        layout.extend(piece)
+    return layout
+
+
 @settings(max_examples=300, deadline=None)
 @given(data=st.data(), drawn=_pieces())
 def test_truncate_matches_bisection_on_rendered_size(data, drawn):
     fmt, pieces = drawn
-    acc, counts = AnnotatedText([], [], fmt, []), AtomCounts(fmt)  # as the walker makes it
-    for piece in pieces:
-        pipeline._append(acc, counts, piece)
+    layout = _walker_layout(fmt, pieces)
+    acc = layout.annotated
     size = len(acc.render().split())
     budget = data.draw(st.integers(0, size + 2))
     expected = _bisected_context(acc, budget)
     assert truncate_context(acc, budget) == expected
     # the counts kept piece by piece, as the window walker keeps them
-    assert truncate_context(acc, budget, counts) == expected
+    assert slice_annotated(acc, layout.cut(budget), len(acc.tokens)) == expected
 
 
 def _sliced_by_filter(annotated, lo, hi):
@@ -233,42 +240,9 @@ def test_slice_matches_linear_filter_on_built_events(data, seed, fmt, lead):
 @given(data=st.data(), drawn=_pieces())
 def test_slice_matches_linear_filter_on_walker_accumulators(data, drawn):
     fmt, pieces = drawn
-    acc, counts = AnnotatedText([], [], fmt, []), AtomCounts(fmt)  # as the walker makes it
-    for piece in pieces:
-        pipeline._append(acc, counts, piece)
+    acc = _walker_layout(fmt, pieces).annotated
     lo, hi = _bounds(data, acc)
     assert slice_annotated(acc, lo, hi) == _sliced_by_filter(acc, lo, hi)
-
-
-def _cut(data, acc):
-    """A cut of the text: 0, anywhere, inside a span, or at the last token."""
-    n = len(acc.tokens)
-    inside = [i for ev in acc.events if ev.end is not None
-              for i in range(ev.anchor + 1, ev.end + 1)]
-    return data.draw(st.one_of(
-        [st.just(0), st.integers(0, n), st.just(max(n - 1, 0))]
-        + ([st.sampled_from(inside)] if inside else [])))
-
-
-@settings(max_examples=300, deadline=None)
-@given(data=st.data(), drawn=_pieces(), leads=st.integers(0, 2),
-       held=st.lists(st.sampled_from(["e2", "e7", "e 3"]), max_size=3))
-def test_render_at_a_cut_matches_slice_then_localize(data, drawn, leads, held):
-    """The walker's one pass equals trimming, then localizing, then rendering,
-    with a fresh map or one that already holds chains (``reindex=False``)."""
-    fmt, pieces = drawn
-    pieces[0].events[:0] = [TagEvent("zero", "e10", -1)] * leads  # ahead of the text
-    acc, counts = AnnotatedText([], [], fmt, []), AtomCounts(fmt)  # as the walker makes it
-    for piece in pieces:
-        pipeline._append(acc, counts, piece)
-    cut = _cut(data, acc)
-    shown, expected_map = IdMap(), IdMap()
-    for chain in held:
-        shown.assign(chain)
-        expected_map.assign(chain)
-    expected, _ = localize(slice_annotated(acc, cut, len(acc.tokens)), expected_map)
-    assert render(acc, cut, shown.assign) == expected.render()
-    assert shown == expected_map
 
 
 def _z(chain, anchor):
@@ -300,24 +274,23 @@ def _s(chain, anchor, end):
                                   AnnotatedText(["a"], [_z("e1", -1)], Format.HEADWORD, ())]),
          leads=0, held=[])
 def test_walker_context_matches_render_at_every_cut(drawn, leads, held):
-    """The walker's context, its accumulator's layout filled from a cut,
-    equals ``render`` at that cut and leaves the map as render does, at
-    every cut (0, inside a span, the last token), with a fresh map or one
-    that already holds chains (``reindex=False``)."""
+    """The walker's context, its layout filled from a cut, equals trimming
+    the accumulator to that cut, localizing it and rendering it, and leaves
+    the map as localize does, at every cut (0, inside a span, the last
+    token), with a fresh map or one that already holds chains
+    (``reindex=False``)."""
     fmt, pieces = drawn
     pieces[0].events[:0] = [_z("e10", -1)] * leads  # ahead of the text
-    acc, counts, layout = AnnotatedText([], [], fmt, []), AtomCounts(fmt), Layout(fmt)
-    for piece in pieces:  # as the walker appends them
-        pipeline._append(acc, counts, piece)
-        layout.extend(piece)
+    layout = _walker_layout(fmt, pieces)
+    acc = layout.annotated
     for cut in range(len(acc.tokens) + 1):
         for chains in ([], held):
             shown, expected_map = IdMap(), IdMap()
             for chain in chains:
                 shown.assign(chain)
                 expected_map.assign(chain)
-            expected = render(acc, cut, expected_map.assign)
-            assert layout.fill(acc, cut, shown.assign) == expected, cut
+            expected, _ = localize(slice_annotated(acc, cut, len(acc.tokens)), expected_map)
+            assert layout.fill(cut, shown.assign) == expected.render(), cut
             assert shown == expected_map
 
 
@@ -331,20 +304,65 @@ def test_walker_prompts_match_trimmed_then_localized_context(fmt, reindex):
     cfg = PipelineConfig(fmt=fmt, sentences_per_batch=2, context_budget=40, reindex=reindex)
     full = build_events(doc.sentences, doc.mentions(), fmt)
     starts = doc.sentence_starts()
-    acc, counts = AnnotatedText([], [], fmt, []), AtomCounts(fmt)
+    layout = Layout(fmt)
+    acc = layout.annotated
     doc_map = None if reindex else IdMap()
     expected = []
     for lo, hi in iter_windows(len(doc.sentences), 2):
-        context, idmap = localize(truncate_context(acc, 40, counts), doc_map)
+        trimmed = slice_annotated(acc, layout.cut(40), len(acc.tokens))
+        context, idmap = localize(trimmed, doc_map)
         batch = build_events(doc.sentences[lo:hi], (), fmt)
         gold = slice_annotated(full, starts[lo], starts[hi])
         expected.append((build_prompt(context.render(), batch.render(), fmt),
                          localize(gold, idmap)[0].render()))
-        pipeline._append(acc, counts, dataclasses.replace(batch, events=gold.events))
+        layout.extend(dataclasses.replace(batch, events=gold.events))
     pairs = export_training_pairs(doc, cfg)
     assert [(p.prompt, p.completion) for p in pairs] == expected
     assert any(_context_of(p.prompt) != "(none)" and len(_context_of(p.prompt).split()) > 30
                for p in pairs)
+
+
+# SHA-256 of the JSONL that write_pairs writes for _DIGEST_CORPUS, by format,
+# window geometry (False: large-infer, True: budget 40 over 2-sentence batches)
+# and reindex; taken before the walker kept its context in one formats.Layout
+_PAIR_DIGESTS = {
+    ("crac", False, True): "c9438ab5f587cb9169127ce116a516a56ebfacf57a4abfc03672a69c96b39e59",
+    ("crac", False, False): "340bf7b7c00b06499db8c04e91d7545120e5c9cd431c09618796ab60e2435c2b",
+    ("crac", True, True): "ef6d2be567ac2c6bf6653a98367ec1fc998172e8e41946edf5cdfbaf316471c4",
+    ("crac", True, False): "7f5739ed6e388822a6c22feda945025bad8ac443bf6fb691bbdbbb378a7db98b",
+    ("explicit", False, True): "6f577a5951ac772e956f32837715c01f89a0778c4d6ac6cbe33b3e6f7da98335",
+    ("explicit", False, False): "8d6a3f65427715172de287be0d8fa8d5a4b865e994efb282288f0a4a5f9951f8",
+    ("explicit", True, True): "16fbe9f92afa6e32f9fd52c7fc534c5fcdf9a7f99472effc09600ee703cb0424",
+    ("explicit", True, False): "e0fa732d57f83ec38e9ad9326e990f6f6824118ec5d6c8210d03b02acd1dc9e4",
+    ("minimal", False, True): "1ba3edf55c5c5ff9dabe51443da20b29bb6aa173919f63ede0ed9626bb1c5315",
+    ("minimal", False, False): "dee33c4ccd43bacc38d44c2a91cdb877fafcadc83449353ed666f061bab2a0fe",
+    ("minimal", True, True): "00c2dacd2dce808780575a862e1e40178fa7edb5152d7d3364c989845f6dae2f",
+    ("minimal", True, False): "b04634fe1aeca03b5a6dce800b17c52897c5017484269de1c2053513cf6c002e",
+    ("headword", False, True): "29e7d3c949b7623241f2be88c0abf8cf3023a4b9e2ee201b2fa27cbd663feace",
+    ("headword", False, False): "847e4e5a0ee25911fc4f82a6ab8cdfa0caf7464f8d82a00ed8f9477f3868d2dc",
+    ("headword", True, True): "8ecee5a99e5ee4418aa7bd265927c50db56a99effa08470cd7385b66409e3900",
+    ("headword", True, False): "f6413b2fa51d616311577a81c0e0d4bc6b0dcbfae5280a0b0264294f5a31cf42",
+}
+# documents of 445, 268 and 93 sentences, the first past the large-infer budget
+_DIGEST_CORPUS = random_corpus(3, SynthConfig(sentences=(4, 480), chains=(20, 60), p_zero=0.3,
+                                              p_discontinuous=0.2, seed=2))
+
+
+@pytest.mark.parametrize("reindex", [True, False])
+@pytest.mark.parametrize("small", [False, True])
+@pytest.mark.parametrize("fmt", list(Format))
+def test_walker_pairs_match_their_frozen_digest(fmt, small, reindex):
+    """The walker's bytes, pinned: export pairs over a fixed corpus with
+    zeros and discontinuous mentions hash as they did."""
+    docs = _DIGEST_CORPUS.datasets[0][1]
+    assert max(d.surface_token_count() for d in docs) > PRESETS["large-infer"].context_budget
+    assert any(m.is_zero for d in docs for m in d.mentions())
+    assert any(len(m.fragments) > 1 for d in docs for m in d.mentions())
+    cfg = dataclasses.replace(PRESETS["large-infer"], fmt=fmt, reindex=reindex)
+    if small:
+        cfg = dataclasses.replace(cfg, context_budget=40, sentences_per_batch=2)
+    jsonl = "".join(p.to_json() + "\n" for p in export_training_pairs(_DIGEST_CORPUS, cfg))
+    assert hashlib.sha256(jsonl.encode()).hexdigest() == _PAIR_DIGESTS[fmt.value, small, reindex]
 
 
 def test_trimming_renders_per_window_do_not_grow_with_the_document(monkeypatch):
@@ -357,39 +375,40 @@ def test_trimming_renders_per_window_do_not_grow_with_the_document(monkeypatch):
     # the walker calls render under its own name, AnnotatedText.render under formats'
     monkeypatch.setattr(formats, "render", logged("render", real_render))
     monkeypatch.setattr(pipeline, "render", logged("render", real_render))
-    for method in ("fill", "extend"):
+    for method in ("cut", "fill", "extend"):
         monkeypatch.setattr(Layout, method, logged(method, getattr(Layout, method)))
     monkeypatch.setattr(pipeline, "build_prompt", logged("prompt", real_prompt))
     cfg = PRESETS["large-infer"]
 
     def calls_per_window(sentences):
         """Calls from one prompt to the next: the previous completion, the
-        layout extended by the previous window, then the context and the
-        batch of the window."""
+        layout extended by the previous window, then the context (its cut
+        and its fill) and the batch of the window."""
         doc = random_document("d", SynthConfig(sentences=(sentences, sentences), seed=7))
         log.clear()
         export_training_pairs(doc, cfg)
         return [tuple(sorted(run.split())) for run in " ".join(log).split("prompt")]
 
     short, long = calls_per_window(200), calls_per_window(1200)  # 200: under budget
-    # each prompt gets its context once, filled from the layout; the
-    # accumulator is never rendered, and the last window extends nothing
-    assert [short[0], short[-1]] == [long[0], long[-1]] == [("fill", "render"), ("render",)]
-    assert set(short[1:-1]) == set(long[1:-1]) == {("extend", "fill", "render", "render")}
+    # each prompt gets its context once, cut and filled from the layout;
+    # the accumulator is never rendered, and the last window extends nothing
+    assert ([short[0], short[-1]] == [long[0], long[-1]]
+            == [("cut", "fill", "render"), ("render",)])
+    assert set(short[1:-1]) == set(long[1:-1]) == {("cut", "extend", "fill", "render", "render")}
 
 
 @pytest.mark.parametrize("fmt", list(Format))
-def test_truncate_context_renders_nothing(monkeypatch, fmt):
+def test_layout_cut_renders_nothing(monkeypatch, fmt):
     """Trimming a long walker accumulator takes its cut from the counts alone."""
     doc = random_document("d", SynthConfig(sentences=(400, 400), seed=7))
     full = build_events(doc.sentences, doc.mentions(), fmt)
     starts = doc.sentence_starts()
-    acc, counts = AnnotatedText([], [], fmt, []), AtomCounts(fmt)  # as the walker makes it
-    for lo, hi in iter_windows(len(doc.sentences), 6):
-        pipeline._append(acc, counts, slice_annotated(full, starts[lo], starts[hi]))
+    layout = _walker_layout(fmt, [slice_annotated(full, starts[lo], starts[hi])
+                                  for lo, hi in iter_windows(len(doc.sentences), 6)])
+    acc = layout.annotated
     calls = []
     monkeypatch.setattr(formats, "render", lambda annotated: calls.append(annotated) or "")
-    kept = truncate_context(acc, 3072, counts)
+    kept = slice_annotated(acc, layout.cut(3072), len(acc.tokens))
     assert calls == []
     assert 0 < len(kept.tokens) < len(acc.tokens)
 
