@@ -36,21 +36,7 @@ _MODULES = {
 }
 _MODULE_OF = {name: module for module, names in _MODULES.items() for name in names}
 
-__all__ = [
-    "Alignment", "AnnotatedText", "BackendError", "Chain", "ConlluError",
-    "Corpus", "DensityStats", "Diagnostic", "DistanceCdf", "Document",
-    "EmptyBackend", "Format", "FormatError", "HttpBackend", "IdAllocator",
-    "IdMap", "Mention", "ModelBackend", "OracleBackend", "PRESETS",
-    "PermanentBackendError", "PipelineConfig", "ScoreReport", "Sentence",
-    "SynthConfig", "TagEvent", "Token", "TrainingPair", "align_tokens",
-    "annotate_corpus", "annotate_document", "annotate_documents", "antecedent_cdf",
-    "build_events",
-    "build_prompt", "clean", "conll_f1", "decode", "density",
-    "edit_similarity", "encode", "events_to_mentions", "export_training_pairs",
-    "globalize", "iter_conllu", "localize", "parse_conllu", "perturb",
-    "random_corpus", "random_document", "render", "score", "serialize_conllu",
-    "serialize_corpus", "__version__",
-]
+__all__ = [*_MODULE_OF, "__version__"]
 
 
 def __getattr__(name: str):

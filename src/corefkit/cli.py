@@ -9,25 +9,29 @@
     corefkit export-train  gold prompt/completion pairs as JSONL
 
 Every command reads `-` as stdin; `-o` (default `-`) and `--diagnostics`
-both write `-` as stdout. Options may come from a JSON config file
-(--config); unknown keys there are an error, and explicit command-line flags
-win over the file. Exit status: 0 success, 1 usage or configuration problem
-(an output path that cannot be written included), 2 malformed data (an input
-that cannot be read or is not UTF-8 included), 3 backend failure.
+both write `-` as stdout. Input and output are UTF-8 whatever the locale; a
+byte that is not UTF-8 is named by its line and byte offset in every input:
+files, stdin, pipes, and --replay/--oracle records. Options may come from a
+JSON config file (--config); unknown keys there are an error, and explicit
+command-line flags win over the file. Exit status: 0 success, 1 usage or
+configuration problem (an output path that cannot be written included), 2
+malformed data (an input that cannot be read or is not UTF-8 included), 3
+backend failure.
 """
 from __future__ import annotations
 
 import argparse
-import codecs
 import dataclasses
+import errno
 import itertools
 import json
+import os
 import shutil
 import sys
 import tempfile
 import threading
 from collections.abc import Callable, Iterable, Iterator
-from contextlib import closing, contextmanager, nullcontext, suppress
+from contextlib import closing, contextmanager, nullcontext
 from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, TextIO
@@ -163,82 +167,35 @@ def build_backend(job: JobConfig) -> ModelBackend:
 # -- small I/O helpers -----------------------------------------------------------
 
 def _read_text(path: str, error: type[Exception] = ConlluError) -> str:
-    """The text at ``path`` (stdin for ``-``); an unreadable path or one
-    that is not UTF-8 raises ``error``."""
+    """The text at ``path`` (stdin for ``-``), as ``_lines`` reads it; an
+    unreadable path or one that is not UTF-8 raises ``error``."""
     try:
-        return _stdin().read() if path == "-" else Path(path).read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
-        raise error(_cannot_read(path, exc)) from exc
-
-
-def _stdin() -> TextIO:
-    """Stdin, decoded as strict UTF-8 as files are: by the locale, Python
-    may decode it with ``surrogateescape`` (C/POSIX), which lets a byte
-    that is not UTF-8 through. A test's ``StringIO`` is read as it is."""
-    if hasattr(sys.stdin, "reconfigure") and (sys.stdin.encoding, sys.stdin.errors) != (
-            "utf-8", "strict"):  # set once: reconfigure fails after a read
-        sys.stdin.reconfigure(encoding="utf-8", errors="strict")
-    return sys.stdin
-
-
-def _cannot_read(path: str, exc: OSError | UnicodeDecodeError) -> str:
-    """What reading ``path`` (stdin for ``-``) that raised ``exc`` is
-    reported as. Text that is not UTF-8 is named by its first bad byte, and
-    a regular file also by that byte's line and offset: ``exc`` counts from
-    the start of the block it was decoding, so the file is decoded again to
-    find them. Stdin or a pipe cannot be read again."""
-    if not isinstance(exc, UnicodeDecodeError):
-        return f"cannot read {_shown(path)}: {exc}"
-    where = ""
-    if path != "-" and Path(path).is_file():
-        with suppress(OSError):
-            exc, where = _first_undecodable(path) or (exc, "")
-    return (f"cannot read {_shown(path)}: '{exc.encoding}' codec can't decode byte "
-            f"0x{exc.object[exc.start]:02x}{where}: {exc.reason}")
-
-
-def _first_undecodable(path: str) -> tuple[UnicodeDecodeError, str] | None:
-    """The first error decoding the file at ``path`` as UTF-8 meets, and
-    where: the line of its first byte, as ``_lines`` counts lines, and its
-    offset in the file; None for a file that decodes."""
-    decoder = codecs.getincrementaldecoder("utf-8")()
-    lines, tail, offset = 0, "", 0  # lines before the last one begun (tail); bytes read
-    with open(path, "rb") as fh:
-        while True:
-            block = fh.read(1 << 16)
-            held = len(decoder.getstate()[0])  # the bytes of a character cut at a block end
-            try:
-                text = decoder.decode(block, final=not block)
-            except UnicodeDecodeError as exc:  # its positions count from the held bytes
-                line = lines + len((tail + exc.object[:exc.start].decode() + "?").splitlines())
-                return exc, f" on line {line}, at byte offset {offset - held + exc.start}"
-            if not block:
-                return None
-            offset += len(block)
-            *done, tail = (tail + text).splitlines(keepends=True) or [""]
-            lines += len(done)
+        return "".join(_lines(path, keepends=True))
+    except _Unreadable as exc:
+        raise error(str(exc)) from exc
 
 
 @contextmanager
 def _output(path: str | None) -> Iterator[TextIO | None]:
     """The one output writer: a temporary file for a command to write its
-    output into as it goes, copied to ``path`` (stdout for ``-``) only if
-    the block ends without an error. So output takes no memory, and a data
-    error found late leaves none. An unwritable path, the empty one
-    included, is a usage error. No ``path``, no file: the block gets None."""
+    output into as it goes, its UTF-8 bytes copied to ``path`` (stdout for
+    ``-``, whatever the locale) only if the block ends without an error. So
+    output takes no memory, and a data error found late leaves none. An
+    unwritable path, the empty one included, is a usage error; a failed write
+    to stdout is left to ``main``. No ``path``, no file: the block gets None."""
     if path is None:
         yield None
         return
     with tempfile.TemporaryFile("w+", encoding="utf-8", newline="") as spool:
         yield spool
         spool.seek(0)
-        if path == "-":
-            shutil.copyfileobj(spool, sys.stdout)
-            return
         try:
-            with open(path, "w", encoding="utf-8") as fh:
-                shutil.copyfileobj(spool, fh)
+            with nullcontext(sys.stdout.buffer) if path == "-" else open(path, "wb") as fh:
+                shutil.copyfileobj(spool.buffer, fh)
+                fh.flush()
         except OSError as exc:
+            if path == "-":
+                raise
             raise UsageError(f"cannot write {path}: {exc}") from exc
 
 
@@ -255,16 +212,32 @@ class _Unreadable(ConlluError):
     """An input that cannot be read as UTF-8 text; the message names it."""
 
 
-def _lines(path: str) -> Iterator[str]:
+def _lines(path: str, keepends: bool = False) -> Iterator[str]:
     """The lines of the text at ``path`` (stdin for ``-``) as
-    ``str.splitlines`` gives them, read a block at a time: each block is
-    completed to a line end, so no line is split across two."""
+    ``str.splitlines`` gives them. Every input is read here: as bytes, a
+    block at a time, each block completed to a line end, so no line is split
+    across two, and decoded as strict UTF-8 whatever the locale. So a byte
+    that is not UTF-8 is named by its line and its offset in the input, on
+    the first pass, in a file, stdin or a pipe alike."""
+    lines = offset = 0  # before the block
     try:
-        with nullcontext(_stdin()) if path == "-" else open(path, encoding="utf-8") as fh:
+        if path == "-" and sys.stdin is None:  # closed, so Python gave it no object
+            raise OSError(errno.EBADF, os.strerror(errno.EBADF))
+        with nullcontext(sys.stdin.buffer) if path == "-" else open(path, "rb") as fh:
             while block := fh.read(1 << 16):
-                yield from (block + fh.readline()).splitlines()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise _Unreadable(_cannot_read(path, exc)) from exc
+                block += fh.readline()
+                try:
+                    done = block.decode().splitlines(keepends)
+                except UnicodeDecodeError as exc:  # all before exc.start decodes
+                    line = lines + len((block[:exc.start].decode() + "?").splitlines())
+                    raise _Unreadable(
+                        f"cannot read {_shown(path)}: 'utf-8' codec can't decode byte "
+                        f"0x{block[exc.start]:02x} on line {line}, at byte offset "
+                        f"{offset + exc.start}: {exc.reason}") from exc
+                yield from done
+                lines, offset = lines + len(done), offset + len(block)
+    except OSError as exc:
+        raise _Unreadable(f"cannot read {_shown(path)}: {exc}") from exc
 
 
 def _parsed(path: str, lines: Iterable[str] | None = None) -> Iterator[Document]:

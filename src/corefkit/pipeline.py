@@ -486,13 +486,19 @@ def _read_jsonl(path: str, prompts: bool = True
     """(line number, byte offset of the line, record) for each record of a
     JSONL file of training pairs or, without ``prompts``, of replayed
     completions, whose prompt is not read and stays None. Blank lines are
-    skipped. A record that is not a JSON object, or whose value is missing
-    or of the wrong JSON type (a bool is no ``window_index``), raises
-    ValueError naming its line."""
+    skipped. A record that is not UTF-8 or not a JSON object, or whose value
+    is missing or of the wrong JSON type (a bool is no ``window_index``),
+    raises ValueError naming its line; a bad byte also by its file offset."""
     offset = 0
-    with open(path, encoding="utf-8", newline="") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            start, offset = offset, offset + len(line.encode())
+    with open(path, "rb") as fh:
+        for line_no, raw in enumerate(fh, start=1):
+            start, offset = offset, offset + len(raw)
+            try:
+                line = raw.decode()
+            except UnicodeDecodeError as exc:
+                raise ValueError(f"'utf-8' codec can't decode byte 0x{raw[exc.start]:02x} on "
+                                 f"line {line_no}, at byte offset {start + exc.start}: "
+                                 f"{exc.reason}") from exc
             if not line.strip():
                 continue
             try:

@@ -55,7 +55,8 @@ def test_convert_many_documents_get_headers(gold_path, tmp_path, capsys):
 
 
 def test_convert_reads_stdin(monkeypatch, capsys):
-    monkeypatch.setattr(sys, "stdin", io.StringIO(SISTER_CONLLU))
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(SISTER_CONLLU.encode()),
+                                                       encoding="utf-8"))
     assert run("convert", "-", "--format", "crac") == 0
     assert capsys.readouterr().out == GOLDEN["crac"] + "\n"
 
@@ -74,7 +75,8 @@ def test_convert_and_decode_headers_follow_the_document_count(tmp_path, monkeypa
         path = tmp_path / f"{name}.in"
         path.write_text(text, encoding="utf-8")
         if source == "stdin":
-            monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+            monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(text.encode()),
+                                                               encoding="utf-8"))
         assert run(name, "-" if source == "stdin" else str(path), "--format", "minimal") == 0
         return capsys.readouterr().out
 
@@ -883,7 +885,8 @@ def test_evaluate_reads_alike_in_a_worker_and_in_process(tmp_path, monkeypatch, 
     for argv in cases:
         results = []
         for mode in ("worker", "in-process"):
-            monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+            monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(text.encode()),
+                                                               encoding="utf-8"))
             code = evaluate(mode, *argv)
             captured = capsys.readouterr()
             results.append((code, captured.out, captured.err))
@@ -1485,63 +1488,44 @@ def test_input_that_is_not_utf8_is_reported(gold_path, tmp_path, monkeypatch, ca
     ("stats", "{bad}"),
     ("clean", "{bad}", "{gold}"),
 ], ids=lambda c: c[0])
-def test_input_that_is_not_utf8_is_reported_at_its_line_and_offset(tmp_path, capsys,
-                                                                   command, mode):
-    # past the first 64 KiB block read, the decoder's position counts from the
-    # start of the block; the message names the line and the file offset, read
-    # in process (a file under the default MIN_BYTES) and by a forked reader alike
+def test_input_that_is_not_utf8_is_reported_at_its_line_and_offset(tmp_path, monkeypatch,
+                                                                   capsys, command, mode):
+    # past the first 64 KiB block read; the message names the line and the
+    # offset in the input, read from a file in process (one under the default
+    # MIN_BYTES) and by a forked reader alike, and from stdin or a named pipe,
+    # which are read once, in process
     [(_, docs)] = random_corpus(60, SynthConfig(seed=6)).datasets
     text = serialize_corpus(docs)
-    gold, bad = tmp_path / "gold.conllu", tmp_path / "latin1.conllu"
+    body = (text + "# newdoc id = more\ncaf\xe9\n").encode("latin-1")
+    gold, bad, fifo = tmp_path / "gold.conllu", tmp_path / "latin1.conllu", tmp_path / "pipe"
     gold.write_text(text, encoding="utf-8")
-    bad.write_bytes((text + "# newdoc id = more\ncaf\xe9\n").encode("latin-1"))
+    bad.write_bytes(body)
+    os.mkfifo(fifo)
     offset, line = len(text.encode()) + len("# newdoc id = more\ncaf"), text.count("\n") + 2
     assert workers.MIN_BYTES > offset > 1 << 16
-    argv = [a.format(bad=bad, gold=gold) for a in command]
-    with reading("worker") if mode == "worker" else nullcontext([]) as forked:
-        assert run(*argv) == 2
-    assert len(forked) == (mode == "worker") * (command[0] in (
-        "convert", "annotate", "export-train", "evaluate"))
-    assert capsys.readouterr() == ("", f"error: cannot read {bad}: 'utf-8' codec can't decode "
-                                       f"byte 0xe9 on line {line}, at byte offset {offset}: "
-                                       "invalid continuation byte\n")
-
-
-def test_stdin_that_is_not_utf8_is_reported_without_a_position(monkeypatch, capsys):
-    # stdin cannot be read again to find the bad byte's place in it
-    [(_, docs)] = random_corpus(60, SynthConfig(seed=6)).datasets
-    body = (serialize_corpus(docs) + "# newdoc id = more\ncaf\xe9\n").encode("latin-1")
-    for command in (("stats", "-"), ("clean", "-", "-")):
+    for source, name in (("file", bad), ("stdin", "-"), ("pipe", fifo)):
         monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(body), encoding="utf-8"))
-        assert run(*command) == 2
-        assert capsys.readouterr() == ("", "error: cannot read <stdin>: 'utf-8' codec can't "
-                                           "decode byte 0xe9: invalid continuation byte\n")
-
-
-def test_a_pipe_that_is_not_utf8_is_reported_without_a_position(tmp_path):
-    # a named pipe is read once: the message is stdin's, and nothing waits on
-    # a second reader of the pipe
-    fifo = tmp_path / "corpus.conllu"
-    os.mkfifo(fifo)
-    src = str(Path(corefkit.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
-    writer = threading.Thread(target=lambda: fifo.write_bytes(
-        SISTER_CONLLU.encode() + b"# newdoc id = more\ncaf\xe9\n"))
-    writer.start()
-    proc = subprocess.run([sys.executable, "-m", "corefkit", "stats", str(fifo)],
-                          capture_output=True, text=True, timeout=60, env=env)
-    writer.join(timeout=10)
-    assert not writer.is_alive()
-    assert (proc.returncode, proc.stdout, proc.stderr) == (
-        2, "", f"error: cannot read {fifo}: 'utf-8' codec can't decode byte 0xe9: "
-               "invalid continuation byte\n")
+        # the writer holds a second thread alive, so no process is forked for the pipe
+        writer = threading.Thread(target=fifo.write_bytes, args=(body,), daemon=True)
+        if source == "pipe":
+            writer.start()
+        argv = [a.format(bad=name, gold=gold) for a in command]
+        with reading("worker") if mode == "worker" else nullcontext([]) as forked:
+            assert run(*argv) == 2
+        if source == "pipe":
+            writer.join(timeout=10)
+        assert not writer.is_alive()
+        assert len(forked) == (mode == "worker" and source == "file") * (command[0] in (
+            "convert", "annotate", "export-train", "evaluate"))
+        assert capsys.readouterr() == (
+            "", f"error: cannot read {cli._shown(str(name))}: 'utf-8' codec can't decode "
+                f"byte 0xe9 on line {line}, at byte offset {offset}: invalid continuation byte\n")
 
 
 @pytest.mark.parametrize("command", ["stats", "convert"])
 def test_stdin_that_is_not_utf8_is_an_error_under_a_c_locale(command):
     # a C/POSIX locale has Python decode stdin with surrogateescape, which
-    # lets the bad byte through as a lone surrogate
+    # would let the bad byte through as a lone surrogate
     src = str(Path(corefkit.__file__).resolve().parents[1])
     env = dict(os.environ, LC_ALL="C", PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
@@ -1550,8 +1534,60 @@ def test_stdin_that_is_not_utf8_is_an_error_under_a_c_locale(command):
                                 b"1\tcaf\xe9\t_\t_\t_\t_\t0\troot\t_\t_\n\n",
                           capture_output=True, timeout=60, env=env)
     assert (proc.returncode, proc.stdout, proc.stderr.decode()) == (
-        2, b"", "error: cannot read <stdin>: 'utf-8' codec can't decode byte 0xe9: "
-                "invalid continuation byte\n")
+        2, b"", "error: cannot read <stdin>: 'utf-8' codec can't decode byte 0xe9 "
+                "on line 3, at byte offset 35: invalid continuation byte\n")
+
+
+def test_stdout_is_utf8_whatever_the_encoding_python_gives_it(tmp_path):
+    # PYTHONIOENCODING would have sys.stdout encode as Latin-1, which cannot
+    # hold the CJK word; the output is copied as the UTF-8 bytes -o writes
+    path, out = tmp_path / "in.conllu", tmp_path / "out.txt"
+    path.write_text("# newdoc id = d\n# sent_id = 1\n1\tcafé\t_\t_\t_\t_\t0\troot\t_\t_\n"
+                    "2\t中\t_\t_\t_\t_\t1\tdep\t_\t_\n\n", encoding="utf-8")
+    src = str(Path(corefkit.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONIOENCODING="latin-1", PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    for argv in (["-o", str(out)], []):
+        proc = subprocess.run([sys.executable, "-m", "corefkit", "convert", str(path), *argv],
+                              capture_output=True, timeout=60, env=env)
+        assert (proc.returncode, proc.stderr) == (0, b"")
+    assert proc.stdout == out.read_bytes() == "café 中\n".encode()
+
+
+@pytest.mark.parametrize("command, code", [
+    (("stats", "-"), 2),
+    (("convert", "-"), 2),
+    (("decode", "-"), 2),
+    (("clean", "-", "{gold}"), 2),
+    (("export-train", "{gold}", "--config", "-"), 1),
+], ids=lambda c: "-".join(a.strip("{}-") for a in c) if isinstance(c, tuple) else None)
+def test_closed_stdin_is_an_error(gold_path, monkeypatch, capsys, command, code):
+    # Python gives a process started with its stdin closed no sys.stdin
+    monkeypatch.setattr(sys, "stdin", None)
+    assert run(*(a.format(gold=gold_path) for a in command)) == code
+    assert capsys.readouterr() == ("", "error: cannot read <stdin>: [Errno 9] Bad file "
+                                       "descriptor\n")
+
+
+@pytest.mark.parametrize("backend", ["replay", "oracle"])
+def test_backend_record_that_is_not_utf8_is_reported_at_its_line_and_offset(
+        tmp_path, capsys, backend):
+    [(_, docs)] = random_corpus(60, SynthConfig(seed=6)).datasets
+    gold, pairs = tmp_path / "gold.conllu", tmp_path / "pairs.jsonl"
+    gold.write_text(serialize_corpus(docs), encoding="utf-8")
+    assert run("export-train", str(gold), "-o", str(pairs)) == 0
+    # CRLF line ends, as records may have: still one record a line
+    text = pairs.read_text(encoding="utf-8").replace("\n", "\r\n")
+    record = json.dumps({"doc_id": "more", "window_index": 0, "prompt": "p",
+                         "completion": "caf\xe9"}, ensure_ascii=False)
+    path = tmp_path / "records.jsonl"
+    path.write_bytes((text + record + "\n").encode("latin-1"))
+    offset, line = len(text.encode()) + record.index("\xe9"), text.count("\n") + 1
+    assert offset > 1 << 16
+    assert run("annotate", str(gold), "--backend", backend, f"--{backend}", str(path)) == 2
+    assert capsys.readouterr() == ("", f"error: --{backend} {path}: 'utf-8' codec can't decode "
+                                       f"byte 0xe9 on line {line}, at byte offset {offset}: "
+                                       "invalid continuation byte\n")
 
 
 def test_replay_runs_are_deterministic(gold_path, tmp_path):
