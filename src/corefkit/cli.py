@@ -218,7 +218,8 @@ def _lines(path: str, keepends: bool = False) -> Iterator[str]:
     block at a time, each block completed to a line end, so no line is split
     across two, and decoded as strict UTF-8 whatever the locale. So a byte
     that is not UTF-8 is named by its line and its offset in the input, on
-    the first pass, in a file, stdin or a pipe alike."""
+    the first pass, in a file, stdin or a pipe alike. A leading byte-order
+    mark is dropped; offsets still count its bytes."""
     lines = offset = 0  # before the block
     try:
         if path == "-" and sys.stdin is None:  # closed, so Python gave it no object
@@ -234,6 +235,8 @@ def _lines(path: str, keepends: bool = False) -> Iterator[str]:
                         f"cannot read {_shown(path)}: 'utf-8' codec can't decode byte "
                         f"0x{block[exc.start]:02x} on line {line}, at byte offset "
                         f"{offset + exc.start}: {exc.reason}") from exc
+                if not offset and done and done[0].startswith("\ufeff"):  # a byte-order mark
+                    done[0] = done[0][1:]
                 yield from done
                 lines, offset = lines + len(done), offset + len(block)
     except OSError as exc:

@@ -26,7 +26,7 @@ from bisect import bisect_left
 from collections import deque
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field, replace
-from urllib.parse import urlsplit
+from urllib.parse import unquote, urlsplit, urlunsplit
 
 from .align import clean
 from .conllu import Corpus, Document, Mention, mentions_to_document
@@ -250,14 +250,17 @@ def _retry_after(value: str | None) -> float | None:
 
 class HttpBackend(ModelBackend):
     """OpenAI-style completions endpoint. The bearer token is read from the
-    environment (never from config files or flags) and is never sent on to
-    a redirect's target.
+    environment (never from config files or flags), and no redirect is
+    followed.
 
-    Each call makes one request on a connection of its own, so the backend
-    holds no state between calls and is thread-safe by construction.
+    Each calling thread keeps one HTTP/1.1 connection of its own, reused for
+    every request it makes, so ``generate`` is thread-safe: no connection is
+    shared. One the server dropped while idle is reopened and the request
+    sent once more. Connections are closed when the backend is collected.
     A 408, 429, 5xx, timeout, connection error or malformed response is
-    transient; any other status, an unfollowed redirect included, is
-    permanent. A URL whose scheme is not http or https raises ValueError.
+    transient; any other status, a 3xx included, is permanent. A URL whose
+    scheme is not http or https raises ValueError. ``HTTP_PROXY``,
+    ``HTTPS_PROXY`` and ``NO_PROXY`` are read for each new connection.
     """
 
     def __init__(self, url: str, model: str, max_tokens: int = 2048,
@@ -270,32 +273,72 @@ class HttpBackend(ModelBackend):
         self.max_tokens = max_tokens
         self.timeout = timeout
         self.token_env = token_env
+        # by thread id: (connection, request target, proxy headers)
+        self.conns: dict[int, tuple] = {}
+        weakref.finalize(self, lambda conns: [c.close() for c, _, _ in list(conns.values())],
+                         self.conns)
+
+    def _connect(self) -> tuple:
+        """A new connection to the endpoint, or to the proxy the environment
+        names for its scheme, as urllib's ``ProxyHandler`` picks it: an http
+        URL is then asked for by absolute URI, an https one through a
+        ``CONNECT`` tunnel."""
+        import http.client
+        import urllib.request
+        parts = urlsplit(self.url)
+        host = parts.netloc.rpartition("@")[2]
+        target = urlunsplit(("", "", parts.path or "/", parts.query, ""))
+        kind = (http.client.HTTPSConnection if parts.scheme == "https"
+                else http.client.HTTPConnection)
+        proxy = urllib.request.getproxies().get(parts.scheme)
+        if not proxy or urllib.request.proxy_bypass(host):
+            return kind(host, timeout=self.timeout), target, {}
+        via = urlsplit(proxy if "://" in proxy else f"http://{proxy}")
+        headers = {}
+        if via.username is not None:
+            import base64
+            creds = f"{unquote(via.username)}:{unquote(via.password or '')}"
+            headers["Proxy-Authorization"] = f"Basic {base64.b64encode(creds.encode()).decode()}"
+        conn = kind(via.netloc.rpartition("@")[2], timeout=self.timeout)
+        if parts.scheme == "http":
+            return conn, self.url, headers
+        conn.set_tunnel(host, headers=headers)
+        return conn, target, {}
 
     def generate(self, prompt, ref=None):
         import http.client  # deferred: most runs never talk to an endpoint
-        import urllib.error
-        import urllib.request
-        payload = {"model": self.model, "prompt": prompt,
-                   "max_tokens": self.max_tokens, "temperature": 0}
-        request = urllib.request.Request(self.url, data=json.dumps(payload).encode(),
-                                         headers={"Content-Type": "application/json"})
+        data = json.dumps({"model": self.model, "prompt": prompt,
+                           "max_tokens": self.max_tokens, "temperature": 0}).encode()
+        headers = {"Content-Type": "application/json"}
         token = os.environ.get(self.token_env)
         if token:
-            # urllib copies ordinary headers onto a redirect, to any host
-            request.add_unredirected_header("Authorization", f"Bearer {token}")
+            headers["Authorization"] = f"Bearer {token}"
+        key = threading.get_ident()
         try:
-            with urllib.request.urlopen(request, timeout=self.timeout) as resp:
-                body = resp.read()
-        except urllib.error.HTTPError as exc:
-            exc.close()
-            status = exc.code
+            if key not in self.conns:
+                self.conns[key] = self._connect()
+            conn, target, extra = self.conns[key]
+            for reused in (conn.sock is not None, False):
+                try:
+                    conn.request("POST", target, data, headers | extra)
+                    resp = conn.getresponse()
+                    break
+                except (ConnectionResetError, BrokenPipeError):  # RemoteDisconnected is one
+                    conn.close()  # dropped while idle, so no byte came back: open a new one
+                    if not reused:
+                        raise
+            body = resp.read()  # to the end, so the connection can take the next request
+        except (OSError, http.client.HTTPException) as exc:
+            if key in self.conns:
+                self.conns.pop(key)[0].close()
+            raise BackendError(f"completion request failed: {exc}") from exc
+        status = resp.status
+        if not 200 <= status < 300:
             message = f"completion request failed: HTTP {status} from {self.url}"
             if status < 500 and status not in (408, 429):
-                raise PermanentBackendError(message) from None
-            raise BackendError(message, _retry_after(exc.headers.get("Retry-After"))
-                               if status in (429, 503) else None) from None
-        except (OSError, http.client.HTTPException) as exc:
-            raise BackendError(f"completion request failed: {exc}") from exc
+                raise PermanentBackendError(message)
+            raise BackendError(message, _retry_after(resp.getheader("Retry-After"))
+                               if status in (429, 503) else None)
         try:
             text = json.loads(body)["choices"][0]["text"]
         except (KeyError, IndexError, TypeError, ValueError) as exc:

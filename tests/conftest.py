@@ -9,6 +9,7 @@ import json
 import threading
 from contextlib import contextmanager
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from typing import NamedTuple
 
 import pytest
 from hypothesis import settings
@@ -74,14 +75,25 @@ def sister_doc() -> Document:
     return make_sister_doc()
 
 
+class Seen(NamedTuple):
+    method: str
+    target: str  # the path, or an absolute URI or host:port as a proxy gets it
+    headers: dict
+    payload: dict | None  # the JSON body of a POST
+    client: tuple[str, int]  # the address of the client's end of the connection
+
+
 class Loopback(ThreadingHTTPServer):
-    """Answers each prompt with its gold completion (404 when it has none).
+    """Answers each prompt with its gold completion (404 when it has none),
+    over HTTP/1.1 connections kept alive unless a reply closes them.
 
     ``script`` holds (status, headers, body) replies served first, one per
     request. When ``gate`` is set, the first two requests wait on it, so they
     are answered only if both are in flight at once. When ``stall`` is set,
-    each request waits for it and is then dropped unanswered. ``seen`` holds
-    each request's (method, headers, JSON body or None).
+    each request waits for it and is then dropped unanswered. When ``drop``
+    is set, each connection is closed after its first reply, which does not
+    say so. A ``CONNECT``, as a proxy would get it, is answered 502. ``seen``
+    holds each request as a :class:`Seen`.
     """
 
     daemon_threads = True
@@ -92,8 +104,9 @@ class Loopback(ThreadingHTTPServer):
         self.script: list[tuple[int, dict, bytes]] = []
         self.gate: threading.Barrier | None = None
         self.stall: threading.Event | None = None
+        self.drop = False
         self.calls = 0
-        self.seen: list[tuple[str, dict, dict | None]] = []
+        self.seen: list[Seen] = []
         self.lock = threading.Lock()
 
     @property
@@ -115,18 +128,29 @@ class _Handler(BaseHTTPRequestHandler):
         self.send_header("Content-Length", str(len(body)))
         self.end_headers()
         self.wfile.write(body)
+        if self.server.drop:
+            self.close_connection = True
+
+    def _see(self, payload: dict | None = None) -> None:
+        self.server.seen.append(Seen(self.command, self.path, dict(self.headers), payload,
+                                     self.client_address))
 
     def do_GET(self):
         with self.server.lock:
-            self.server.seen.append(("GET", dict(self.headers), None))
+            self._see()
         self._reply(405, {}, b'{"error": "POST only"}')
+
+    def do_CONNECT(self):
+        with self.server.lock:
+            self._see()
+        self._reply(502, {}, b'{"error": "no tunnel"}')
 
     def do_POST(self):
         server = self.server
         payload = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
         with server.lock:
             server.calls += 1
-            server.seen.append(("POST", dict(self.headers), payload))
+            self._see(payload)
             held = server.gate is not None and server.calls <= 2
             scripted = server.script.pop(0) if server.script else None
         if server.stall is not None:

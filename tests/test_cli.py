@@ -1493,17 +1493,20 @@ def test_input_that_is_not_utf8_is_reported_at_its_line_and_offset(tmp_path, mon
     # past the first 64 KiB block read; the message names the line and the
     # offset in the input, read from a file in process (one under the default
     # MIN_BYTES) and by a forked reader alike, and from stdin or a named pipe,
-    # which are read once, in process
+    # which are read once, in process. A leading byte-order mark is dropped,
+    # but the offset counts its bytes
     [(_, docs)] = random_corpus(60, SynthConfig(seed=6)).datasets
     text = serialize_corpus(docs)
-    body = (text + "# newdoc id = more\ncaf\xe9\n").encode("latin-1")
     gold, bad, fifo = tmp_path / "gold.conllu", tmp_path / "latin1.conllu", tmp_path / "pipe"
     gold.write_text(text, encoding="utf-8")
-    bad.write_bytes(body)
     os.mkfifo(fifo)
-    offset, line = len(text.encode()) + len("# newdoc id = more\ncaf"), text.count("\n") + 2
-    assert workers.MIN_BYTES > offset > 1 << 16
-    for source, name in (("file", bad), ("stdin", "-"), ("pipe", fifo)):
+    line = text.count("\n") + 2
+    for bom, (source, name) in itertools.product(
+            (b"", b"\xef\xbb\xbf"), (("file", bad), ("stdin", "-"), ("pipe", fifo))):
+        body = bom + (text + "# newdoc id = more\ncaf\xe9\n").encode("latin-1")
+        offset = len(bom) + len(text.encode()) + len("# newdoc id = more\ncaf")
+        assert workers.MIN_BYTES > offset > 1 << 16
+        bad.write_bytes(body)
         monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(body), encoding="utf-8"))
         # the writer holds a second thread alive, so no process is forked for the pipe
         writer = threading.Thread(target=fifo.write_bytes, args=(body,), daemon=True)
@@ -1520,6 +1523,25 @@ def test_input_that_is_not_utf8_is_reported_at_its_line_and_offset(tmp_path, mon
         assert capsys.readouterr() == (
             "", f"error: cannot read {cli._shown(str(name))}: 'utf-8' codec can't decode "
                 f"byte 0xe9 on line {line}, at byte offset {offset}: invalid continuation byte\n")
+
+
+@pytest.mark.parametrize("command", ["stats", "convert", "export-train"])
+def test_a_byte_order_mark_is_not_read_as_text(tmp_path, monkeypatch, capsys, command):
+    # as an editor on Windows may write it; both files are named gold.conllu
+    [(_, docs)] = random_corpus(5, SynthConfig(seed=2)).datasets
+    outputs = []
+    for encoding in ("utf-8", "utf-8-sig"):
+        (tmp_path / encoding).mkdir()
+        monkeypatch.chdir(tmp_path / encoding)
+        Path("gold.conllu").write_text(serialize_corpus(docs), encoding=encoding)
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(
+            Path("gold.conllu").read_bytes()), encoding="utf-8"))
+        for source in ("gold.conllu", "-"):
+            assert run(command, source) == 0
+            outputs.append(capsys.readouterr())
+    assert Path("gold.conllu").read_bytes().startswith(b"\xef\xbb\xbf")
+    assert outputs[0].out and outputs[0].err == ""
+    assert outputs[2:] == outputs[:2]
 
 
 @pytest.mark.parametrize("command", ["stats", "convert"])

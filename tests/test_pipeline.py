@@ -537,19 +537,19 @@ def test_http_backend_request_shape(loopback, monkeypatch):
     loopback.gold = {"PROMPT": "annotated!"}
     backend = HttpBackend(loopback.url, "m-1", max_tokens=64, timeout=9.0)
     assert backend.generate("PROMPT") == "annotated!"
-    [(method, headers, payload)] = loopback.seen
-    assert method == "POST"
-    assert payload == {"model": "m-1", "prompt": "PROMPT",
-                       "max_tokens": 64, "temperature": 0}
-    assert headers["Authorization"] == "Bearer sekrit"
+    [seen] = loopback.seen
+    assert (seen.method, seen.target) == ("POST", "/v1/completions")
+    assert seen.payload == {"model": "m-1", "prompt": "PROMPT",
+                            "max_tokens": 64, "temperature": 0}
+    assert seen.headers["Authorization"] == "Bearer sekrit"
 
 
 def test_http_backend_token_only_from_environment(loopback, monkeypatch):
     monkeypatch.delenv("COREFKIT_API_TOKEN", raising=False)
     loopback.gold = {"p": "ok"}
     HttpBackend(loopback.url, "m").generate("p")
-    [(_, headers, _)] = loopback.seen
-    assert "Authorization" not in headers  # no token in env -> no auth header
+    [seen] = loopback.seen
+    assert "Authorization" not in seen.headers  # no token in env -> no auth header
 
 
 def test_http_backend_wraps_failures(loopback, monkeypatch):
